@@ -237,7 +237,9 @@ class _Connection:
         self.peer = writer.get_extra_info("peername")
         self.closed = False
         self.close_reason = "eof"
-        self.players: List[str] = []
+        #: players owed frames here, in attach order (an insertion-
+        #: ordered set); a player leaves once its END frame is queued
+        self.players: Dict[str, None] = {}
         #: negotiated at HELLO: min(our version, the client's)
         self.version = PROTOCOL_VERSION
         self._writer_task: Optional[asyncio.Task] = None
@@ -691,9 +693,10 @@ class GatewayServer:
             if entry is None:
                 statuses[pid] = "unknown"
                 continue
+            if entry.conn is not None and entry.conn is not conn:
+                entry.conn.players.pop(pid, None)  # moved to this socket
             entry.conn = conn
-            if pid not in conn.players:
-                conn.players.append(pid)
+            conn.players[pid] = None
             statuses[pid] = "done" if entry.done_payload is not None else "live"
             tid = traces.get(pid)
             if (
@@ -715,7 +718,8 @@ class GatewayServer:
     def _push_end(self, conn: _Connection, pid: str) -> None:
         entry = self._players.get(pid)
         if entry is not None and entry.done_payload is not None:
-            conn.send(END, entry.done_payload)
+            if conn.send(END, entry.done_payload):
+                conn.players.pop(pid, None)
 
     def _read_only_detail(self) -> str:
         """The write-refusal text, naming the primary when it's known."""
@@ -804,8 +808,7 @@ class GatewayServer:
         # admission accepted: everything since frame receipt was accept
         store.mark(trace_id, "accept")
         self._players[pid] = entry
-        if pid not in conn.players:
-            conn.players.append(pid)
+        conn.players[pid] = None
         ack: Dict[str, Any] = {
             "player": pid, "status": "admitted",
             "shard": self.manager.shard_for(pid), "seq": seq,
@@ -942,6 +945,8 @@ class GatewayServer:
         if entry.conn is not None:
             sent = entry.conn.send(END, payload, trace=tid,
                                    trace_status=status)
+            if sent:
+                entry.conn.players.pop(pid, None)
         if tid is not None and not sent:
             # nobody connected to flush to: the trace ends here with a
             # zero-width flush (the END is parked for a later resume)

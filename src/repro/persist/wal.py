@@ -23,11 +23,11 @@ byte length so recovery can truncate exactly there.
 **Group commit.**  ``append()`` assigns an LSN and enqueues the frame;
 a flusher thread batches everything enqueued across sessions — waiting
 at most ``group_window_s`` to let a batch build — writes it with one
-``write``/``fsync`` pair and then advances the durable watermark.  The
-window is the maximum extra latency any record pays for amortising the
-fsync; throughput under load scales with the batch size (benchmarked
-against per-record fsync in ``benchmarks/bench_persist.py``).
-``sync_each=True`` switches to the naive fsync-per-append baseline.
+``write``/``fsync`` pair, advances the durable watermark and calls
+``on_durable(lsn)``.  The window is the maximum extra latency any record
+pays for amortising the fsync; throughput under load scales with the
+batch size (benchmarked against ``benchmarks/bench_persist.py``'s
+per-record fsync).  ``sync_each=True`` is that fsync-per-append baseline.
 
 The journal is intentionally single-writer: one serve shard owns one
 journal, so appends never contend across shards.
@@ -288,12 +288,14 @@ class Journal:
         config: Optional[PersistenceConfig] = None,
         label: str = "0",
         file_factory: Optional[FileFactory] = None,
+        on_durable: Optional[Callable[[int], None]] = None,
     ) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
         self.config = config or PersistenceConfig(directory=self.directory)
         self.label = label
         self._open_file = file_factory or _default_open
+        self._on_durable = on_durable
         self._cond = threading.Condition()
         self._pending: List[Tuple[int, bytes, float]] = []
         self._durable = 0
@@ -395,18 +397,14 @@ class Journal:
             stamped["n"] = lsn
             frame = encode_frame(stamped)
             if self.config.sync_each:
-                t0 = perf_counter()
+                t0 = monotonic()
                 try:
                     self._write_batch([(lsn, frame)])
                     _fsync_file(self._fh, self.label)
                 except Exception as exc:
                     self._mark_failed(exc)
                     raise PersistError(f"journal failed: {exc!r}") from exc
-                self._durable = lsn
-                if _obs.enabled():
-                    _M_FSYNC.inc(shard=self.label)
-                    _M_COMMIT.observe(perf_counter() - t0, shard=self.label)
-                    _M_GROUP.observe(1, shard=self.label)
+                self._committed(lsn, 1, t0)
             else:
                 self._pending.append((lsn, frame, monotonic()))
                 self._cond.notify_all()
@@ -517,8 +515,8 @@ class Journal:
                 try:
                     self._write_batch([(lsn, fr) for lsn, fr, _ in leftovers])
                     _fsync_file(self._fh, self.label)
-                    with self._cond:
-                        self._durable = leftovers[-1][0]
+                    self._committed(leftovers[-1][0], len(leftovers),
+                                    leftovers[0][2])
                 except Exception as exc:  # pragma: no cover - disk death
                     self._mark_failed(exc)
             try:
@@ -528,6 +526,26 @@ class Journal:
             self._fh = None
 
     # -- internals --------------------------------------------------------
+    def _committed(self, lsn: int, records: int, since: float) -> None:
+        """Publish ``lsn`` as durable, call ``on_durable(lsn)``, count
+        the commit.  The callback runs outside the lock (``sync_each``'s
+        append holds it throughout); one that raises is logged as
+        ``repl.hook_failed`` and never fails the journal."""
+        done_at = monotonic()
+        with self._cond:
+            self._durable = lsn
+            self._cond.notify_all()
+        if self._on_durable is not None:
+            try:
+                self._on_durable(lsn)
+            except Exception as exc:
+                _LOG.warning("repl.hook_failed", shard=self.label, lsn=lsn,
+                             error=repr(exc))
+        if _obs.enabled():
+            _M_FSYNC.inc(shard=self.label)
+            _M_GROUP.observe(records, shard=self.label)
+            _M_COMMIT.observe(done_at - since, shard=self.label)
+
     def _mark_failed(self, exc: BaseException) -> None:
         self._failed = exc
         _M_FAILURES.inc(shard=self.label)
@@ -613,11 +631,4 @@ class Journal:
                     self._mark_failed(exc)
                     self._cond.notify_all()
                 return
-            done_at = monotonic()
-            with self._cond:
-                self._durable = batch[-1][0]
-                self._cond.notify_all()
-            if _obs.enabled():
-                _M_FSYNC.inc(shard=self.label)
-                _M_GROUP.observe(len(batch), shard=self.label)
-                _M_COMMIT.observe(done_at - batch[0][2], shard=self.label)
+            self._committed(batch[-1][0], len(batch), batch[0][2])

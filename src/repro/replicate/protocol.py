@@ -44,6 +44,7 @@ placement map in :mod:`repro.cluster` decides who owns what).
 
 from __future__ import annotations
 
+import socket
 from typing import Any, Dict
 
 from ..gateway.protocol import (
@@ -65,6 +66,7 @@ __all__ = [
     "R_HEARTBEAT",
     "ReplicationError",
     "encode",
+    "hard_close",
     "make_decoder",
 ]
 
@@ -124,3 +126,20 @@ def require(payload: Dict[str, Any], *keys: str) -> None:
     for key in keys:
         if key not in payload:
             raise ProtocolError(f"REPL payload missing {key!r}")
+
+
+def hard_close(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``, ignoring errors.
+
+    ``close`` alone neither wakes a thread blocked in ``recv``/``accept``
+    on the socket nor sends the peer a FIN while that thread pins it;
+    ``shutdown`` does both, so neither side waits on a half-dead link.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass

@@ -68,6 +68,7 @@ from .protocol import (
     ProtocolError,
     ReplicationError,
     encode,
+    hard_close,
     make_decoder,
     require,
 )
@@ -317,17 +318,7 @@ class StandbyReplica:
         for st in self._shards.values():
             sock = st.sock
             if sock is not None:
-                # shutdown before close: close() alone does not wake a
-                # thread blocked in recv() on this socket, shutdown()
-                # does (the follower sees EOF and exits promptly)
-                try:
-                    sock.shutdown(socket.SHUT_RDWR)
-                except OSError:
-                    pass
-                try:
-                    sock.close()
-                except OSError:
-                    pass
+                hard_close(sock)  # the follower sees EOF and exits promptly
         for st in self._shards.values():
             if st.thread is not None:
                 st.thread.join(timeout=5.0)

@@ -14,8 +14,8 @@ CRC-valid frames from the segment files observes, to within one
 group-commit window, exactly the durable log — the same frame scan
 recovery uses, incremental.  A partial frame at EOF is a batch still
 being flushed: wait, never guess.  The serve layer's replication hook
-(:meth:`attach`) wakes the tailers the moment an append lands; without
-it they fall back to polling.
+(:meth:`attach`) wakes a shard's tailer right after each group commit
+is durable; ``poll_interval_s`` is only the fallback/heartbeat cadence.
 
 **Fencing.**  Every handshake carries the standby's epoch.  A standby
 ahead of this source's own epoch is proof of a completed promotion
@@ -55,6 +55,7 @@ from .protocol import (
     R_HANDSHAKE,
     R_HEARTBEAT,
     encode,
+    hard_close,
     make_decoder,
     require,
 )
@@ -210,7 +211,7 @@ class ReplicationSource:
         self._conns: List[socket.socket] = []
         self._conns_lock = threading.Lock()
         self._stop = threading.Event()
-        #: per-shard wakeups, fired by the serve layer's append hook
+        #: per-shard wakeups, set after each durable group commit
         self._wakeups = [threading.Event() for _ in range(n_shards)]
         #: quorum ledger: shard -> {standby client -> highest acked LSN}
         self._acks: Dict[int, Dict[str, int]] = {}
@@ -241,16 +242,7 @@ class ReplicationSource:
         with self._ack_cond:
             self._ack_cond.notify_all()  # release quorum waiters
         if self._sock is not None:
-            # shutdown wakes a blocked accept() (close alone leaves the
-            # accept thread pinned on the old listener)
-            try:
-                self._sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                self._sock.close()
-            except OSError:
-                pass
+            hard_close(self._sock)  # wakes the blocked accept()
         self._sever_all()
         if self._accept_thread is not None:
             self._accept_thread.join(timeout=5.0)
@@ -265,7 +257,7 @@ class ReplicationSource:
 
     # -- serve-layer seam ----------------------------------------------
     def notify(self, shard: int, lsn: int) -> None:
-        """The manager's replication hook: new log exists on ``shard``."""
+        """The manager's replication hook: ``lsn`` on ``shard`` is durable."""
         if 0 <= shard < self.n_shards:
             self._wakeups[shard].set()
 
@@ -327,11 +319,7 @@ class ReplicationSource:
         deadline = None if timeout is None else monotonic() + timeout
         with self._ack_cond:
             while True:
-                count = sum(
-                    1 for acked in self._acks.get(shard, {}).values()
-                    if acked >= lsn
-                )
-                if count >= require:
+                if self.acked_count(shard, lsn) >= require:  # RLock: re-entrant
                     return True
                 if self._stop.is_set():
                     return False
@@ -353,17 +341,7 @@ class ReplicationSource:
         with self._conns_lock:
             conns, self._conns = self._conns, []
         for conn in conns:
-            # shutdown first: it wakes any thread blocked in recv()
-            # (our ack readers, the peer's follower); close() alone
-            # does not
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            hard_close(conn)  # wakes our ack readers, the peer's follower
 
     def _accept_loop(self) -> None:
         assert self._sock is not None
@@ -438,16 +416,7 @@ class ReplicationSource:
         except (ConnectionError, OSError, ValueError):
             pass
         finally:
-            # shutdown wakes the ack reader's pinned recv and pushes a
-            # FIN to the peer even while that recv holds a reference
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                conn.close()
-            except OSError:
-                pass
+            hard_close(conn)
             with self._conns_lock:
                 if conn in self._conns:
                     self._conns.remove(conn)
@@ -568,19 +537,9 @@ class ReplicationSource:
             _LOG.warning("repl.link_partitioned", shard=label)
             self._sever_all()
             return True
-        # drop: this shipping connection dies mid-stream.  shutdown()
-        # before close(): the ack-reader thread's blocked recv pins the
-        # kernel socket, so close() alone would never send FIN and the
-        # standby would wait on a half-dead link forever
+        # drop: this shipping connection dies mid-stream
         _LOG.warning("repl.link_dropped", shard=label)
-        try:
-            conn.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            pass
-        try:
-            conn.close()
-        except OSError:
-            pass
+        hard_close(conn)
         return True
 
     @staticmethod

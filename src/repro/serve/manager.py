@@ -45,6 +45,7 @@ The manager is a context manager::
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from collections import deque
@@ -253,7 +254,11 @@ class _Shard:
             return
         directory = persistence.shard_dir(self.index)
         try:
-            self._journal = Journal(directory, persistence, label=self.label)
+            hook = self._manager._repl_hook
+            self._journal = Journal(
+                directory, persistence, label=self.label,
+                on_durable=functools.partial(hook, self.index) if hook else None,
+            )
             self._snapshots = SnapshotStore(snapshot_dir_for(directory))
             barrier = self._manager._quorum_barrier
             if persistence.quorum_standbys > 0 and barrier is not None:
@@ -286,16 +291,6 @@ class _Shard:
             self._journal = None
             _LOG.error("persist.journal_lost", shard=self.index)
             return None
-        hook = self._manager._repl_hook
-        if hook is not None:
-            # replication wakeup: tell the shipping source new log
-            # exists.  Best-effort by design — the hook only nudges a
-            # tailer that would find the records on its next pass
-            # anyway, so a broken hook must not take the shard down.
-            try:
-                hook(self.index, lsn)
-            except Exception:
-                _LOG.warning("repl.hook_failed", shard=self.index)
         return lsn
 
     def _maybe_snapshot(self, session: ServedSession, lsn: int) -> None:
@@ -544,7 +539,7 @@ class SessionManager:
         self._started = False
         self._stopped = False
         #: optional ``(shard_index, lsn)`` callback fired after every
-        #: successful journal append (see :meth:`set_replication_hook`)
+        #: durable commit (see :meth:`set_replication_hook`)
         self._repl_hook: Optional[Callable[[int, int], None]] = None
         #: optional quorum-commit barrier (see :meth:`set_quorum_barrier`)
         self._quorum_barrier: Optional[
@@ -554,13 +549,15 @@ class SessionManager:
     def set_replication_hook(
         self, hook: Optional[Callable[[int, int], None]]
     ) -> None:
-        """Install a ``(shard_index, lsn)`` callback fired on the shard
-        thread after every successful journal append.
+        """Install a ``(shard_index, lsn)`` callback fired after each
+        durable commit, on the journal's flusher thread (on the shard
+        thread, inline, under ``sync_each``).
 
         The replication source uses it to wake its per-shard tailers the
-        moment new log exists instead of polling.  The callback must be
-        cheap and non-blocking (it runs inside the shard tick); pass
-        ``None`` to uninstall.  Zero cost when unset.
+        moment new log is on disk, so they never wait out a poll for it.
+        It must be cheap and non-blocking (it delays the next group
+        commit).  Set it before :meth:`start`: journals take it as they
+        open; ``None`` installs nothing.
         """
         self._repl_hook = hook
 

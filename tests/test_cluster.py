@@ -7,6 +7,8 @@ small end-to-end quorum cluster and one seeded chaos audit.
 """
 
 import socket
+import threading
+import time
 
 import pytest
 
@@ -279,6 +281,45 @@ class TestQuorumCluster:
             # the subsets genuinely interleave, nobody mirrors it all
             assert sum(subset_sizes) == N_SHARDS * 2
             assert min(subset_sizes) < N_SHARDS
+
+    def test_quorum_end_does_not_wait_out_the_poll_interval(
+        self, classroom_game, scripts, live
+    ):
+        # Shipping is woken by each durable group commit, so a
+        # quorum-gated END costs one ship/apply/ack round trip.  The
+        # 2 s poll (and 5 s heartbeat) is only the fallback cadence: if
+        # the wakeup came before the records were on disk, every END
+        # here would wait out most of a poll tick.
+        poll_s = 2.0
+        with ClusterSupervisor(
+            classroom_game, n_shards=N_SHARDS, n_standbys=1, quorum=1,
+            poll_interval_s=poll_s, heartbeat_s=5.0,
+        ) as supervisor:
+            deadline = time.monotonic() + 10.0
+            while len(supervisor.source.subscriptions()) < 1:
+                assert time.monotonic() < deadline, "standby never subscribed"
+                time.sleep(0.005)
+            timeouts_before = _counter_total("repro_quorum_timeouts_total")
+            for k, script in enumerate(scripts[:2]):
+                done = threading.Event()
+                base = traced_factory(
+                    session_factory_for_script(classroom_game, script)
+                )
+
+                def factory(pid, base=base, done=done):
+                    session = base(pid)
+                    session.on_done = lambda _s: done.set()
+                    return session
+
+                t0 = time.monotonic()
+                assert supervisor.submit(f"{script.player_id}#w{k}", factory)
+                assert done.wait(3 * poll_s), "traced END never settled"
+                elapsed = time.monotonic() - t0
+                assert elapsed < 0.5, (
+                    f"quorum-gated END took {elapsed:.3f}s with a "
+                    f"{poll_s}s poll interval"
+                )
+            assert _counter_total("repro_quorum_timeouts_total") == timeouts_before
 
     def test_handshake_rejects_unsubscribed_shard(self, classroom_game):
         with ClusterSupervisor(

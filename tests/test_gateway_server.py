@@ -282,3 +282,36 @@ class TestDrain:
         assert reports, "drain left no shard journals behind"
         assert sum(len(r.records) for r in reports) > 0
         assert all(r.torn_records == 0 for r in reports)
+
+
+class TestConnectionPlayers:
+    def test_finished_players_leave_the_connection(
+        self, classroom_game, scripts, live
+    ):
+        # A long-lived connection must not accumulate every session it
+        # ever carried: a player leaves once its END frame is queued,
+        # so per-SUBMIT cost and memory stay flat.
+        n, batch = 2000, 100
+        gw = _gateway(classroom_game, max_steps_per_tick=1000)
+        with GatewayThread(gw) as handle:
+            async def drive():
+                async with GatewayClient(handle.host, handle.port) as client:
+                    (conn,) = handle.server._connections
+                    peak = 0
+                    for lo in range(0, n, batch):
+                        pids = [f"churn-{i}" for i in range(lo, lo + batch)]
+                        await asyncio.gather(*(
+                            client.submit(pid, scripts[i % len(scripts)].ops,
+                                          dt=scripts[i % len(scripts)].dt)
+                            for i, pid in enumerate(pids)
+                        ))
+                        peak = max(peak, len(conn.players))
+                        ends = await asyncio.gather(*(
+                            client.wait_end(pid, timeout=30.0) for pid in pids
+                        ))
+                        assert not any(end["failed"] for end in ends)
+                    return peak, len(conn.players)
+
+            peak, left = asyncio.run(drive())
+        assert peak <= batch
+        assert left == 0

@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro import obs
+from repro.obs import logging as olog
 from repro.persist import (
     Journal,
     PersistenceConfig,
@@ -165,3 +167,93 @@ class TestJournal:
             PersistenceConfig(directory=tmp_path, group_window_s=-1)
         with pytest.raises(ValueError):
             PersistenceConfig(directory=tmp_path, snapshot_every=-1)
+
+
+class TestDurableCallback:
+    """``on_durable(lsn)``: fired once per commit with the new watermark."""
+
+    @staticmethod
+    def _recording_journal(tmp_path, **config):
+        seen = []
+        holder = {}
+
+        def on_durable(lsn):
+            journal = holder["j"]
+            # never early: the watermark already covers lsn, and the
+            # record is readable from the segment file
+            assert journal.durable_lsn >= lsn
+            records, _valid, _torn = read_segment(
+                list_segments(tmp_path)[-1][1]
+            )
+            assert lsn in [r.get("n") for r in records]
+            seen.append(lsn)
+
+        journal = holder["j"] = Journal(
+            tmp_path, PersistenceConfig(directory=tmp_path, **config),
+            on_durable=on_durable,
+        )
+        return journal, seen
+
+    def test_group_commit_reports_each_new_watermark(self, tmp_path):
+        j, seen = self._recording_journal(tmp_path, group_window_s=0.001)
+        for i in range(20):
+            lsn = j.append(_rec(i))
+            if i % 3 == 0:
+                assert j.wait_durable(lsn, timeout=5.0)
+        assert j.sync(timeout=5.0)
+        j.close()
+        assert seen, "no commit reported"
+        assert seen == sorted(set(seen))  # strictly increasing
+        assert seen[-1] == 20
+        # every wait_durable'd LSN was covered by some reported commit
+        assert all(any(s >= lsn for s in seen) for lsn in range(1, 21, 3))
+
+    def test_sync_each_reports_every_append_in_order(self, tmp_path):
+        j, seen = self._recording_journal(tmp_path, sync_each=True)
+        lsns = [j.append(_rec(i)) for i in range(5)]
+        j.close()
+        assert seen == lsns == [1, 2, 3, 4, 5]
+
+    def test_not_fired_before_the_commit_lands(self, tmp_path):
+        j, seen = self._recording_journal(tmp_path, group_window_s=0.3)
+        j.append(_rec(0))
+        assert seen == [] and j.durable_lsn == 0  # still inside the window
+        assert j.sync(timeout=5.0)
+        # the callback runs just after the watermark is published, so
+        # sync() may return first; close() joins the flusher
+        j.close()
+        assert seen == [1]
+
+    def test_raising_callback_is_logged_not_fatal(self, tmp_path):
+        calls = []
+
+        def broken(lsn):
+            calls.append(lsn)
+            raise RuntimeError("hook exploded")
+
+        was = obs.enabled()
+        obs.enable()
+        events = []
+        sink = olog.add_log_sink(events.append)
+        try:
+            for config in ({"group_window_s": 0.001}, {"sync_each": True}):
+                directory = tmp_path / ("sync" if config.get("sync_each")
+                                        else "group")
+                j = Journal(directory,
+                            PersistenceConfig(directory=directory, **config),
+                            label="7", on_durable=broken)
+                first = j.append(_rec(0))
+                assert j.wait_durable(first, timeout=5.0)
+                assert not j.failed
+                later = j.append(_rec(1))  # the flusher is still alive
+                assert j.wait_durable(later, timeout=5.0)
+                assert not j.failed
+                j.close()
+        finally:
+            olog.remove_log_sink(sink)
+            obs.set_enabled(was)
+        assert calls and max(calls) == 2
+        failures = [e for e in events if e["event"] == "repl.hook_failed"]
+        assert len(failures) == len(calls)
+        assert all(e["fields"]["shard"] == "7" for e in failures)
+
