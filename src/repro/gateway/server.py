@@ -10,8 +10,9 @@ thread-safe seams:
   so the event loop calls it directly when a SUBMIT frame arrives.
 * **completion** — each gateway-built session carries an ``on_done``
   callback; the owning shard fires it (on the shard thread) after the
-  final step, and the callback hops back onto the event loop with
-  ``loop.call_soon_threadsafe`` to push the END frame.
+  final step, and the callback queues the END and hops back onto the
+  event loop with ``loop.call_soon_threadsafe`` — once per batch of
+  ENDs, not once per END — to push the END frames.
 
 Backpressure is explicit on both sides of a connection:
 
@@ -38,7 +39,7 @@ import threading
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import faultline as _fl
 from ..obs import attribution as _attr
@@ -534,6 +535,11 @@ class GatewayServer:
         self.placement = placement
         self._players: Dict[str, _PlayerEntry] = {}
         self._finished: "OrderedDict[str, None]" = OrderedDict()
+        #: completion bridge: ENDs queued by shard threads, drained in
+        #: FIFO order by one loop callback per batch; ``_ends_armed``
+        #: says that callback is already scheduled
+        self._ends: Deque[Tuple[str, Dict[str, Any]]] = deque()
+        self._ends_armed = False
         self._connections: List[_Connection] = []
         self._server: Optional[asyncio.AbstractServer] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -921,12 +927,34 @@ class GatewayServer:
     def _finish_session_threadsafe(
         self, pid: str, payload: Dict[str, Any]
     ) -> None:
+        """Queue an END for the loop; wake the loop once per batch.
+
+        Lock-free under the GIL: the END is queued *before* the armed
+        flag is read, and the drain clears the flag *before* it pops,
+        so an END that sees the flag set is always popped by the drain
+        that set it.  A racing second wakeup only finds an empty queue.
+        """
         if self._loop is None or self._loop.is_closed():
             return
+        self._ends.append((pid, payload))
+        if self._ends_armed:
+            return
+        self._ends_armed = True
         try:
-            self._loop.call_soon_threadsafe(self._finish_session, pid, payload)
+            self._loop.call_soon_threadsafe(self._drain_ends)
         except RuntimeError:  # loop shut down mid-flight
-            pass
+            self._ends_armed = False
+
+    def _drain_ends(self) -> None:
+        """Event-loop side of the bridge: deliver queued ENDs in order."""
+        self._ends_armed = False
+        ends = self._ends
+        while ends:
+            pid, payload = ends.popleft()
+            try:
+                self._finish_session(pid, payload)
+            except Exception as exc:  # one bad END must not strand the rest
+                _LOG.error("gateway.end_failed", player=pid, error=repr(exc))
 
     def _finish_session(self, pid: str, payload: Dict[str, Any]) -> None:
         """Event-loop side: record the END payload and push it out."""

@@ -15,6 +15,17 @@ through this module.  Design constraints, in priority order:
 3. **Labeled series.**  Every metric holds one series per label set
    (``counter.inc(policy="lru")``), keyed by the sorted label items, so
    exports carry the same dimensional structure real collectors expect.
+   The sorted key is cached per call-site ``tuple(labels.items())``.
+4. **No shared lock on the recording path.**  Serve shard threads and
+   the gateway loop bump the same counters dozens of times per session.
+   ``Counter.inc`` and ``Histogram.observe`` therefore write, unlocked,
+   into a cell owned by the calling thread (a ``threading.local``,
+   registered in a map keyed by thread ident).  Reads (``series``,
+   ``value``, ``total``, ``count_of``, ``snapshot``) merge the cells
+   under the metric's lock, so every sum is exact; the cells of threads
+   that have exited are folded into the merged series, so memory does
+   not grow with thread churn.  ``Gauge`` keeps its lock: ``set`` is
+   last-writer-wins and has no per-thread sum to merge.
 
 The registry only *collects*; rendering lives in
 :mod:`repro.obs.export` and tracing in :mod:`repro.obs.tracing`.
@@ -25,6 +36,7 @@ from __future__ import annotations
 import os
 import threading
 import time
+from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
@@ -134,7 +146,7 @@ class _Metric:
 
     kind = "untyped"
 
-    __slots__ = ("name", "help", "_series", "_lock")
+    __slots__ = ("name", "help", "_series", "_lock", "_keys")
 
     def __init__(self, name: str, help_text: str = "") -> None:
         if not name or not name.replace("_", "").replace(":", "").isalnum():
@@ -145,11 +157,27 @@ class _Metric:
         self.help = help_text
         self._series: Dict[LabelKey, Any] = {}
         self._lock = threading.Lock()
+        #: call-site ``tuple(labels.items())`` -> normalised label key
+        self._keys: Dict[Tuple[Tuple[str, Any], ...], LabelKey] = {}
+
+    def _key(self, labels: Dict[str, Any]) -> LabelKey:
+        """``_label_key(labels)``, cached by the call site's item order."""
+        if not labels:
+            return ()
+        items = tuple(labels.items())
+        try:
+            return self._keys[items]
+        except KeyError:
+            key = self._keys[items] = _label_key(labels)
+            return key
+        except TypeError:  # an unhashable label value: normalise uncached
+            return _label_key(labels)
 
     def clear(self) -> None:
         """Drop all collected series (the definition survives)."""
         with self._lock:
             self._series.clear()
+            self._keys.clear()
 
     def series(self) -> List[Tuple[LabelKey, Any]]:
         """Stable-ordered (label_key, value) pairs."""
@@ -157,7 +185,76 @@ class _Metric:
             return sorted(self._series.items())
 
 
-class Counter(_Metric):
+class _CellMetric(_Metric):
+    """A metric recorded into per-thread cells and merged on read.
+
+    Each recording thread owns one cell (``{label_key: value}``), found
+    through a ``threading.local`` and written without a lock; ``_cells``
+    maps thread ident -> ``(thread, cell)`` so readers can find every
+    cell.  ``_series`` holds what the cells of exited threads folded
+    into.  Subclasses say how to fold one cell value into another.
+    """
+
+    __slots__ = ("_local", "_cells")
+
+    def __init__(self, name: str, help_text: str = "") -> None:
+        super().__init__(name, help_text)
+        self._local = threading.local()
+        self._cells: Dict[int, Tuple[threading.Thread, Dict[LabelKey, Any]]] = {}
+
+    def _new_cell(self) -> Dict[LabelKey, Any]:
+        """Register the calling thread's cell (first write per thread)."""
+        cell: Dict[LabelKey, Any] = {}
+        with self._lock:
+            self._fold_dead()
+            ident = threading.get_ident()
+            # an ident is reused only once its previous owner has exited
+            old = self._cells.pop(ident, None)
+            if old is not None:
+                self._fold(self._series, old[1])
+            self._cells[ident] = (threading.current_thread(), cell)
+            self._local.cell = cell
+        return cell
+
+    def _fold_dead(self) -> None:
+        """Fold the cells of exited threads into ``_series`` (lock held)."""
+        for ident, (thread, cell) in list(self._cells.items()):
+            if not thread.is_alive():
+                del self._cells[ident]
+                self._fold(self._series, cell)
+
+    def _fold(self, into: Dict[LabelKey, Any], cell: Dict[LabelKey, Any]) -> None:
+        raise NotImplementedError
+
+    def _merged(self) -> Dict[LabelKey, Any]:
+        """Every series summed over the folded map and all live cells."""
+        with self._lock:
+            self._fold_dead()
+            merged: Dict[LabelKey, Any] = {}
+            self._fold(merged, self._series)
+            for _thread, cell in self._cells.values():
+                # dict.copy() runs without releasing the GIL, so a
+                # concurrent writer cannot resize the cell under us
+                self._fold(merged, cell.copy())
+        return merged
+
+    def clear(self) -> None:
+        """Drop every cell and the folded series.
+
+        Threads re-register on their next write; a write racing the
+        clear lands in a dropped cell, as if it came just before it.
+        """
+        with self._lock:
+            self._local = threading.local()
+            self._cells.clear()
+            self._series.clear()
+            self._keys.clear()
+
+    def series(self) -> List[Tuple[LabelKey, Any]]:
+        return sorted(self._merged().items())
+
+
+class Counter(_CellMetric):
     """Monotonically increasing count (events, bytes, errors)."""
 
     kind = "counter"
@@ -169,18 +266,24 @@ class Counter(_Metric):
             return
         if amount < 0:
             raise MetricError(f"counter {self.name} cannot decrease")
-        key = _label_key(labels)
-        with self._lock:
-            self._series[key] = self._series.get(key, 0.0) + amount
+        key = self._key(labels) if labels else ()
+        try:
+            cell = self._local.cell
+        except AttributeError:
+            cell = self._new_cell()
+        cell[key] = cell.get(key, 0.0) + amount
+
+    def _fold(self, into: Dict[LabelKey, Any], cell: Dict[LabelKey, Any]) -> None:
+        for key, value in cell.items():
+            into[key] = into.get(key, 0.0) + value
 
     def value(self, **labels: Any) -> float:
         """Current value of one labeled series (0.0 if never touched)."""
-        return self._series.get(_label_key(labels), 0.0)
+        return self._merged().get(_label_key(labels), 0.0)
 
     def total(self) -> float:
         """Sum over all labeled series."""
-        with self._lock:
-            return sum(self._series.values())
+        return sum(self._merged().values())
 
 
 class Gauge(_Metric):
@@ -192,13 +295,14 @@ class Gauge(_Metric):
     def set(self, value: float, **labels: Any) -> None:
         if not _ENABLED:
             return
+        key = self._key(labels)
         with self._lock:
-            self._series[_label_key(labels)] = float(value)
+            self._series[key] = float(value)
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if not _ENABLED:
             return
-        key = _label_key(labels)
+        key = self._key(labels)
         with self._lock:
             self._series[key] = self._series.get(key, 0.0) + amount
 
@@ -210,7 +314,12 @@ class Gauge(_Metric):
 
 
 class _HistogramSeries:
-    """One labeled series: cumulative-style bucket counts + sum + count."""
+    """One labeled series: per-bucket counts + sum + count.
+
+    Cells record ``counts`` and ``sum`` only; ``count`` is filled in at
+    merge time as ``sum(counts)``, so a read racing a write never sees a
+    count that disagrees with its buckets.
+    """
 
     __slots__ = ("counts", "sum", "count")
 
@@ -220,7 +329,7 @@ class _HistogramSeries:
         self.count = 0
 
 
-class Histogram(_Metric):
+class Histogram(_CellMetric):
     """Distribution of observations over fixed upper-bound buckets.
 
     ``observe()`` files a value into the first bucket whose upper bound
@@ -249,19 +358,27 @@ class Histogram(_Metric):
     def observe(self, value: float, **labels: Any) -> None:
         if not _ENABLED:
             return
-        key = _label_key(labels)
-        with self._lock:
-            series = self._series.get(key)
-            if series is None:
-                series = self._series[key] = _HistogramSeries(len(self.buckets))
-            idx = len(self.buckets)  # +Inf by default
-            for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    idx = i
-                    break
-            series.counts[idx] += 1
-            series.sum += value
-            series.count += 1
+        key = self._key(labels) if labels else ()
+        try:
+            cell = self._local.cell
+        except AttributeError:
+            cell = self._new_cell()
+        series = cell.get(key)
+        if series is None:
+            series = cell[key] = _HistogramSeries(len(self.buckets))
+        # NaN compares false with every bound: it belongs in +Inf
+        idx = bisect_left(self.buckets, value) if value == value else -1
+        series.counts[idx] += 1
+        series.sum += value
+
+    def _fold(self, into: Dict[LabelKey, Any], cell: Dict[LabelKey, Any]) -> None:
+        for key, src in cell.items():
+            dst = into.get(key)
+            if dst is None:
+                dst = into[key] = _HistogramSeries(len(self.buckets))
+            dst.counts = [a + b for a, b in zip(dst.counts, src.counts)]
+            dst.sum += src.sum
+            dst.count = sum(dst.counts)
 
     def time(self, **labels: Any) -> "_Timer | _NullTimer":
         """Context manager observing elapsed seconds; no-op when disabled."""
@@ -270,11 +387,11 @@ class Histogram(_Metric):
         return _Timer(self, labels)
 
     def count_of(self, **labels: Any) -> int:
-        series = self._series.get(_label_key(labels))
+        series = self._merged().get(_label_key(labels))
         return series.count if series is not None else 0
 
     def sum_of(self, **labels: Any) -> float:
-        series = self._series.get(_label_key(labels))
+        series = self._merged().get(_label_key(labels))
         return series.sum if series is not None else 0.0
 
 

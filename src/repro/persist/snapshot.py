@@ -23,7 +23,7 @@ import hashlib
 import json
 import os
 from pathlib import Path
-from typing import Any, Dict, Iterable, Mapping, Sequence, Tuple, Union
+from typing import Any, Dict, Iterable, Mapping, Sequence, Set, Tuple, Union
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -66,18 +66,32 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 
 class SnapshotStore:
-    """Atomic per-session snapshot files under one shard's journal dir."""
+    """Atomic per-session snapshot files under one shard's journal dir.
+
+    The store remembers which snapshots it holds — the ids it wrote,
+    plus the files one directory listing found at construction (left by
+    a previous process) — so retiring a session that never snapshotted,
+    the common case, costs no hash, no path and no syscall.  A store
+    does not see files that another store writes after it was opened.
+    """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        #: player ids this store has written a snapshot for
+        self._ids: Set[str] = set()
+        #: file names found at construction and not yet rewritten/removed
+        self._inherited: Set[str] = {
+            path.name for path in self.directory.glob("snap-*.json")
+        }
 
-    def _path(self, player_id: str) -> Path:
+    @staticmethod
+    def _name(player_id: str) -> str:
         # Player ids are arbitrary strings ("load-3#12"); hash for a
         # filesystem-safe, collision-resistant name.  The id itself is
         # stored inside the document.
         digest = hashlib.sha1(player_id.encode("utf-8")).hexdigest()[:24]
-        return self.directory / f"snap-{digest}.json"
+        return f"snap-{digest}.json"
 
     # ------------------------------------------------------------------
     def write(
@@ -109,8 +123,11 @@ class SnapshotStore:
             "state": state_dict,
             "digest": state_digest(state_dict),
         }
-        path = self._path(player_id)
+        name = self._name(player_id)
+        path = self.directory / name
         _atomic_write_bytes(path, json.dumps(doc, sort_keys=True).encode("utf-8"))
+        self._ids.add(player_id)
+        self._inherited.discard(name)
         _M_SNAPSHOTS.inc()
         return path
 
@@ -144,9 +161,19 @@ class SnapshotStore:
         return out, rejected
 
     def remove(self, player_id: str) -> bool:
-        path = self._path(player_id)
+        """Delete ``player_id``'s snapshot; False when it has none."""
+        if player_id in self._ids:
+            self._ids.discard(player_id)
+            name = self._name(player_id)
+        elif self._inherited:
+            name = self._name(player_id)
+            if name not in self._inherited:
+                return False
+            self._inherited.discard(name)
+        else:
+            return False
         try:
-            path.unlink()
+            (self.directory / name).unlink()
             return True
         except FileNotFoundError:
             return False

@@ -24,10 +24,13 @@ byte length so recovery can truncate exactly there.
 a flusher thread batches everything enqueued across sessions — waiting
 at most ``group_window_s`` to let a batch build — writes it with one
 ``write``/``fsync`` pair, advances the durable watermark and calls
-``on_durable(lsn)``.  The window is the maximum extra latency any record
-pays for amortising the fsync; throughput under load scales with the
-batch size (benchmarked against ``benchmarks/bench_persist.py``'s
-per-record fsync).  ``sync_each=True`` is that fsync-per-append baseline.
+``on_durable(lsn)``.  An append wakes only an idle flusher: the one
+append that finds the queue empty notifies it, and the rest of the
+batch lands while it sleeps out its window undisturbed.  The window is
+the maximum extra latency any record pays for amortising the fsync;
+throughput under load scales with the batch size (benchmarked against
+``benchmarks/bench_persist.py``'s per-record fsync).  ``sync_each=True``
+is that fsync-per-append baseline.
 
 The journal is intentionally single-writer: one serve shard owns one
 journal, so appends never contend across shards.
@@ -406,8 +409,12 @@ class Journal:
                     raise PersistError(f"journal failed: {exc!r}") from exc
                 self._committed(lsn, 1, t0)
             else:
+                # Only an idle flusher needs waking: with records
+                # already pending it is inside its window (or writing
+                # the previous batch) and will pick this one up.
+                if not self._pending:
+                    self._cond.notify_all()
                 self._pending.append((lsn, frame, monotonic()))
-                self._cond.notify_all()
         return lsn
 
     def set_quorum(

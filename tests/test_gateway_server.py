@@ -1,7 +1,10 @@
 """Loopback tests for the asyncio gateway server."""
 
 import asyncio
+import collections
 import socket
+import sys
+import threading
 import time
 
 import pytest
@@ -15,7 +18,7 @@ from repro.gateway import (
     GatewayServer,
     GatewayThread,
 )
-from repro.gateway.protocol import HELLO, PING, STATE, encode_frame
+from repro.gateway.protocol import END, HELLO, PING, STATE, encode_frame
 from repro.gateway.server import _Connection
 from repro.persist import PersistenceConfig, scan_journal, state_digest
 from repro.persist.records import apply_scripted_op
@@ -315,3 +318,118 @@ class TestConnectionPlayers:
             peak, left = asyncio.run(drive())
         assert peak <= batch
         assert left == 0
+
+
+class TestEndBridge:
+    def test_burst_of_ends_is_batched_and_ordered(
+        self, classroom_game, scripts, live
+    ):
+        # Shard threads queue ENDs and wake the loop once per batch; the
+        # loop delivers every END exactly once, in completion order.
+        n = 200
+        gw = _gateway(classroom_game, max_steps_per_tick=1000)
+        completed = []
+        order_lock = threading.Lock()
+
+        class _RecordingDeque(collections.deque):
+            def append(self, item):
+                with order_lock:  # shard threads: record and queue as one
+                    completed.append(item[0])
+                    super().append(item)
+
+        gw._ends = _RecordingDeque()
+        with GatewayThread(gw) as handle:
+            loop = handle.server._loop
+            wakeups = []
+            real_call_soon = loop.call_soon_threadsafe
+
+            def counting_call_soon(callback, *args, **kwargs):
+                wakeups.append(callback)
+                return real_call_soon(callback, *args, **kwargs)
+
+            loop.call_soon_threadsafe = counting_call_soon
+
+            async def drive():
+                async with GatewayClient(handle.host, handle.port) as client:
+                    arrived = []
+                    on_frame = client._on_frame
+
+                    def recording_on_frame(ftype, payload):
+                        if ftype == END:
+                            arrived.append(payload["player"])
+                        on_frame(ftype, payload)
+
+                    client._on_frame = recording_on_frame
+                    pids = [f"burst-{i}" for i in range(n)]
+                    await asyncio.gather(*(
+                        client.submit(pid, scripts[i % len(scripts)].ops,
+                                      dt=scripts[i % len(scripts)].dt)
+                        for i, pid in enumerate(pids)
+                    ))
+                    ends = await asyncio.gather(*(
+                        client.wait_end(pid, timeout=30.0) for pid in pids
+                    ))
+                    assert not any(end["failed"] for end in ends)
+                    return pids, arrived
+
+            pids, arrived = asyncio.run(drive())
+            del loop.call_soon_threadsafe
+        assert sorted(arrived) == sorted(pids)  # each END exactly once
+        assert arrived == completed
+        assert 1 <= len(wakeups) < n, len(wakeups)
+
+    def test_concurrent_finishers_lose_no_end(self, classroom_game):
+        # The bridge is lock-free; with a one-microsecond switch
+        # interval, eight finishing threads must still get every END
+        # delivered exactly once, each thread's in its own order.
+        gw = _gateway(classroom_game)
+        delivered = []
+        gw._finish_session = lambda pid, payload: delivered.append(pid)
+        loop = asyncio.new_event_loop()
+        runner = threading.Thread(target=loop.run_forever)
+        runner.start()
+        gw._loop = loop
+        n_threads, per_thread = 8, 500
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            def finish(tid):
+                for i in range(per_thread):
+                    gw._finish_session_threadsafe(f"{tid}-{i}", {})
+
+            finishers = [threading.Thread(target=finish, args=(t,))
+                         for t in range(n_threads)]
+            for t in finishers:
+                t.start()
+            for t in finishers:
+                t.join(timeout=30.0)
+            assert not any(t.is_alive() for t in finishers)
+            assert _wait_until(
+                lambda: len(delivered) >= n_threads * per_thread, timeout=10.0
+            )
+        finally:
+            sys.setswitchinterval(old)
+            loop.call_soon_threadsafe(loop.stop)
+            runner.join(timeout=10.0)
+            loop.close()
+        assert len(delivered) == n_threads * per_thread
+        for tid in range(n_threads):
+            mine = [pid for pid in delivered if pid.startswith(f"{tid}-")]
+            assert mine == [f"{tid}-{i}" for i in range(per_thread)]
+
+    def test_factory_failure_end_still_delivers(self, live):
+        class _BrokenGame:
+            def new_engine(self, **_kwargs):
+                raise RuntimeError("engine factory exploded")
+
+        with GatewayThread(_gateway(_BrokenGame())) as handle:
+            async def drive():
+                async with GatewayClient(handle.host, handle.port) as client:
+                    ack = await client.submit("doomed", [], dt=0.25)
+                    assert ack["status"] == "admitted"
+                    return await client.wait_end("doomed", timeout=10.0)
+
+            end = asyncio.run(drive())
+        assert end["failed"] is True
+        assert end["error"] == "RuntimeError"
+        assert end["digest"] is None

@@ -1,6 +1,8 @@
 """Tests for snapshots, compaction, and crash recovery replay."""
 
+import hashlib
 import json
+import os
 
 import pytest
 
@@ -114,6 +116,47 @@ class TestSnapshots:
         path.write_text(json.dumps(doc))
         loaded, rejected = store.load_all()
         assert loaded == {} and rejected == 1
+
+    def test_remove_of_a_never_written_id_touches_nothing(
+        self, tmp_path, monkeypatch, classroom_game, scripts
+    ):
+        store = SnapshotStore(tmp_path)
+        script = scripts[0]
+        engine = classroom_game.new_engine(with_video=False)
+        engine.start()
+        path = store.write(script.player_id, script.dt, script.ops, 0,
+                           engine.state.to_dict(), lsn=1)
+        unlinks, hashes = [], []
+        real_unlink, real_sha1 = os.unlink, hashlib.sha1
+        monkeypatch.setattr(
+            os, "unlink", lambda p, *a, **k: (unlinks.append(p),
+                                              real_unlink(p, *a, **k))[1])
+        monkeypatch.setattr(
+            hashlib, "sha1", lambda *a, **k: (hashes.append(a),
+                                              real_sha1(*a, **k))[1])
+        assert store.remove("never-snapshotted") is False
+        assert unlinks == [] and hashes == []
+        assert store.remove(script.player_id) is True
+        assert len(unlinks) == 1 and not path.exists()
+        assert store.remove(script.player_id) is False
+        assert len(unlinks) == 1
+
+    def test_previous_process_snapshot_is_still_removed(
+        self, tmp_path, classroom_game, scripts
+    ):
+        script = scripts[0]
+        engine = classroom_game.new_engine(with_video=False)
+        engine.start()
+        path = SnapshotStore(tmp_path).write(
+            script.player_id, script.dt, script.ops, 0,
+            engine.state.to_dict(), lsn=1,
+        )
+        restarted = SnapshotStore(tmp_path)  # a new process, same dir
+        assert restarted.remove("someone-else") is False
+        assert path.exists()
+        assert restarted.remove(script.player_id) is True
+        assert not path.exists() and restarted.count() == 0
+        assert restarted.remove(script.player_id) is False
 
     def test_watermark(self):
         assert compaction_watermark([7, 3, 9], tip_lsn=20) == 3

@@ -169,6 +169,32 @@ class TestJournal:
             PersistenceConfig(directory=tmp_path, snapshot_every=-1)
 
 
+class TestFlusherWakeup:
+    def test_only_the_append_into_an_empty_queue_notifies(self, tmp_path):
+        committed = []
+        j = Journal(
+            tmp_path, PersistenceConfig(directory=tmp_path, group_window_s=0.05),
+            on_durable=committed.append,
+        )
+        appender = threading.get_ident()
+        notifies = []
+        real_notify_all = j._cond.notify_all
+
+        def counting_notify_all():
+            if threading.get_ident() == appender:
+                notifies.append(j.last_assigned_lsn)
+            real_notify_all()
+
+        j._cond.notify_all = counting_notify_all
+        lsns = [j.append(_rec(i)) for i in range(200)]
+        # one wakeup, issued by the append (LSN 1) that found the queue
+        # empty; the other 199 land while the flusher sleeps out its window
+        assert notifies == [1]
+        assert j.sync(timeout=5.0)
+        j.close()
+        assert committed == [lsns[-1]] == [200]  # one group commit
+
+
 class TestDurableCallback:
     """``on_durable(lsn)``: fired once per commit with the new watermark."""
 
