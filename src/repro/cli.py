@@ -297,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--wait", type=int, default=None,
-        help="ENDs to await before the kill (default: half the sessions)",
+        help="ENDs to await before the first kill (default: half the "
+             "sessions, a quarter for repl-quorum-partition)",
     )
     p_chaos.add_argument(
         "--shards", type=int, default=2,
@@ -305,7 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_chaos.add_argument(
         "--persist-dir", type=Path, default=None,
-        help="WAL directory (default: a temp dir, removed after the audit)",
+        help="directory for every journal of the run, kept afterwards "
+             "(default: a temp dir, removed after the audit)",
     )
     p_chaos.add_argument(
         "--report", type=Path, default=None,
@@ -1332,7 +1334,6 @@ def _cmd_top(
 def _cmd_chaos(args: argparse.Namespace) -> int:
     import json
 
-    from . import obs
     from .faultline.chaos import run_chaos
     from .faultline.plan import builtin_plans
     from .reporting import format_table
@@ -1358,15 +1359,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     if args.wait is not None and args.wait < 1:
         print("error: --wait must be >= 1", file=sys.stderr)
         return 2
-    obs.enable()
-    if args.plan == "repl-quorum-partition":
-        # the quorum plan soaks a whole placement-mapped cluster
-        # (several standbys, quorum commit, routed failover)
-        return _chaos_cluster(args)
-    if any(spec.site.startswith("repl.") for spec in plans[args.plan].specs):
-        # plans that fault the shipping link need the whole
-        # primary/standby/promote cycle, not the single-node soak
-        return _chaos_repl(args)
     report = run_chaos(
         args.plan,
         seed=args.seed,
@@ -1377,137 +1369,23 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     )
     print(format_table(
         report.faults,
-        title=f"Fault schedule (plan={report.plan} seed={report.seed})",
+        title=f"Fault schedule (plan={report.plan} seed={report.seed} "
+              f"topology={report.topology})",
     ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"completed={report.completed_ends} failed={report.failed_ends} "
-        f"in {report.duration_s:.2f}s"
-    )
-    print(
-        f"recovery: live={report.recovered_live} "
-        f"ended={report.recovered_ended} torn={report.torn_records} "
-        f"orphans={report.orphan_records}"
-    )
-    print(
-        f"audit: digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"bit_identical={report.bit_identical} "
-        f"faults_fired={report.injected_total} "
-        f"all_fired={report.all_faults_fired} "
-        f"durability_timeouts={report.durability_timeouts}"
-    )
+    doc = report.to_dict()
+    print("audit: " + " ".join(
+        f"{key}={v if isinstance(v, str) else json.dumps(v, separators=(',', ':'))}"
+        for key, v in doc.items() if key not in ("faults", "failures")
+    ))
     if args.report is not None:
         args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
+        args.report.write_text(json.dumps(doc, indent=2))
         print(f"report: {args.report}")
     if not report.ok:
-        print("chaos: FAILED (see mismatches/faults above)", file=sys.stderr)
-        return 1
-    print("chaos: OK")
-    return 0
-
-
-def _chaos_repl(args: argparse.Namespace) -> int:
-    import json
-
-    from .replicate import run_repl_chaos
-    from .reporting import format_table
-
-    kill_after = (
-        args.wait / args.sessions if args.wait is not None else 0.5
-    )
-    report = run_repl_chaos(
-        args.plan,
-        seed=args.seed,
-        sessions=args.sessions,
-        n_shards=args.shards,
-        primary_dir=args.persist_dir,
-        kill_after_fraction=kill_after,
-    )
-    print(format_table(
-        report.faults,
-        title=f"Fault schedule (plan={report.plan} seed={report.seed})",
-    ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"completed_before_kill={report.completed_before_kill} "
-        f"in {report.duration_s:.2f}s"
-    )
-    print(
-        f"failover: caught_up={report.caught_up} "
-        f"detected={report.promote_detected} "
-        f"epochs={report.promoted_epochs} "
-        f"truncated_bytes={report.truncated_bytes}"
-    )
-    print(
-        f"audit: primary_records={report.primary_records} "
-        f"replica_records={report.replica_records} "
-        f"lost={report.lost_records} "
-        f"digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"resumed={report.resumed_completed}/{report.resumed_live} "
-        f"all_fired={report.all_faults_fired}"
-    )
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
-        print(f"report: {args.report}")
-    if not report.ok:
-        print("chaos: FAILED (see audit above)", file=sys.stderr)
-        return 1
-    print("chaos: OK")
-    return 0
-
-
-def _chaos_cluster(args: argparse.Namespace) -> int:
-    import json
-
-    from .cluster import run_cluster_chaos
-    from .reporting import format_table
-
-    kill_after = (
-        args.wait / args.sessions if args.wait is not None else 0.25
-    )
-    report = run_cluster_chaos(
-        args.plan,
-        seed=args.seed,
-        sessions=args.sessions,
-        n_shards=args.shards,
-        kill_standby_after_fraction=kill_after,
-    )
-    print(format_table(
-        report.faults,
-        title=f"Fault schedule (plan={report.plan} seed={report.seed})",
-    ))
-    print(
-        f"soak: offered={report.sessions} submitted={report.submitted} "
-        f"quorum={report.quorum}/{report.standbys} "
-        f"standby_killed={report.standby_killed} "
-        f"promoted={report.promoted} in {report.duration_s:.2f}s"
-    )
-    print(
-        f"failover: caught_up={report.caught_up} "
-        f"epochs={report.promoted_epochs} "
-        f"placement_version={report.placement_version} "
-        f"routed_queries={report.queries_ok}/{report.queries_total} "
-        f"post_failover_submit_ok={report.post_failover_submit_ok}"
-    )
-    print(
-        f"audit: primary_records={report.primary_records} "
-        f"survivor_records={report.survivor_records} "
-        f"lost={report.lost_records} "
-        f"digests_checked={report.digests_checked} "
-        f"mismatches={len(report.digest_mismatches)} "
-        f"quorum_timeouts={report.quorum_timeouts} "
-        f"all_fired={report.all_faults_fired}"
-    )
-    if args.report is not None:
-        args.report.parent.mkdir(parents=True, exist_ok=True)
-        args.report.write_text(json.dumps(report.to_dict(), indent=2))
-        print(f"report: {args.report}")
-    if not report.ok:
-        print("chaos: FAILED (see audit above)", file=sys.stderr)
+        print(f"chaos: FAILED {' '.join(report.failures)}", file=sys.stderr)
+        print(f"reproduce: python -m repro chaos --plan {report.plan} "
+              f"--seed {report.seed} --sessions {report.sessions}",
+              file=sys.stderr)
         return 1
     print("chaos: OK")
     return 0

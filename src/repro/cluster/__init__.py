@@ -12,12 +12,12 @@ This package turns the single-standby replication of
   failing writes over the moment the map's epoch advances;
 * :mod:`~repro.cluster.supervisor` — :class:`ClusterSupervisor`, the
   one-process node-set harness (tests, benches, ``repro cluster``);
-* :mod:`~repro.cluster.chaos` — :func:`run_cluster_chaos`, the
-  kill-a-quorum-member audit behind ``repro chaos
-  repl-quorum-partition``.
+* :func:`run_cluster_chaos` — the kill-a-quorum-member audit behind
+  ``repro chaos --plan repl-quorum-partition``, the quorum topology of
+  :func:`repro.faultline.chaos.run_chaos`.
 """
 
-from .chaos import ClusterChaosReport, run_cluster_chaos
+from ..faultline.chaos import run_cluster_chaos
 from .gateway import ClusterGateway
 from .placement import (
     NodeInfo,
@@ -28,7 +28,6 @@ from .placement import (
 from .supervisor import ClusterSupervisor, traced_factory
 
 __all__ = [
-    "ClusterChaosReport",
     "ClusterGateway",
     "ClusterSupervisor",
     "NodeInfo",

@@ -24,11 +24,12 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   path — a promoted standby is just a persistence root.
 
 The whole story is soaked under fault injection by
-:func:`~repro.replicate.chaos.run_repl_chaos` (the ``repl-kill-primary``
-plan) and gated in CI by ``benchmarks/bench_replicate.py``.
+:func:`run_repl_chaos` (the ``repl-kill-primary`` plan; it is the
+replica topology of :func:`repro.faultline.chaos.run_chaos`) and gated
+in CI by ``benchmarks/bench_replicate.py``.
 """
 
-from .chaos import ReplChaosReport, run_repl_chaos
+from ..faultline.chaos import run_repl_chaos
 from .promote import (
     Promoter,
     PromotionReport,
@@ -59,7 +60,6 @@ __all__ = [
     "R_HANDSHAKE",
     "R_HEARTBEAT",
     "REPL_VERSION",
-    "ReplChaosReport",
     "ReplicaLagging",
     "ReplicationError",
     "ReplicationSource",
