@@ -223,6 +223,18 @@ def test_trace_attribution_accounts_for_client_latency(results_dir, tmp_path):
             f"{phase_sum * 1e3:.2f}ms but the client observed "
             f"{latency * 1e3:.2f}ms SUBMIT->END"
         )
+        # the in-thread spans nested under the request (shard.step and
+        # everything opened inside it) lie inside the request's window
+        assert any(c["name"] == "shard.step" for c in timeline["children"])
+        stack = list(timeline["children"])
+        while stack:
+            child = stack.pop()
+            assert 0.0 <= child["start_s"], child
+            assert child["start_s"] + child["duration_s"] <= timeline["total_s"], (
+                f"trace {timeline['trace_id']}: span {child['name']} ends "
+                f"after the request's {timeline['total_s'] * 1e3:.2f}ms window"
+            )
+            stack.extend(child["children"])
         waterfalls.append(
             render_waterfall(timeline)
             + f"\nclient-observed SUBMIT->END: {latency * 1e3:.2f}ms\n"

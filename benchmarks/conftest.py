@@ -20,7 +20,7 @@ def pytest_sessionfinish(session, exitstatus):
     if exitstatus != 0:
         # Leave the black box behind for the CI failure artifact.
         recorder = obs.get_flight_recorder()
-        if len(recorder) or obs.get_tracer().finished:
+        if len(recorder) or obs.get_tracer().retained():
             path = Path("pytest-flight-dump.json")
             recorder.dump(path, reason=f"pytest-exit-{exitstatus}")
             print(f"\nobs: wrote flight dump to {path}")

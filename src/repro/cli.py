@@ -809,7 +809,7 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
         if not args.no_demo:
             obs.enable()
             _obs_demo_workload()
-        store = obs.get_trace_store()
+        store = obs.get_tracer()
         trace_id = args.trace_id or store.latest()
         if trace_id is None:
             print("error: no finished traces in this process "
@@ -1066,7 +1066,7 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
             print(f"  {r.shards} shards vs {results[0].shards}: "
                   f"{r.report.sessions_per_second / base:.2f}x sessions/s")
     if args.trace_sample > 0:
-        from .obs import get_trace_store
+        from .obs import get_tracer
         from .reporting import render_waterfall
 
         # Render the last sampled request's waterfall so the sweep ends
@@ -1074,7 +1074,7 @@ def _cmd_gateway_bench(args: argparse.Namespace) -> int:
         for r in reversed(results):
             if not r.report.trace_ids:
                 continue
-            timeline = get_trace_store().get(r.report.trace_ids[-1])
+            timeline = get_tracer().get(r.report.trace_ids[-1])
             if timeline is not None:
                 print()
                 print(render_waterfall(timeline))
@@ -1225,28 +1225,33 @@ def _render_top_frame(width: int) -> str:
     rows.sort(key=lambda r: str(r.get("metric", "")))
     metric_lines = format_table(rows[:14]).splitlines() if rows else ["(no metrics)"]
 
+    # one store: request roots, their nested spans and free roots
     tracer = obs.get_tracer()
     agg: dict = {}
     for sp in tracer.iter_spans():
-        entry = agg.setdefault(sp.name, [0, 0.0, 0.0])
+        entry = agg.setdefault(sp.name, [0, 0.0, 0.0, 0.0, 0])
         entry[0] += 1
         entry[1] += sp.duration
         entry[2] = max(entry[2], sp.duration)
+        if sp.cpu_s is not None:  # request roots cross threads: no CPU
+            entry[3] += sp.cpu_s
+            entry[4] += 1
     span_rows = [
         {
             "span": name,
             "count": count,
             "mean_ms": f"{1e3 * total / count:.3f}",
+            "mean_cpu_ms": f"{1e3 * cpu / timed:.3f}" if timed else "-",
             "max_ms": f"{1e3 * mx:.3f}",
         }
-        for name, (count, total, mx) in sorted(
+        for name, (count, total, mx, cpu, timed) in sorted(
             agg.items(), key=lambda kv: -kv[1][1]
         )[:8]
     ]
     span_lines = (
         format_table(span_rows).splitlines() if span_rows else ["(no spans)"]
     )
-    recent = [s.duration * 1e3 for s in tracer.finished[-40:]]
+    recent = [s.duration * 1e3 for s in tracer.roots[-40:]]
     if recent:
         span_lines.append("")
         span_lines.append(

@@ -30,7 +30,7 @@ from typing import Dict, Iterable, List, Optional
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
-from ..obs.attribution import get_store as _trace_store
+from ..obs.tracing import get_tracer as _tracer
 from .plan import (
     SITES,
     ArmedFault,
@@ -129,7 +129,7 @@ class Injector:
             kind=action.kind, hit=action.hit, spec=action.index, **ctx,
         )
         if traces:
-            store = _trace_store()
+            store = _tracer()
             for trace_id in traces:
                 if trace_id:
                     store.annotate(

@@ -30,9 +30,9 @@ import asyncio
 from time import perf_counter
 from typing import Any, Awaitable, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs import attribution as _attr
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
+from ..obs import tracing as _tracing
 from ..persist.records import op_to_dict, ops_to_dicts
 from .protocol import (
     END,
@@ -153,7 +153,7 @@ class GatewayClient:
         #: attributes the request's phases under it; END echoes it)
         self.trace_sample = trace_sample
         self._trace_sampler = (
-            _attr.Sampler(trace_sample) if trace_sample > 0 else None
+            _tracing.Sampler(trace_sample) if trace_sample > 0 else None
         )
         self._connector = connector or _tcp_connector
         self._sleep = sleep
@@ -431,7 +431,7 @@ class GatewayClient:
         trace_id = trace
         if trace_id is None and self._trace_sampler is not None \
                 and self._trace_sampler():
-            trace_id = _attr.new_trace_id()
+            trace_id = _tracing.new_id()
         payload: Dict[str, Any] = {
             "player": player_id, "dt": dt, "ops": ops_to_dicts(ops),
         }

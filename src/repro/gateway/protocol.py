@@ -57,7 +57,7 @@ working against new servers and vice versa.  Version 2 adds the
 optional trace-context field: HELLO (``traces``: player id → trace id
 for resumed sessions), SUBMIT and INPUT (``trace``) may carry a
 request-trace id which the server threads through the shard and WAL
-layers and echoes on STATE/END — see :mod:`repro.obs.attribution`.
+layers and echoes on STATE/END — see :mod:`repro.obs.tracing`.
 Unknown payload keys were always ignored, so the field is also
 harmless to v1 peers.  Version 3 adds the ``QUERY`` frame: a read-only
 lookup of one player's session state, answered with STATE or ERROR —

@@ -42,9 +42,9 @@ from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .. import faultline as _fl
-from ..obs import attribution as _attr
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
+from ..obs import tracing as _tracing
 from ..obs.tracing import span as _span
 from ..persist.records import PersistError, op_from_dict, ops_from_dicts, state_digest
 from ..serve.manager import SessionManager
@@ -297,7 +297,7 @@ class _Connection:
                 if trace is not None:
                     # the END frame is in the kernel's hands: close the
                     # flush phase and the whole request trace
-                    store = _attr.get_store()
+                    store = _tracing.get_tracer()
                     store.mark(trace, "flush")
                     store.finish(trace, status=trace_status)
         except (ConnectionError, asyncio.CancelledError, OSError):
@@ -546,7 +546,7 @@ class GatewayServer:
         self._draining = False
         #: deterministic head sampling of untraced SUBMITs
         self._sampler = (
-            _attr.Sampler(self.config.trace_sample)
+            _tracing.Sampler(self.config.trace_sample)
             if self.config.trace_sample > 0 else None
         )
         #: live telemetry endpoint (started with the listener when
@@ -711,7 +711,7 @@ class GatewayServer:
                 and entry.trace_id is None
             ):
                 session = entry.session
-                if session is not None and _attr.get_store().start(
+                if session is not None and _tracing.get_tracer().start(
                     tid, player=pid, source="gateway", resumed=True
                 ):
                     entry.trace_id = tid
@@ -759,12 +759,12 @@ class GatewayServer:
         # the server's own sampler may pick the request up.  Opening
         # the trace *before* parsing charges parse+admission to the
         # accept phase — the partition starts at frame receipt.
-        store = _attr.get_store()
+        store = _tracing.get_tracer()
         trace_id = payload.get("trace") if conn.version >= 2 else None
         if not (isinstance(trace_id, str) and trace_id):
             trace_id = None
         if trace_id is None and self._sampler is not None and self._sampler():
-            trace_id = _attr.new_trace_id()
+            trace_id = _tracing.new_id()
         if trace_id is not None and not store.start(
             trace_id, player=pid, source="gateway"
         ):
@@ -847,7 +847,7 @@ class GatewayServer:
             # it must not be lost)
             entry.extra.append(op)
             if entry.trace_id is not None:
-                _attr.get_store().increment(entry.trace_id, "live_inputs")
+                _tracing.get_tracer().increment(entry.trace_id, "live_inputs")
         else:
             # recovered sessions replay a fixed script; late ops
             # cannot be spliced in deterministically
@@ -978,7 +978,7 @@ class GatewayServer:
         if tid is not None and not sent:
             # nobody connected to flush to: the trace ends here with a
             # zero-width flush (the END is parked for a later resume)
-            store = _attr.get_store()
+            store = _tracing.get_tracer()
             store.mark(tid, "flush")
             store.finish(tid, status=status)
         # Bounded memory for unclaimed results: oldest finished

@@ -16,7 +16,8 @@ needs while the gateway is serving:
     endpoint stays scrapeable through the whole drain.
 ``/trace/<id>``
     One request's phase timeline as JSON
-    (:meth:`repro.obs.attribution.TraceStore.get`) — the payload
+    (:meth:`repro.obs.tracing.Tracer.get`): phases, phase totals and
+    the nested in-thread spans with wall and CPU time — the payload
     ``repro obs trace`` renders as a waterfall.
 ``/traces``
     Recently finished trace ids plus the open-trace count, so tooling
@@ -41,7 +42,7 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
-from ..obs.attribution import get_store
+from ..obs.tracing import get_tracer
 from ..obs.export import render_prometheus
 
 __all__ = ["TelemetryServer"]
@@ -175,7 +176,7 @@ class TelemetryServer:
         if path.startswith("/trace/"):
             _M_HTTP.inc(route="trace")
             trace_id = path[len("/trace/"):]
-            timeline = get_store().get(trace_id)
+            timeline = get_tracer().get(trace_id)
             if timeline is None:
                 return 404, "application/json", _json_body(
                     {"error": "unknown trace", "trace_id": trace_id}
@@ -183,7 +184,7 @@ class TelemetryServer:
             return 200, "application/json", _json_body(timeline)
         if path == "/traces":
             _M_HTTP.inc(route="traces")
-            store = get_store()
+            store = get_tracer()
             return 200, "application/json", _json_body({
                 "finished": store.finished_ids(),
                 "open": store.open_count,
@@ -210,7 +211,7 @@ class TelemetryServer:
             "completed": manager.completed_sessions,
             "failed": manager.failed_sessions,
             "obs_enabled": _obs.enabled(),
-            "open_traces": get_store().open_count,
+            "open_traces": get_tracer().open_count,
             "ring_samples": len(_obs.get_ring()),
         }
         replica = getattr(gw, "read_replica", None)

@@ -9,8 +9,10 @@ path at one boolean check when off.  Four pillars:
 
 * **metrics** — counters / gauges / histograms (:mod:`.metrics`),
   exported as Prometheus text, tables or JSON (:mod:`.export`);
-* **tracing** — nestable wall-time spans with trace/span correlation
-  ids (:mod:`.tracing`);
+* **tracing** — one trace model (:mod:`.tracing`): request roots whose
+  phase marks partition a request's latency across threads, with
+  in-thread spans (wall and thread CPU, trace/span correlation ids)
+  nested under them, and free root spans in a bounded ring;
 * **logging** — structured JSONL events stamped with the active
   trace/span ids (:mod:`.logging`), retained at full verbosity in a
   crash-safe flight recorder (:mod:`.recorder`) that dumps itself from
@@ -33,18 +35,9 @@ Quick tour::
 ``python -m repro top`` dashboard do the same from the command line.
 """
 
-from . import attribution as _attribution_mod
 from . import metrics as _metrics_mod
 from . import recorder as _recorder_mod
 from . import tracing as _tracing_mod
-from .attribution import (
-    PHASES,
-    RequestTrace,
-    Sampler,
-    TraceStore,
-    get_store as get_trace_store,
-    new_trace_id,
-)
 from .metrics import (
     Counter,
     DEFAULT_BUCKETS,
@@ -63,7 +56,7 @@ from .metrics import (
     set_enabled,
     snapshot,
 )
-from .tracing import Span, Tracer, get_tracer, span, trace
+from .tracing import PHASES, Sampler, Span, Tracer, get_tracer, new_id, span, trace
 from .logging import (
     LEVELS,
     StructLogger,
@@ -109,7 +102,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "PHASES",
-    "RequestTrace",
     "Sampler",
     "SloError",
     "SloResult",
@@ -117,7 +109,6 @@ __all__ = [
     "Span",
     "StructLogger",
     "TimeSeriesRing",
-    "TraceStore",
     "Tracer",
     "add_log_file",
     "add_log_sink",
@@ -133,11 +124,10 @@ __all__ = [
     "get_logger",
     "get_registry",
     "get_ring",
-    "get_trace_store",
     "get_tracer",
     "histogram",
     "install_excepthook",
-    "new_trace_id",
+    "new_id",
     "parse_slo_file",
     "remove_log_sink",
     "render_json",
@@ -165,18 +155,16 @@ def enable() -> None:
 def reset() -> None:
     """Reset all runtime observability state.
 
-    Clears every metric series (definitions survive), drops finished
-    span trees *and* the active-span state, empties the flight
-    recorder, the time-series ring and the request-attribution store —
-    so interleaved spans, stale history samples or half-marked request
-    traces can never leak across a reset boundary (serve-bench and the
-    demo workload reset between passes and must stay isolated).
+    Clears every metric series (definitions survive), drops every
+    retained trace root (request and free) *and* the active-span state,
+    and empties the flight recorder and the time-series ring — so
+    interleaved spans, stale history samples or half-marked request
+    traces can never leak across a reset boundary.
     """
     _metrics_mod.reset()
     _metrics_mod.get_ring().clear()
     _tracing_mod.get_tracer().reset()
     _recorder_mod.get_flight_recorder().clear()
-    _attribution_mod.get_store().clear()
 
 
 # REPRO_OBS=1 in the environment enables recording at import time; arm

@@ -106,7 +106,8 @@ class FlightRecorder:
             self.dropped = 0
 
     def payload(self, reason: str = "manual") -> Dict[str, Any]:
-        """The full dump structure: events + metrics + span trees."""
+        """The full dump structure: events, metrics and every retained
+        trace root (request and free) with its span tree."""
         return {
             "reason": reason,
             "pid": os.getpid(),

@@ -38,6 +38,9 @@ _RAMP = " .:-=+*#%@"
 #: eight-level bar ramp for sparklines
 _SPARK = "▁▂▃▄▅▆▇█"
 
+#: in-thread spans listed under one waterfall phase before the summary
+WATERFALL_CHILD_ROWS = 12
+
 
 class Canvas:
     """A character grid with box/text primitives."""
@@ -161,12 +164,16 @@ def render_waterfall(timeline: dict, width: int = 72) -> str:
 
     ``timeline`` is the JSON dict served at the gateway's
     ``/trace/<id>`` endpoint (see
-    :meth:`repro.obs.attribution.RequestTrace.timeline`): a header plus
+    :meth:`repro.obs.tracing.Span.timeline`): a header plus
     ``phases`` entries carrying ``start_s`` offsets and ``duration_s``.
     Each phase becomes one row whose bar is indented by its start offset
     and sized by its duration, both proportional to total trace time —
     so queue wait, shard residency and fsync wait are comparable at a
-    glance, the way a browser dev-tools network panel reads.
+    glance, the way a browser dev-tools network panel reads.  The
+    in-thread spans (``children``) that start inside a phase are listed
+    indented under it with their wall and CPU milliseconds — the first
+    :data:`WATERFALL_CHILD_ROWS` of them, then one line summing them all,
+    which is what tells step CPU apart from pacing wait.
     """
     if width < 40:
         raise ValueError("waterfall width must be >= 40")
@@ -175,6 +182,7 @@ def render_waterfall(timeline: dict, width: int = 72) -> str:
     status = timeline.get("status", "?")
     total = float(timeline.get("total_s") or 0.0)
     phases = timeline.get("phases") or []
+    children = timeline.get("children") or []
     label_w = max([len("phase")] + [len(str(p.get("phase", ""))) for p in phases])
     bar_w = max(10, width - label_w - 14)  # label + duration column
     lines = [
@@ -202,12 +210,33 @@ def render_waterfall(timeline: dict, width: int = 72) -> str:
         lines.append(
             f"{name:<{label_w}} |{bar:<{bar_w}}| {dur * 1e3:8.2f}ms"
         )
+        inside = [c for c in children if start <= float(c.get("start_s", 0.0)) < start + dur]
+        for child in inside[:WATERFALL_CHILD_ROWS]:
+            _child_lines(child, 1, lines)
+        if len(inside) > WATERFALL_CHILD_ROWS:
+            lines.append(f"  ... {len(inside) - WATERFALL_CHILD_ROWS} more")
+        if inside:
+            wall = sum(float(c.get("duration_s", 0.0)) for c in inside)
+            cpu = sum(float(c.get("cpu_s") or 0.0) for c in inside)
+            lines.append(f"  = {len(inside)} spans: wall {wall * 1e3:.3f}ms"
+                         f"  cpu {cpu * 1e3:.3f}ms  of {dur * 1e3:.2f}ms")
     totals = timeline.get("phase_totals") or {}
     if totals:
         summed = sum(float(v) for v in totals.values())
         lines.append("-" * min(width, 78))
         lines.append(f"{'sum':<{label_w}} |{'':<{bar_w}}| {summed * 1e3:8.2f}ms")
     return "\n".join(lines)
+
+
+def _child_lines(span: dict, depth: int, lines: List[str]) -> None:
+    """One span's row (wall and CPU ms), then its children one level deeper."""
+    cpu = span.get("cpu_s")
+    cpu_text = f"{cpu * 1e3:8.3f}ms" if cpu is not None else "       -  "
+    name = "  " * depth + str(span.get("name", "?"))
+    lines.append(f"{name:<28} wall {float(span.get('duration_s', 0.0)) * 1e3:8.3f}ms"
+                 f"  cpu {cpu_text}")
+    for child in span.get("children") or []:
+        _child_lines(child, depth + 1, lines)
 
 
 # ----------------------------------------------------------------------

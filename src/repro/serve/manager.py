@@ -57,7 +57,7 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 from .. import faultline as _fl
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
-from ..obs.attribution import get_store as _trace_store
+from ..obs.tracing import get_tracer as _tracer
 from ..persist import (
     Journal,
     PersistenceConfig,
@@ -356,7 +356,7 @@ class _Shard:
                 session.start()
                 if session.trace_id is not None:
                     # inbox residency ends here: admission -> first run
-                    _trace_store().mark(session.trace_id, "queue_wait")
+                    _tracer().mark(session.trace_id, "queue_wait")
             except Exception:
                 self.failed += 1
                 _M_FAILURES.inc(shard=self.label)
@@ -375,39 +375,49 @@ class _Shard:
                     self._since_snapshot[player_id] = 0
             self._active.append(session)
 
+    def _step_one(self, session: ServedSession) -> bool:
+        """Advance one session one op and log it; True once it is done."""
+        journal = self._journal
+        op = session.peek() if journal is not None else None
+        try:
+            done = session.step()
+        except Exception:
+            session.failed = True
+            done = True
+            self.failed += 1
+            _M_FAILURES.inc(shard=self.label)
+            _LOG.warning("serve.session_failed", shard=self.index,
+                         player=session.player_id, at="step")
+        if journal is not None and op is not None and not session.failed:
+            lsn = self._journal_append(input_record(session.player_id, op))
+            if lsn is not None and not done:
+                self._maybe_snapshot(session, lsn)
+        return done
+
     def _step_batch(self) -> None:
         budget = self.config.max_steps_per_tick
         done_count = 0
-        journal = self._journal
         while self._active and budget > 0:
             session = self._active.popleft()
-            op = session.peek() if journal is not None else None
-            try:
-                done = session.step()
-            except Exception:
-                session.failed = True
-                done = True
-                self.failed += 1
-                _M_FAILURES.inc(shard=self.label)
-                _LOG.warning("serve.session_failed", shard=self.index,
-                             player=session.player_id, at="step")
-            if journal is not None and op is not None and not session.failed:
-                lsn = self._journal_append(input_record(session.player_id, op))
-                journal = self._journal  # may have died on append
-                if lsn is not None and not done:
-                    self._maybe_snapshot(session, lsn)
+            trace_id = session.trace_id
+            if trace_id is None:
+                done = self._step_one(session)
+            else:
+                # the step and its WAL append nest under the request
+                # root, with the spans opened inside them
+                with _tracer().child(trace_id, "shard.step"):
+                    done = self._step_one(session)
             budget -= 1
             self.steps += 1
             if done:
-                trace_id = session.trace_id
                 if trace_id is not None:
                     # wall residency on this shard, pacing included:
                     # that is what the client actually waited for
-                    _trace_store().mark(trace_id, "shard_step")
+                    _tracer().mark(trace_id, "shard_step")
                 if not session.failed:
                     self.completed += 1
                     _M_COMPLETED.inc(shard=self.label)
-                if journal is not None or self._snapshots is not None:
+                if self._journal is not None or self._snapshots is not None:
                     end_lsn = self._retire_persisted(session)
                     if trace_id is not None:
                         if end_lsn is not None and self._journal is not None:
@@ -432,14 +442,14 @@ class _Shard:
                                     lsn=end_lsn,
                                     waited_s=self.config.durable_wait_s,
                                 )
-                                _trace_store().annotate(
+                                _tracer().annotate(
                                     trace_id, durable=False
                                 )
-                        _trace_store().mark(trace_id, "fsync_wait")
+                        _tracer().mark(trace_id, "fsync_wait")
                 elif trace_id is not None:
                     # no journal: a zero-width mark keeps the phase
                     # partition exact (fsync_wait ~ 0)
-                    _trace_store().mark(trace_id, "fsync_wait")
+                    _tracer().mark(trace_id, "fsync_wait")
                 done_count += 1
                 self._manager._session_closed()
                 callback = session.on_done

@@ -63,7 +63,7 @@ class ServedSession:
         #: callback may read state freely (the gateway bridges it onto
         #: its event loop from here)
         self.on_done: Optional[Callable[["ServedSession"], None]] = None
-        #: request-trace correlation id (:mod:`repro.obs.attribution`);
+        #: request-trace correlation id (:mod:`repro.obs.tracing`);
         #: None for unsampled sessions, which must stay the common case
         #: — every trace hook in the shard loop is gated on it
         self.trace_id: Optional[str] = None

@@ -19,7 +19,7 @@ def pytest_sessionfinish(session, exitstatus):
     from repro import obs
 
     recorder = obs.get_flight_recorder()
-    if len(recorder) == 0 and not obs.get_tracer().finished:
+    if len(recorder) == 0 and not obs.get_tracer().retained():
         return  # nothing observed; an empty dump would only mislead
     path = Path("pytest-flight-dump.json")
     recorder.dump(path, reason=f"pytest-exit-{exitstatus}")

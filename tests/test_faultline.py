@@ -6,7 +6,7 @@ import pytest
 
 from repro import faultline, obs
 from repro.faultline import FaultPlan, FaultSpec, builtin_plans
-from repro.obs import attribution
+from repro.obs import tracing
 
 
 @pytest.fixture
@@ -136,8 +136,8 @@ class TestInjector:
         assert _injected(site="gateway.frame", kind="drop") == before + 1
 
     def test_fire_annotates_traces(self, live):
-        store = attribution.get_store()
-        trace_id = attribution.new_trace_id()
+        store = tracing.get_tracer()
+        trace_id = tracing.new_id()
         assert store.start(trace_id, player="chaos-test")
         plan = FaultPlan(
             name="t", specs=(FaultSpec("gateway.frame", "drop", at=1),),

@@ -175,7 +175,7 @@ def test_trace_id_survives_kill_and_reconnect(
         finally:
             handle2.stop(drain=True)
 
-        store = obs.get_trace_store()
+        store = obs.get_tracer()
         checked = 0
         for pid in recovered:
             end = ends.get(pid)

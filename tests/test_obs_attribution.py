@@ -1,17 +1,18 @@
-"""Unit tests for request-trace phase attribution (repro.obs.attribution)."""
+"""Unit tests for request-trace phase attribution (request roots in repro.obs.tracing)."""
 
+import sys
 import threading
 
 import pytest
 
 from repro import obs
-from repro.obs.attribution import (
+from repro.obs.tracing import (
     PHASES,
-    RequestTrace,
     Sampler,
-    TraceStore,
-    get_store,
-    new_trace_id,
+    Span,
+    Tracer,
+    get_tracer,
+    new_id,
 )
 
 
@@ -73,9 +74,9 @@ class TestSampler:
 
 class TestRequestTrace:
     def test_marks_partition_wall_time(self):
-        tr = RequestTrace("t1", "p1")
+        tr = Span.request("t1", "p1")
         for i, phase in enumerate(PHASES):
-            tr.mark(phase, at=tr.t0 + 0.01 * (i + 1))
+            tr.mark(phase, at=tr.start + 0.01 * (i + 1))
         timeline = tr.timeline()
         assert [p["phase"] for p in timeline["phases"]] == list(PHASES)
         # each segment starts where the previous one ended: no gaps
@@ -87,18 +88,18 @@ class TestRequestTrace:
         assert total == pytest.approx(0.05, abs=1e-9)
 
     def test_phase_totals_merge_repeated_marks(self):
-        tr = RequestTrace("t2", None)
-        tr.mark("flush", at=tr.t0 + 0.01)
-        tr.mark("flush", at=tr.t0 + 0.03)
+        tr = Span.request("t2", None)
+        tr.mark("flush", at=tr.start + 0.01)
+        tr.mark("flush", at=tr.start + 0.03)
         assert tr.phase_totals() == {"flush": pytest.approx(0.03)}
 
     def test_open_trace_reports_open_status(self):
-        tr = RequestTrace("t3", None)
+        tr = Span.request("t3", None)
         assert tr.timeline()["status"] == "open"
 
     def test_clock_regression_clamps_to_zero(self):
-        tr = RequestTrace("t4", None)
-        assert tr.mark("accept", at=tr.t0 - 1.0) == 0.0
+        tr = Span.request("t4", None)
+        assert tr.mark("accept", at=tr.start - 1.0) == 0.0
 
 
 class TestTraceStore:
@@ -106,14 +107,14 @@ class TestTraceStore:
         was = obs.enabled()
         obs.set_enabled(False)
         try:
-            store = TraceStore()
+            store = Tracer()
             assert not store.start("tid", player="p")
             assert store.open_count == 0
         finally:
             obs.set_enabled(was)
 
     def test_lifecycle_and_metrics(self, live):
-        store = TraceStore()
+        store = Tracer()
         assert store.start("tid-1", player="p1", source="test")
         assert _value("repro_trace_open") == 1
         store.mark("tid-1", "accept")
@@ -129,7 +130,7 @@ class TestTraceStore:
         assert [p["phase"] for p in timeline["phases"]] == ["accept", "flush"]
 
     def test_duplicate_id_refused(self, live):
-        store = TraceStore()
+        store = Tracer()
         assert store.start("dup")
         assert not store.start("dup")
         store.finish("dup")
@@ -137,14 +138,14 @@ class TestTraceStore:
         assert not store.start("dup")
 
     def test_finish_is_idempotent(self, live):
-        store = TraceStore()
+        store = Tracer()
         store.start("once")
         assert store.finish("once") is not None
         assert store.finish("once") is None
         assert _value("repro_trace_requests_total", status="ok") == 1
 
     def test_marks_on_unknown_ids_are_noops(self, live):
-        store = TraceStore()
+        store = Tracer()
         store.mark("ghost", "accept")
         store.annotate("ghost", a=1)
         store.increment("ghost", "n")
@@ -153,7 +154,7 @@ class TestTraceStore:
         assert store.get("ghost") is None
 
     def test_open_overflow_orphans_oldest(self, live):
-        store = TraceStore(max_open=2)
+        store = Tracer(max_open=2)
         store.start("a")
         store.start("b")
         store.start("c")  # evicts "a"
@@ -162,7 +163,7 @@ class TestTraceStore:
         assert store.get("a")["status"] == "orphaned"
 
     def test_abandon_counts_an_orphan(self, live):
-        store = TraceStore()
+        store = Tracer()
         store.start("gone")
         store.abandon("gone")
         assert store.open_count == 0
@@ -171,7 +172,7 @@ class TestTraceStore:
         assert store.get("gone")["status"] == "orphaned"
 
     def test_finished_table_ages_out_oldest(self, live):
-        store = TraceStore(max_finished=2)
+        store = Tracer(max_finished=2)
         for tid in ("t1", "t2", "t3"):
             store.start(tid)
             store.finish(tid)
@@ -180,7 +181,7 @@ class TestTraceStore:
         assert store.get("t1") is None
 
     def test_increment_accumulates(self, live):
-        store = TraceStore()
+        store = Tracer()
         store.start("n")
         store.increment("n", "live_inputs")
         store.increment("n", "live_inputs", amount=2)
@@ -188,27 +189,73 @@ class TestTraceStore:
         assert store.get("n")["attributes"]["live_inputs"] == 3
 
     def test_clear_drops_everything_without_orphans(self, live):
-        store = TraceStore()
+        store = Tracer()
         store.start("open-1")
         store.start("done-1")
         store.finish("done-1")
-        store.clear()
+        store.reset()
         assert store.open_count == 0
         assert store.finished_count == 0
         assert store.latest() is None
         # deliberate teardown is not trace loss
         assert _value("repro_trace_orphaned_total") == 0
 
+    def test_threads_nesting_under_roots_lose_no_update(self, live):
+        # more threads than cores and a tiny switch interval: shard
+        # threads open children and bump a shared root while a reader
+        # serialises timelines, as the telemetry endpoint does
+        store = Tracer()
+        workers, steps = 8, 200
+        store.start("shared")
+        for w in range(workers):
+            store.start(f"w{w}")
+        stop = threading.Event()
+
+        def work(w):
+            for _ in range(steps):
+                with store.child(f"w{w}", "shard.step"):
+                    with store.span("engine.dispatch"):
+                        pass
+                store.increment("shared", "steps")
+
+        def read():
+            while not stop.is_set():
+                store.get("shared")
+                store.to_json()
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            reader = threading.Thread(target=read)
+            threads = [threading.Thread(target=work, args=(w,)) for w in range(workers)]
+            reader.start()
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            stop.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not reader.is_alive() and not any(t.is_alive() for t in threads)
+        assert store.get("shared")["attributes"]["steps"] == workers * steps
+        for w in range(workers):
+            children = store.get(f"w{w}")["children"]
+            assert len(children) == steps
+            assert all(c["trace_id"] == f"w{w}" for c in children)
+            assert all([g["name"] for g in c["children"]] == ["engine.dispatch"]
+                       for c in children)
+
 
 class TestModuleWiring:
     def test_new_trace_id_shape(self):
-        tid = new_trace_id()
+        tid = new_id()
         assert len(tid) == 16
         int(tid, 16)  # hex
-        assert tid != new_trace_id()
+        assert tid != new_id()
 
     def test_global_store_reset_via_obs(self, live):
-        store = get_store()
+        store = get_tracer()
         store.start("global-1")
         store.finish("global-1")
         assert store.finished_count == 1
@@ -217,5 +264,5 @@ class TestModuleWiring:
         assert store.open_count == 0
 
     def test_obs_exports(self):
-        assert obs.get_trace_store() is get_store()
+        assert obs.get_tracer() is get_tracer()
         assert obs.PHASES == PHASES

@@ -126,6 +126,42 @@ class TestTraceCorrelation:
         assert rec["trace_id"] == outer.trace_id == inner.trace_id
         assert rec["span_id"] == inner.span_id
 
+    def test_traced_shard_step_logs_join_the_request_trace(
+        self, captured, classroom_game
+    ):
+        from repro.serve import ServeConfig, SessionManager, session_factory_for_script
+        from repro.students import cohort_scripts
+
+        olog.set_log_level("debug")
+        store = obs.get_tracer()
+        trace_id = obs.new_id()
+        assert store.start(trace_id, player="join#0")
+        script = cohort_scripts(classroom_game, 1, seed=41)[0]
+        build = session_factory_for_script(classroom_game, script)
+
+        def traced(player_id):
+            session = build(player_id)
+            session.trace_id = trace_id
+            return session
+
+        with SessionManager(ServeConfig(
+            n_shards=1, tick_interval_s=0.002, max_steps_per_tick=50,
+        )) as manager:
+            assert manager.submit("join#0", traced)
+            assert manager.drain(timeout=30.0)
+        # the engine's dispatch log runs on the shard thread, inside the
+        # request's shard.step span: it carries the request's trace id
+        # and a span id the request's timeline serves
+        dispatches = [r for r in captured if r["event"] == "input.dispatch"]
+        assert dispatches
+        assert {r["trace_id"] for r in dispatches} == {trace_id}
+        nested, stack = set(), list(store.get(trace_id)["children"])
+        while stack:
+            span = stack.pop()
+            nested.add(span["span_id"])
+            stack.extend(span["children"])
+        assert {r["span_id"] for r in dispatches} <= nested
+
 
 class TestSampling:
     def test_sample_zero_drops_everything(self, captured):
@@ -208,7 +244,7 @@ class TestReset:
         assert [e["event"] for e in events] == ["after"]
         assert "trace_id" not in events[0]
         # The stale outer span was not recorded on exit either.
-        assert obs.get_tracer().finished == []
+        assert obs.get_tracer().roots == []
 
     def test_spans_work_normally_after_interleaved_reset(self, captured):
         log = olog.get_logger("t.reset")
@@ -216,7 +252,7 @@ class TestReset:
             obs.reset()
         with obs.span("fresh") as sp:
             log.info("ok")
-        assert [s.name for s in obs.get_tracer().finished] == ["fresh"]
+        assert [s.name for s in obs.get_tracer().roots] == ["fresh"]
         assert captured[-1]["trace_id"] == sp.trace_id
 
     def test_obs_reset_clears_time_series_ring(self, obs_on):
@@ -229,7 +265,7 @@ class TestReset:
         assert ring.samples() == []
 
     def test_obs_reset_clears_request_traces(self, obs_on):
-        store = obs.get_trace_store()
+        store = obs.get_tracer()
         assert store.start("reset-open", player="p1")
         assert store.start("reset-done", player="p2")
         store.mark("reset-done", "accept")
@@ -246,7 +282,7 @@ class TestReset:
         assert orphans.total() == 0
 
     def test_attribution_works_normally_after_interleaved_reset(self, obs_on):
-        store = obs.get_trace_store()
+        store = obs.get_tracer()
         store.start("interleaved")
         obs.reset()
         store.mark("interleaved", "accept")  # stale id: cheap no-op

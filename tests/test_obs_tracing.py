@@ -25,8 +25,8 @@ class TestNesting:
                     pass
             with tracer.span("child_b"):
                 pass
-        assert len(tracer.finished) == 1
-        root = tracer.finished[0]
+        assert len(tracer.roots) == 1
+        root = tracer.roots[0]
         assert root.name == "root"
         assert [c.name for c in root.children] == ["child_a", "child_b"]
         assert [c.name for c in root.children[0].children] == ["grandchild"]
@@ -35,7 +35,7 @@ class TestNesting:
         for i in range(3):
             with tracer.span(f"op{i}"):
                 pass
-        assert [s.name for s in tracer.finished] == ["op0", "op1", "op2"]
+        assert [s.name for s in tracer.roots] == ["op0", "op1", "op2"]
 
     def test_current_tracks_innermost(self, tracer):
         assert tracer.current() is None
@@ -50,7 +50,7 @@ class TestNesting:
         with tracer.span("outer"):
             with tracer.span("inner"):
                 pass
-        outer = tracer.finished[0]
+        outer = tracer.roots[0]
         inner = outer.children[0]
         assert outer.end is not None and inner.end is not None
         assert outer.duration >= inner.duration >= 0.0
@@ -58,7 +58,7 @@ class TestNesting:
     def test_attributes(self, tracer):
         with tracer.span("op", gesture="click") as sp:
             sp.set_attribute("bindings", 2)
-        assert tracer.finished[0].attributes == {"gesture": "click", "bindings": 2}
+        assert tracer.roots[0].attributes == {"gesture": "click", "bindings": 2}
 
 
 class TestExceptionSafety:
@@ -66,7 +66,7 @@ class TestExceptionSafety:
         with pytest.raises(ValueError, match="boom"):
             with tracer.span("fails"):
                 raise ValueError("boom")
-        sp = tracer.finished[0]
+        sp = tracer.roots[0]
         assert sp.status == "error"
         assert sp.error == "ValueError: boom"
         assert sp.end is not None  # end stamped despite the raise
@@ -76,7 +76,7 @@ class TestExceptionSafety:
             with tracer.span("root"):
                 with tracer.span("child"):
                     raise RuntimeError("inner")
-        root = tracer.finished[0]
+        root = tracer.roots[0]
         assert root.status == "error"
         assert root.children[0].status == "error"
         assert tracer.current() is None  # stack fully unwound
@@ -97,8 +97,8 @@ class TestExceptionSafety:
         with pytest.raises(KeyError):
             work(-1)
         assert work.__doc__ == "docstring survives"
-        assert [s.name for s in g.finished] == ["decorated", "decorated"]
-        assert g.finished[1].status == "error"
+        assert [s.name for s in g.roots] == ["decorated", "decorated"]
+        assert g.roots[1].status == "error"
         g.reset()
 
 
@@ -106,11 +106,11 @@ class TestBoundsAndExport:
     def test_max_finished_drops_oldest(self):
         obs.enable()
         try:
-            t = Tracer(max_finished=2)
+            t = Tracer(max_roots=2)
             for i in range(5):
                 with t.span(f"s{i}"):
                     pass
-            assert [s.name for s in t.finished] == ["s3", "s4"]
+            assert [s.name for s in t.roots] == ["s3", "s4"]
             assert t.dropped == 3
         finally:
             obs.disable()
@@ -139,7 +139,7 @@ class TestBoundsAndExport:
         with tracer.span("x"):
             pass
         tracer.reset()
-        assert tracer.finished == []
+        assert tracer.roots == []
         assert tracer.dropped == 0
 
 
@@ -151,7 +151,7 @@ class TestDisabledMode:
         assert ctx is _NULL_CONTEXT
         with ctx as sp:
             sp.set_attribute("k", "v")  # accepted, discarded
-        assert t.finished == []
+        assert t.roots == []
 
     def test_decorator_is_passthrough_when_disabled(self):
         obs.disable()
@@ -163,7 +163,7 @@ class TestDisabledMode:
             return 7
 
         assert fn() == 7
-        assert g.finished == []
+        assert g.roots == []
 
 
 class TestCorrelationIds:
@@ -209,7 +209,7 @@ class TestResetInterleaving:
     def test_span_open_across_reset_unwinds_inertly(self, tracer):
         with tracer.span("outer"):
             tracer.reset()
-        assert tracer.finished == []
+        assert tracer.roots == []
         assert tracer.current() is None
 
     def test_new_spans_after_reset_are_roots(self, tracer):
@@ -219,12 +219,12 @@ class TestResetInterleaving:
                 pass
             # The post-reset span is a root: no stale parent attached.
             assert fresh.parent_id is None
-        assert [s.name for s in tracer.finished] == ["fresh"]
+        assert [s.name for s in tracer.roots] == ["fresh"]
         # The doomed span's exit must not clobber what came after.
         assert tracer.current() is None
         with tracer.span("later"):
             pass
-        assert [s.name for s in tracer.finished] == ["fresh", "later"]
+        assert [s.name for s in tracer.roots] == ["fresh", "later"]
 
     def test_deep_interleave(self, tracer):
         with tracer.span("a"):
@@ -232,5 +232,5 @@ class TestResetInterleaving:
                 tracer.reset()
                 with tracer.span("c"):
                     pass
-        assert [s.name for s in tracer.finished] == ["c"]
+        assert [s.name for s in tracer.roots] == ["c"]
         assert tracer.current() is None
