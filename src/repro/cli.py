@@ -1116,10 +1116,13 @@ def _cmd_wal(args: argparse.Namespace) -> int:
         for shard_dir in shard_dirs:
             report = scan_journal(shard_dir)  # read-only: no truncation
             sids: dict = {}
+            kinds: dict = {}
             for record in report.records:
+                kind = record.get("t")
+                kinds[kind] = kinds.get(kind, 0) + 1
                 sid = record.get("sid")
                 if sid is not None:
-                    sids[sid] = record.get("t")
+                    sids[sid] = kind
             store = SnapshotStore(snapshot_dir_for(shard_dir))
             bytes_on_disk = sum(
                 p.stat().st_size for _seq, p in list_segments(shard_dir)
@@ -1128,6 +1131,10 @@ def _cmd_wal(args: argparse.Namespace) -> int:
                 "shard": shard_dir.name,
                 "segments": report.segments,
                 "records": len(report.records),
+                # per kind: an old journal logs an input per step, a
+                # current one progress records and live inputs only
+                **{kind: kinds.get(kind, 0)
+                   for kind in ("start", "input", "progress", "end")},
                 "tip_lsn": report.tip_lsn,
                 "live": sum(1 for t in sids.values() if t != "end"),
                 "ended": sum(1 for t in sids.values() if t == "end"),

@@ -17,7 +17,7 @@ between the authoring tool and the gaming platform that §4 describes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..events import EventTable
@@ -213,6 +213,11 @@ class CompiledGame:
     dialogues: Dict[str, Dialogue]
     start: str
     container: bytes
+    #: the container's frame size, read once on first use: a logic-only
+    #: engine needs it, and a VideoReader just to read it is not free
+    _frame_size: Optional[FrameSize] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def new_engine(
         self,
@@ -226,8 +231,13 @@ class CompiledGame:
         (cohort simulations) — the engine behaves identically except for
         rendering.
         """
-        reader = VideoReader(self.container) if with_video else None
-        size = VideoReader(self.container).size if not with_video else None
+        reader = size = None
+        if with_video:
+            reader = VideoReader(self.container)
+        else:
+            size = self._frame_size
+            if size is None:
+                size = self._frame_size = VideoReader(self.container).size
         return GameEngine(
             scenarios=self.scenarios,
             events=self.events,

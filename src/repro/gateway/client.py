@@ -41,7 +41,6 @@ from .protocol import (
     INPUT,
     PING,
     QUERY,
-    STATE,
     SUBMIT,
     FrameDecoder,
     ProtocolError,

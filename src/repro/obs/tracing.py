@@ -28,6 +28,12 @@ journal waits.
 ``repl.ship``) is its own root, kept in a bounded ring for the flight
 recorder, ``repro top`` and log correlation.
 
+Retention is bounded per span as well as per root: a span keeps its
+first :data:`MAX_CHILDREN` children and counts the rest as
+``dropped_children``, so a long session's request root (one
+``shard.step`` per op) or a large ``repl.apply`` batch cannot grow
+without bound.
+
 ``with span("dispatch", gesture="click") as sp:`` opens a span and
 ``@trace("encode")`` wraps a function in one.  Disabled by the metrics
 master switch, ``span()`` returns a shared no-op without reading the
@@ -49,7 +55,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from . import metrics as _metrics
 
-__all__ = ["PHASES", "Sampler", "Span", "Tracer", "get_tracer", "new_id", "span", "trace"]
+__all__ = ["MAX_CHILDREN", "PHASES", "Sampler", "Span", "Tracer", "get_tracer", "new_id",
+           "span", "trace"]
 
 #: canonical request phases, in pipeline order
 PHASES = ("accept", "queue_wait", "shard_step", "fsync_wait", "flush")
@@ -58,6 +65,8 @@ PHASES = ("accept", "queue_wait", "shard_step", "fsync_wait", "flush")
 MAX_OPEN = 1024
 MAX_FINISHED = 256
 MAX_ROOTS = 1000
+#: children one span retains; later ones still run but are only counted
+MAX_CHILDREN = 256
 
 _M_PHASE = _metrics.histogram("repro_trace_phase_seconds", (
     "Wall time one traced request spent in each pipeline phase, by phase"))
@@ -103,8 +112,9 @@ class Span:
     """
 
     __slots__ = ("name", "start", "end", "cpu_ns", "attributes", "children",
-                 "status", "error", "span_id", "trace_id", "parent_id", "player",
-                 "started_at", "segments", "last_mark", "_tracer", "_token", "_generation")
+                 "dropped_children", "status", "error", "span_id", "trace_id",
+                 "parent_id", "player", "started_at", "segments", "last_mark",
+                 "_tracer", "_token", "_generation")
 
     def __init__(self, name: str, attributes: Optional[Dict[str, Any]] = None,
                  tracer: "Optional[Tracer]" = None) -> None:
@@ -114,6 +124,7 @@ class Span:
         self.cpu_ns: Optional[int] = time.thread_time_ns()
         self.attributes: Dict[str, Any] = {} if attributes is None else attributes
         self.children: List["Span"] = []
+        self.dropped_children = 0
         self.status: Optional[str] = "ok"
         self.span_id = new_id()
         self.end = self.error = self.trace_id = self.parent_id = None
@@ -161,9 +172,13 @@ class Span:
         self.attributes[key] = value
 
     def adopt_by(self, parent: "Span") -> "Span":
-        """Link this unopened span under ``parent``; returns it."""
+        """Link this unopened span under ``parent``; returns it.  Past
+        :data:`MAX_CHILDREN` the parent counts it instead of keeping it."""
         self.trace_id, self.parent_id = parent.trace_id, parent.span_id
-        parent.children.append(self)
+        if len(parent.children) < MAX_CHILDREN:
+            parent.children.append(self)
+        else:
+            parent.dropped_children += 1
         return self
 
     def mark(self, phase: str, at: Optional[float] = None) -> float:
@@ -193,6 +208,7 @@ class Span:
             "phase_totals": self.phase_totals(),
             "attributes": dict(self.attributes),
             "children": [c.to_dict(self.start) for c in self.children],
+            "dropped_children": self.dropped_children,
         }
 
     def to_dict(self, origin: Optional[float] = None) -> Dict[str, Any]:
@@ -210,6 +226,7 @@ class Span:
             "error": self.error,
             "attributes": dict(self.attributes),
             "children": [c.to_dict(origin) for c in self.children],
+            "dropped_children": self.dropped_children,
         }
 
 

@@ -6,7 +6,7 @@ log with **group commit** (one fsync covers a batch of records across
 sessions), per-session **snapshots** written atomically, WAL
 **compaction** that deletes segments fully covered by snapshots, and
 **recovery** that tolerates a torn tail and rebuilds every committed
-session bit-identically (snapshot + deterministic input replay).
+session bit-identically (snapshot + deterministic op replay).
 
 The pieces:
 
@@ -36,6 +36,7 @@ from .records import (
     input_record,
     op_from_dict,
     op_to_dict,
+    progress_record,
     start_record,
     state_digest,
 )
@@ -83,6 +84,7 @@ __all__ = [
     "list_segments",
     "op_from_dict",
     "op_to_dict",
+    "progress_record",
     "read_segment",
     "rebuild_engine",
     "recover_shard",

@@ -2,21 +2,34 @@
 
 The physical framing (length + CRC32) lives in :mod:`repro.persist.wal`;
 this module defines what goes *inside* a frame and how to get it back
-out.  Three durable record types describe one served session's life:
+out.  Four record types describe a served session's life:
 
-``start``
-    The session exists: player id, pacing ``dt`` and the full scripted
-    op list.  Carrying the script in the log makes recovery
-    self-contained — a rebuilt session knows both where it was *and*
-    what it still has to do, without consulting the load generator.
-``input``
-    One scripted op was applied (and the engine ticked ``dt``).  Replay
-    of the input records after a snapshot reproduces the session state
-    bit-for-bit, because the engine is deterministic under a simulated
-    clock.
-``end``
-    The session finished (script exhausted or game over) with an
-    outcome; its earlier records are dead weight for compaction.
+============  ==========================================================
+``start``     ``{"t": "start", "sid", "dt", "ops"}`` — the session
+              exists: player id, pacing ``dt`` and the full scripted op
+              list.  Carrying the script in the log makes recovery
+              self-contained: a rebuilt session knows both where it was
+              *and* what it still has to do.
+``progress``  ``{"t": "progress", "c": {sid: cursor}}`` — one per shard
+              tick, naming every session that advanced in the tick and
+              did not finish.  The cursor counts ops applied; the ops
+              themselves are already in the start record (or snapshot),
+              so replaying ``ops[old:cursor]`` reproduces the state.
+``input``     ``{"t": "input", "sid", "op", "c"}`` — one op *beyond*
+              the logged script was applied (a live op absorbed from a
+              gateway INPUT frame, which no start record holds); ``c``
+              is the cursor after it.
+``end``       ``{"t": "end", "sid", "out", "c"}`` — the session finished
+              (script exhausted or game over) with an outcome at final
+              cursor ``c``; its earlier records are dead weight for
+              compaction.
+============  ==========================================================
+
+Journals written before progress records existed log one ``input``
+record per step (scripted or live) and no ``c`` fields.  Readers fold
+both forms through :func:`record_advances` and :func:`steps_to`, so an
+old journal still recovers bit-identically.  Replay is bit-exact
+because the engine is deterministic under a simulated clock.
 
 Ops are either abstract solver :class:`~repro.core.solver.Move`\\ s or
 raw input events (:class:`~repro.runtime.inputs.MouseClick` /
@@ -31,7 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.solver import Move, _apply
 from ..runtime.inputs import KeyPress, MouseClick, MouseDrag
@@ -42,6 +55,7 @@ __all__ = [
     "REC_END",
     "REC_FENCE",
     "REC_INPUT",
+    "REC_PROGRESS",
     "REC_START",
     "WalLayoutError",
     "apply_scripted_op",
@@ -52,13 +66,17 @@ __all__ = [
     "op_to_dict",
     "ops_from_dicts",
     "ops_to_dicts",
+    "progress_record",
+    "record_advances",
     "start_record",
     "state_digest",
+    "steps_to",
 ]
 
 REC_START = "start"
 REC_INPUT = "input"
 REC_END = "end"
+REC_PROGRESS = "progress"
 #: epoch fence: everything after this record belongs to a new primary
 #: (appended by replication failover; carries no session id on purpose)
 REC_FENCE = "fence"
@@ -136,12 +154,27 @@ def start_record(player_id: str, dt: float, ops: Sequence[Any]) -> Dict[str, Any
     return {"t": REC_START, "sid": player_id, "dt": dt, "ops": ops_to_dicts(ops)}
 
 
-def input_record(player_id: str, op: Any) -> Dict[str, Any]:
-    return {"t": REC_INPUT, "sid": player_id, "op": op_to_dict(op)}
+def input_record(
+    player_id: str, op: Any, cursor: Optional[int] = None
+) -> Dict[str, Any]:
+    """A live op; ``cursor=None`` writes the old one-record-per-step form."""
+    record = {"t": REC_INPUT, "sid": player_id, "op": op_to_dict(op)}
+    if cursor is not None:
+        record["c"] = cursor
+    return record
 
 
-def end_record(player_id: str, outcome: Optional[str]) -> Dict[str, Any]:
-    return {"t": REC_END, "sid": player_id, "out": outcome}
+def progress_record(cursors: Dict[str, int]) -> Dict[str, Any]:
+    return {"t": REC_PROGRESS, "c": cursors}
+
+
+def end_record(
+    player_id: str, outcome: Optional[str], cursor: Optional[int] = None
+) -> Dict[str, Any]:
+    record = {"t": REC_END, "sid": player_id, "out": outcome}
+    if cursor is not None:
+        record["c"] = cursor
+    return record
 
 
 def fence_record(epoch: int) -> Dict[str, Any]:
@@ -150,6 +183,57 @@ def fence_record(epoch: int) -> Dict[str, Any]:
     if epoch < 1:
         raise PersistError("epoch must be >= 1")
     return {"t": REC_FENCE, "epoch": int(epoch)}
+
+
+# ----------------------------------------------------------------------
+# Folding session progress (shared by recovery and the standby)
+# ----------------------------------------------------------------------
+
+#: ``(sid, cursor, op)``: one session's advance logged by one record
+Advance = Tuple[Optional[str], Optional[int], Optional[Dict[str, Any]]]
+
+
+def record_advances(record: Dict[str, Any]) -> List[Advance]:
+    """The session advances ``record`` logs, as ``(sid, cursor, op)``.
+
+    ``cursor`` is the session's cursor after the record — None for an
+    old-form ``input`` record (one step past wherever the session
+    stood) and an old-form ``end`` (no advance).  ``op`` is the op dict
+    an ``input`` record carries.  Other record kinds log no advance.
+    """
+    kind = record.get("t")
+    if kind == REC_PROGRESS:
+        return [(sid, int(c), None) for sid, c in record["c"].items()]
+    cursor = record.get("c")
+    cursor = None if cursor is None else int(cursor)
+    if kind == REC_INPUT:
+        return [(record.get("sid"), cursor, record.get("op", {}))]
+    if kind == REC_END:
+        return [(record.get("sid"), cursor, None)]
+    return []
+
+
+def steps_to(
+    ops: List[Dict[str, Any]],
+    cursor: int,
+    target: Optional[int],
+    op: Optional[Dict[str, Any]] = None,
+) -> List[Dict[str, Any]]:
+    """Op dicts that take a session from ``cursor`` to ``target``.
+
+    Scripted steps come from ``ops``, the logged script.  An ``input``
+    record's ``op`` is the last step; when it lies past the script it is
+    appended to ``ops``, so later cursors resolve against it.  The new
+    cursor is ``cursor + len(result)``.
+    """
+    if op is None:
+        return [] if target is None else ops[cursor:target]
+    at = cursor if target is None else target - 1
+    steps = ops[cursor:at]
+    if at >= len(ops):
+        ops.append(op)
+    steps.append(op)
+    return steps
 
 
 # ----------------------------------------------------------------------

@@ -10,14 +10,16 @@ Recovery of one shard journal is a pure function of what is on disk:
 2. **Load snapshots**; a snapshot whose digest does not verify is
    ignored (the log has the same information, just slower).
 3. **Fold the records**: ``start`` registers a session (unless a
-   snapshot already covers it), ``input`` records past a session's
-   snapshot LSN queue for replay, ``end`` retires it.
+   snapshot already covers it); ``progress``, ``input`` and ``end``
+   records past a session's snapshot LSN advance its cursor, queueing
+   the ops between the old and new cursor for replay (old journals'
+   one-``input``-per-step form folds the same way); ``end`` retires it.
 4. **Rebuild engines**: fresh engine per live session, snapshot state
    installed under a simulated clock rewound to the saved play time,
-   then the queued input records replayed through the *same* step
-   function the serving layer uses — so the rebuilt state is
-   bit-identical to what the crashed process had committed (asserted
-   via state digests in the fault-injection tests).
+   then the queued ops replayed through the *same* step function the
+   serving layer uses — so the rebuilt state is bit-identical to what
+   the crashed process had committed (asserted via state digests in
+   the fault-injection tests).
 
 Sessions that had already ended are counted, not rebuilt.  After a
 successful rebuild each live session gets a fresh snapshot at the log
@@ -41,12 +43,15 @@ from .records import (
     REC_END,
     REC_FENCE,
     REC_INPUT,
+    REC_PROGRESS,
     REC_START,
     WalLayoutError,
     apply_scripted_op,
     op_from_dict,
     ops_from_dicts,
+    record_advances,
     state_digest,
+    steps_to,
 )
 from .snapshot import SNAPSHOT_DIRNAME, SnapshotStore, snapshot_dir_for
 from .wal import _M_TORN, list_segments, read_segment
@@ -67,7 +72,7 @@ _M_RECOVERY = _obs.histogram(
 )
 _M_REPLAYED = _obs.counter(
     "repro_persist_replayed_records_total",
-    "Input records replayed through engines during recovery",
+    "Logged ops replayed through engines during recovery",
 )
 _M_RECOVERED = _obs.counter(
     "repro_persist_recovered_sessions_total",
@@ -177,10 +182,10 @@ class RecoveredSession:
     player_id: str
     dt: float
     ops: List[Any]
-    cursor: int  #: ops already applied (snapshot cursor + replayed records)
+    cursor: int  #: ops already applied (snapshot cursor + replayed ops)
     engine: Any
     digest: str  #: SHA-256 of the rebuilt state (bit-identity check)
-    replayed: int  #: input records replayed beyond the snapshot
+    replayed: int  #: ops replayed beyond the snapshot
 
     @property
     def remaining_ops(self) -> int:
@@ -211,9 +216,11 @@ class ShardRecovery:
 class _Rebuild:
     dt: float = 0.25
     ops: List[Dict[str, Any]] = field(default_factory=list)
+    #: ops applied: the snapshot's cursor plus every folded advance
     cursor: int = 0
     state: Optional[Dict[str, Any]] = None
     covered_lsn: int = 0
+    #: op dicts to replay on top of ``state`` (the folded advances)
     replay: List[Dict[str, Any]] = field(default_factory=list)
     ended: bool = False
     from_snapshot: bool = False
@@ -241,34 +248,34 @@ def _fold_records(
             # an epoch fence from replication failover: shard-wide
             # metadata, deliberately session-less — not an orphan
             continue
-        sid = record.get("sid")
         lsn = int(record.get("n", 0))
-        if sid is None:
-            orphans += 1
-            continue
-        entry = table.get(sid)
         if kind == REC_START:
-            if entry is None:
+            sid = record.get("sid")
+            if sid is None:
+                orphans += 1
+            elif sid not in table:
                 table[sid] = _Rebuild(
                     dt=float(record.get("dt", 0.25)),
                     ops=list(record.get("ops", [])),
                     covered_lsn=lsn,  # the start record itself is absorbed
                 )
             # else: a snapshot already carries dt/ops/state
-        elif kind == REC_INPUT:
-            if entry is None:
-                orphans += 1
-                continue
-            if lsn <= entry.covered_lsn:
-                continue  # the snapshot already includes this op
-            entry.replay.append(record.get("op", {}))
-        elif kind == REC_END:
-            if entry is None:
-                orphans += 1
-                continue
-            entry.ended = True
-        else:
+            continue
+        if kind not in (REC_INPUT, REC_PROGRESS, REC_END):
             orphans += 1
+            continue
+        for sid, target, op in record_advances(record):
+            entry = table.get(sid)
+            if entry is None:
+                orphans += 1
+                continue
+            if kind == REC_END:
+                entry.ended = True
+            if lsn <= entry.covered_lsn:
+                continue  # the snapshot already includes this progress
+            steps = steps_to(entry.ops, entry.cursor, target, op)
+            entry.replay.extend(steps)
+            entry.cursor += len(steps)
     return table, orphans
 
 
@@ -350,12 +357,11 @@ def recover_shard(
                 store.remove(sid)
             continue
         engine = _rebuild_engine(game, entry, with_video)
-        cursor = min(entry.cursor + len(entry.replay), len(entry.ops))
         session = RecoveredSession(
             player_id=sid,
             dt=entry.dt,
             ops=ops_from_dicts(entry.ops),
-            cursor=cursor,
+            cursor=entry.cursor,
             engine=engine,
             digest=state_digest(engine.state),
             replayed=len(entry.replay),
@@ -366,7 +372,7 @@ def recover_shard(
             report.snapshots_used += 1
         if write_snapshots:
             store.write(
-                sid, entry.dt, entry.ops, cursor,
+                sid, entry.dt, entry.ops, entry.cursor,
                 engine.state.to_dict(), lsn=scan.tip_lsn,
             )
     report.duration_s = perf_counter() - t0

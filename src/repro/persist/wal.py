@@ -133,7 +133,7 @@ class PersistenceConfig:
     group_window_s: float = 0.002
     #: fsync on every append instead of group commit (baseline mode)
     sync_each: bool = False
-    #: snapshot a session every N logged input records (0 = never)
+    #: snapshot a session every N applied ops (0 = never)
     snapshot_every: int = 64
     #: drop WAL segments fully covered by snapshots after each snapshot
     compact: bool = True

@@ -51,9 +51,12 @@ from ..persist.records import (
     REC_END,
     REC_FENCE,
     REC_INPUT,
+    REC_PROGRESS,
     REC_START,
     apply_scripted_op,
     op_from_dict,
+    record_advances,
+    steps_to,
 )
 from ..persist.wal import encode_frame as wal_encode_frame, segment_path
 from ..serve.manager import shard_for
@@ -653,34 +656,33 @@ class StandbyReplica:
     ) -> None:
         kind = record.get("t")
         lsn = int(record["n"])
-        sid = record.get("sid")
         if kind == REC_FENCE:
             st.epoch = max(st.epoch, int(record.get("epoch", st.epoch)))
         elif kind == REC_START:
+            sid = record.get("sid")
             if sid not in st.sessions:
                 dt = float(record.get("dt", 0.25))
                 st.sessions[sid] = _ReplicaSession(
                     sid, dt, list(record.get("ops", [])),
                     rebuild_engine(self.game, dt=dt),
                 )
-        elif kind == REC_INPUT:
-            sess = st.sessions.get(sid)
-            if sess is None:
-                _M_APPLY_FAIL.inc(shard=st.label)
-                _LOG.warning("repl.orphan_record", shard=st.index,
-                             lsn=lsn, sid=sid)
-            elif lsn > sess.covered_lsn:
-                apply_scripted_op(
-                    sess.engine, op_from_dict(record.get("op", {})), sess.dt
-                )
-                sess.cursor += 1
-        elif kind == REC_END:
-            sess = st.sessions.get(sid)
-            if sess is None:
-                _M_APPLY_FAIL.inc(shard=st.label)
-            else:
-                sess.ended = True
-                sess.outcome = record.get("out")
+        elif kind in (REC_INPUT, REC_PROGRESS, REC_END):
+            for sid, target, op in record_advances(record):
+                sess = st.sessions.get(sid)
+                if sess is None:
+                    _M_APPLY_FAIL.inc(shard=st.label)
+                    _LOG.warning("repl.orphan_record", shard=st.index,
+                                 lsn=lsn, sid=sid)
+                    continue
+                if lsn > sess.covered_lsn:
+                    for op_dict in steps_to(sess.ops, sess.cursor, target, op):
+                        apply_scripted_op(
+                            sess.engine, op_from_dict(op_dict), sess.dt
+                        )
+                        sess.cursor += 1
+                if kind == REC_END:
+                    sess.ended = True
+                    sess.outcome = record.get("out")
         else:
             _M_APPLY_FAIL.inc(shard=st.label)
         st.applied_lsn = lsn

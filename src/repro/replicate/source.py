@@ -31,7 +31,7 @@ import threading
 import zlib as _zlib
 from pathlib import Path
 from time import monotonic, sleep
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .. import faultline as _fl
 from ..obs import logging as _obslog

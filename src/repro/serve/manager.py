@@ -28,12 +28,15 @@ engine into a multi-tenant server with a classic game-server shape:
 * **Durability (opt-in).**  ``ServeConfig(persistence=...)`` gives each
   shard its own write-ahead journal (:mod:`repro.persist`) — no
   cross-shard locking, by construction.  Admissions log a start
-  record, steps log input records (group-committed: one fsync covers a
-  batch across sessions), finishes log an end record; sessions are
-  snapshotted every N inputs and fully-covered WAL segments are
-  compacted away.  After a crash, :meth:`SessionManager.recover`
-  rebuilds every committed session bit-identically and ``start()``
-  resumes stepping them.
+  record carrying the whole script; each tick logs one progress record
+  with the new cursor of every session that advanced (ops beyond the
+  logged script, absorbed from gateway INPUT frames, log an input
+  record of their own); finishes log an end record with the final
+  cursor.  Group commit makes one fsync cover a batch across sessions;
+  sessions are snapshotted every N applied ops and fully-covered WAL
+  segments are compacted away.  After a crash,
+  :meth:`SessionManager.recover` rebuilds every committed session
+  bit-identically and ``start()`` resumes stepping them.
 
 The manager is a context manager::
 
@@ -69,6 +72,7 @@ from ..persist import (
     compaction_watermark,
     end_record,
     input_record,
+    progress_record,
     recover_shard,
     snapshot_dir_for,
     start_record,
@@ -199,8 +203,15 @@ class _Shard:
         #: player id -> newest LSN a snapshot covers (start_lsn - 1
         #: before the first snapshot); drives the compaction watermark
         self._covered: Dict[str, int] = {}
-        #: player id -> input records logged since the last snapshot
-        self._since_snapshot: Dict[str, int] = {}
+        #: player id -> cursor at its last snapshot (or admission);
+        #: the snapshot cadence counts applied ops from here
+        self._snapshot_cursor: Dict[str, int] = {}
+        #: player id -> ops its start record (or recovery) logged; a
+        #: step past them is a live op and logs an input record
+        self._logged: Dict[str, int] = {}
+        #: sessions that advanced this tick and are still running: the
+        #: tick's progress record carries their cursors
+        self._advanced: Dict[str, ServedSession] = {}
         #: sessions recovered from the WAL whose start record must not
         #: be re-logged (seeded by SessionManager.recover)
         self._recovered_ids: set = set()
@@ -231,7 +242,8 @@ class _Shard:
         sid = session.player_id
         self._recovered_ids.add(sid)
         self._covered[sid] = covered_lsn
-        self._since_snapshot[sid] = 0
+        self._snapshot_cursor[sid] = session.cursor
+        self._logged[sid] = len(session.ops)
         with self._inbox_lock:
             self._inbox.append((sid, lambda _pid, s=session: s))
 
@@ -293,8 +305,19 @@ class _Shard:
             return None
         return lsn
 
+    def _log_progress(self) -> None:
+        """End of tick: one progress record for every session that
+        advanced and is still running, then any snapshots it is due."""
+        advanced, self._advanced = self._advanced, {}
+        lsn = self._journal_append(
+            progress_record({sid: s.cursor for sid, s in advanced.items()})
+        )
+        if lsn is not None:
+            for session in advanced.values():
+                self._maybe_snapshot(session, lsn)
+
     def _maybe_snapshot(self, session: ServedSession, lsn: int) -> None:
-        """Snapshot a session every ``snapshot_every`` logged inputs and
+        """Snapshot a session every ``snapshot_every`` applied ops and
         compact away WAL segments the snapshots now fully cover."""
         persistence = self.config.persistence
         if (
@@ -304,11 +327,10 @@ class _Shard:
         ):
             return
         sid = session.player_id
-        count = self._since_snapshot.get(sid, 0) + 1
-        if count < persistence.snapshot_every:
-            self._since_snapshot[sid] = count
+        applied = session.cursor - self._snapshot_cursor.get(sid, 0)
+        if applied < persistence.snapshot_every:
             return
-        self._since_snapshot[sid] = 0
+        self._snapshot_cursor[sid] = session.cursor
         try:
             self._snapshots.write(
                 sid, session.dt, session.ops, session.cursor,
@@ -330,9 +352,13 @@ class _Shard:
         a traced session can wait out its own fsync.
         """
         sid = session.player_id
-        lsn = self._journal_append(end_record(sid, session.engine.state.outcome))
+        lsn = self._journal_append(
+            end_record(sid, session.engine.state.outcome, session.cursor)
+        )
         self._covered.pop(sid, None)
-        self._since_snapshot.pop(sid, None)
+        self._snapshot_cursor.pop(sid, None)
+        self._logged.pop(sid, None)
+        self._advanced.pop(sid, None)
         self._recovered_ids.discard(sid)
         if self._snapshots is not None:
             self._snapshots.remove(sid)
@@ -372,13 +398,18 @@ class _Shard:
                     # nothing snapshotted yet: the start record itself
                     # must survive compaction
                     self._covered[player_id] = lsn - 1
-                    self._since_snapshot[player_id] = 0
+                    self._snapshot_cursor[player_id] = session.cursor
+                    self._logged[player_id] = len(session.ops)
             self._active.append(session)
 
     def _step_one(self, session: ServedSession) -> bool:
-        """Advance one session one op and log it; True once it is done."""
-        journal = self._journal
-        op = session.peek() if journal is not None else None
+        """Advance one session one op; True once it is done.
+
+        A scripted op is already in the start record, so the step only
+        marks the session for this tick's progress record; a live op
+        past the logged script is journalled with the op itself.
+        """
+        before = session.cursor
         try:
             done = session.step()
         except Exception:
@@ -388,10 +419,18 @@ class _Shard:
             _M_FAILURES.inc(shard=self.label)
             _LOG.warning("serve.session_failed", shard=self.index,
                          player=session.player_id, at="step")
-        if journal is not None and op is not None and not session.failed:
-            lsn = self._journal_append(input_record(session.player_id, op))
-            if lsn is not None and not done:
-                self._maybe_snapshot(session, lsn)
+        if (
+            self._journal is not None
+            and not session.failed
+            and session.cursor > before
+        ):
+            sid = session.player_id
+            if before >= self._logged.get(sid, 0):
+                self._journal_append(
+                    input_record(sid, session.ops[before], session.cursor)
+                )
+            if not done:
+                self._advanced[sid] = session
         return done
 
     def _step_batch(self) -> None:
@@ -465,6 +504,8 @@ class _Shard:
                                      player=session.player_id)
             else:
                 self._active.append(session)
+        if self._advanced:
+            self._log_progress()
         stepped = self.config.max_steps_per_tick - budget
         if stepped and _obs.enabled():
             _M_STEPS.inc(stepped, shard=self.label)
@@ -620,7 +661,7 @@ class SessionManager:
         config carries the same ``persistence`` directory the crashed
         process used.  Each shard's journal is scanned (torn tails
         truncated and counted), every committed-but-unfinished session
-        is rebuilt bit-identically from its latest snapshot plus input
+        is rebuilt bit-identically from its latest snapshot plus log
         replay, and the rebuilt sessions are queued on their owning
         shards — ``start()`` then resumes stepping them exactly where
         the crash cut them off.  Returns the per-shard recovery

@@ -105,13 +105,6 @@ class ServedSession:
             or not self.engine.running
         )
 
-    def peek(self) -> Optional[ScriptOp]:
-        """The op the next ``step()`` will apply (None when done) — what
-        the serving layer writes to the WAL alongside the step."""
-        if self.done:
-            return None
-        return self.ops[self._cursor]
-
     def step(self) -> bool:
         """Apply the next scripted op and tick; returns ``done``.
 

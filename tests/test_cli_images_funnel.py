@@ -10,6 +10,15 @@ from repro.runtime import MouseClick, SessionRecorder
 from repro.video import Frame, FrameSize
 
 
+def _inspect_rows(out):
+    """``repro wal inspect`` table rows keyed by shard, cells by column."""
+    lines = [line for line in out.splitlines() if "|" in line]
+    header = [cell.strip() for cell in lines[0].split("|")]
+    rows = [dict(zip(header, (c.strip() for c in line.split("|"))))
+            for line in lines[1:]]
+    return {row["shard"]: row for row in rows}
+
+
 class TestPpm:
     def test_roundtrip(self, tmp_path):
         frame = Frame.from_gradient(FrameSize(17, 11), (10, 200, 30), (200, 10, 230))
@@ -128,6 +137,10 @@ class TestCli:
         assert main(["wal", "inspect", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "shard-00" in out and "torn" in out
+        row = _inspect_rows(out)["shard-00"]
+        assert (row["start"], row["input"], row["progress"], row["end"]) == (
+            "2", "6", "0", "0"
+        )
 
         assert main(["wal", "recover", str(tmp_path)]) == 0
         out = capsys.readouterr().out
@@ -136,6 +149,39 @@ class TestCli:
         assert main(["wal", "compact", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "watermark" in out
+
+    def test_wal_inspect_counts_record_kinds(self, tmp_path, capsys,
+                                             classroom_game):
+        """The kind columns tell an old one-input-per-step journal from
+        a current cursor-logged one."""
+        from pathlib import Path
+
+        from repro.persist import PersistenceConfig
+        from repro.serve import (
+            ServeConfig,
+            SessionManager,
+            session_factory_for_script,
+        )
+        from repro.students import cohort_scripts
+
+        old = Path(__file__).parent / "data" / "wal_v1"
+        assert main(["wal", "inspect", str(old)]) == 0
+        row = _inspect_rows(capsys.readouterr().out)["shard-00"]
+        assert (row["start"], row["input"], row["progress"], row["end"]) == (
+            "6", "32", "0", "3"
+        )
+
+        persistence = PersistenceConfig(directory=tmp_path)
+        config = ServeConfig(n_shards=1, tick_interval_s=0.001,
+                             max_steps_per_tick=1, persistence=persistence)
+        script = cohort_scripts(classroom_game, 1, seed=5)[0]
+        with SessionManager(config) as manager:
+            manager.submit("p", session_factory_for_script(classroom_game, script))
+            assert manager.drain(timeout=30)
+        assert main(["wal", "inspect", str(tmp_path)]) == 0
+        row = _inspect_rows(capsys.readouterr().out)["shard-00"]
+        assert (row["start"], row["input"], row["end"]) == ("1", "0", "1")
+        assert int(row["progress"]) >= 1
 
     def test_wal_inspect_bad_directory(self, tmp_path, capsys):
         assert main(["wal", "inspect", str(tmp_path / "missing")]) == 2

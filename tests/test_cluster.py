@@ -26,7 +26,6 @@ from repro.faultline.chaos import reference_digest
 from repro.replicate import ReplicaLagging
 from repro.replicate.protocol import R_ERROR, R_HANDSHAKE, encode, make_decoder
 from repro.serve import session_factory_for_script
-from repro.serve.manager import shard_for
 from repro.students import cohort_scripts
 
 N_SHARDS = 2

@@ -15,9 +15,12 @@ import pytest
 
 from repro import obs
 from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, GatewayThread
+from repro.obs.tracing import MAX_CHILDREN
 from repro.persist import PersistenceConfig
+from repro.runtime.inputs import MouseClick
 from repro.serve import ServeConfig, SessionManager
 from repro.students import cohort_scripts
+from repro.students.scripts import PlayerScript
 
 #: slack for the thread-CPU clock's coarser granularity than wall time
 CPU_SLACK_S = 1e-3
@@ -91,3 +94,27 @@ def test_traced_submit_nests_shard_steps_and_engine_dispatch(
     assert store.open_count == 0
     assert len(store.get(trace_id)["children"]) == children_before
     assert _dispatch_roots() > dispatch_before
+
+
+def test_long_traced_session_retains_a_bounded_number_of_spans(live, classroom_game):
+    """A 500-step traced session keeps at most MAX_CHILDREN step spans
+    under its root; ``/trace/<id>`` reports how many it dropped."""
+    manager = SessionManager(ServeConfig(
+        n_shards=1, tick_interval_s=0.002, max_steps_per_tick=50,
+    ))
+    server = GatewayServer(manager, classroom_game, config=GatewayConfig(telemetry_port=0))
+    ops = [MouseClick(1, 1)] * 500  # clicks on empty floor: never game over
+    script = PlayerScript(player_id="long", ops=ops, dt=0.25)
+    trace_id = obs.new_id()
+    with GatewayThread(server) as handle:
+        end = _drive(handle, "long#traced", script, trace_id)
+        assert end["steps"] == 500
+        url = f"http://127.0.0.1:{handle.telemetry_port}/trace/{trace_id}"
+        with urllib.request.urlopen(url, timeout=10) as resp:
+            timeline = json.loads(resp.read())
+
+    steps = [c for c in timeline["children"] if c["name"] == "shard.step"]
+    assert len(timeline["children"]) == len(steps) == MAX_CHILDREN
+    assert timeline["dropped_children"] == 500 - MAX_CHILDREN
+    retained = sum(1 for _ in _walk(timeline["children"]))
+    assert retained <= 2 * MAX_CHILDREN < 500 * 2
