@@ -1,146 +1,14 @@
-"""Gateway bench: shard-count sweep measured through real TCP sockets.
+"""Gateway bench: request-trace attribution through real TCP sockets.
 
-Offers a fixed load of cohort-scripted sessions to a loopback
-``repro.gateway`` server fronting session managers of increasing shard
-count, and reports completed sessions per second plus the p95 PING
-frame round trip observed from the client side.  The headline claim
-this file defends: at a fixed offered load, going from 1 shard to 4
-shards at least doubles sessions/second *through the gateway* — i.e.
-the wire edge (framing, admission acks, END push) does not serialise
-what the shards parallelise.
-
-Tunable from the environment so the CI gateway-smoke step can run a
-small, fast sweep:
-
-``REPRO_GATEWAY_BENCH_SHARDS``
-    Comma-separated shard counts to sweep (default ``1,2,4``).
-``REPRO_GATEWAY_BENCH_SESSIONS``
-    Sessions offered per sweep point (default ``120``).
-``REPRO_GATEWAY_BENCH_CLIENTS``
-    Concurrent client connections per sweep point (default ``4``).
-
-The sweep results are also gated in-process against the
-``repro_gateway_*`` rules of ``examples/slo.toml`` — the same rules
-``repro gateway bench --slo`` and ``repro obs check`` enforce.
+Runs traced sessions through a loopback ``repro.gateway`` server and
+checks that each request's phase timeline, fetched over the live
+telemetry endpoint, accounts for the latency the client observed.
 """
 
-import os
-from pathlib import Path
-
-import pytest
-
-from conftest import save_json, save_result
+from conftest import save_result
 from repro import obs
 from repro.core import fetch_quest_game
-from repro.gateway import run_gateway_benchmark
-from repro.reporting import format_table
 from repro.students import cohort_scripts
-
-SLO_FILE = Path(__file__).parent.parent / "examples" / "slo.toml"
-
-
-def _env_shards() -> list:
-    raw = os.environ.get("REPRO_GATEWAY_BENCH_SHARDS", "1,2,4")
-    return [int(s) for s in raw.split(",") if s.strip()]
-
-
-def _env_sessions() -> int:
-    return int(os.environ.get("REPRO_GATEWAY_BENCH_SESSIONS", "120"))
-
-
-def _env_clients() -> int:
-    return int(os.environ.get("REPRO_GATEWAY_BENCH_CLIENTS", "4"))
-
-
-@pytest.fixture(scope="module")
-def sweep():
-    """One socket shard sweep at fixed load, shared by every assertion."""
-    obs.enable()  # handshake/RTT histograms feed the SLO rules
-    game = fetch_quest_game(n_quests=2, title="gateway bench").build()
-    scripts = cohort_scripts(game, 12, seed=2007)
-    return run_gateway_benchmark(
-        game,
-        _env_shards(),
-        sessions=_env_sessions(),
-        scripts=scripts,
-        clients=_env_clients(),
-        tick_interval_s=0.01,
-        max_steps_per_tick=20,
-    )
-
-
-def test_gateway_sweep_completes_offered_load(sweep, results_dir):
-    save_result(
-        "gateway_shard_sweep.txt",
-        format_table(
-            [r.as_row() for r in sweep],
-            title=(
-                f"gateway shard sweep ({_env_sessions()} sessions/point, "
-                f"{_env_clients()} clients)"
-            ),
-        ),
-    )
-    for r in sweep:
-        assert r.report.drained, f"{r.shards}-shard run failed to drain"
-        assert r.report.completed == r.report.offered
-        assert r.report.rejected == 0
-        assert r.report.failed == 0
-
-
-def test_gateway_sweep_records_frame_rtt(sweep):
-    for r in sweep:
-        rtt = r.report.rtt_p95_s
-        assert rtt is not None, "load run recorded no PING round trips"
-        # Loopback frame RTT should be well under a tick interval.
-        assert rtt < 1.0, f"loopback p95 RTT {rtt:.3f}s"
-
-
-def test_gateway_scales_with_shard_count(sweep):
-    """The acceptance bar: >= 2x sessions/sec going 1 -> 4 shards."""
-    by_shards = {r.shards: r for r in sweep}
-    if 1 not in by_shards or 4 not in by_shards:
-        pytest.skip("sweep does not include both 1 and 4 shards")
-    one = by_shards[1].report.sessions_per_second
-    four = by_shards[4].report.sessions_per_second
-    assert one > 0
-    speedup = four / one
-    assert speedup >= 2.0, f"1->4 shard speedup only {speedup:.2f}x"
-
-
-def test_gateway_emits_machine_readable_result(sweep, results_dir):
-    """BENCH_gateway.json: throughput + p95 frame RTT, for tooling."""
-    payload = {
-        "benchmark": "gateway",
-        "sessions_per_point": _env_sessions(),
-        "clients": _env_clients(),
-        "points": [
-            {
-                "shards": r.shards,
-                "throughput_sessions_per_s": r.report.sessions_per_second,
-                "p95_frame_rtt_s": r.report.rtt_p95_s,
-                "completed": r.report.completed,
-                "rejected": r.report.rejected,
-            }
-            for r in sweep
-        ],
-    }
-    path = save_json("BENCH_gateway.json", payload)
-    assert path.is_file()
-    for point in payload["points"]:
-        assert point["throughput_sessions_per_s"] > 0
-        assert point["p95_frame_rtt_s"] is not None
-
-
-def test_gateway_slo_rules_pass(sweep):
-    """The repro_gateway_* rules of examples/slo.toml hold under load."""
-    rules = [
-        r for r in obs.parse_slo_file(SLO_FILE)
-        if (r.metric or r.numerator or "").startswith("repro_gateway_")
-    ]
-    assert rules, "examples/slo.toml lost its gateway rules"
-    results, all_ok = obs.evaluate_slos(rules, obs.snapshot())
-    breached = [r.rule.title for r in results if not r.ok]
-    assert all_ok, f"gateway SLO rules breached: {breached}"
 
 
 def test_trace_attribution_accounts_for_client_latency(results_dir, tmp_path):

@@ -13,9 +13,7 @@ Subcommands::
     python -m repro obs flight                # dump the flight recorder
     python -m repro obs trace [ID]            # request-trace waterfall
     python -m repro top                       # live metrics/spans dashboard
-    python -m repro serve-bench               # sharded-server load sweep
     python -m repro gateway serve             # TCP front-end for the server
-    python -m repro gateway bench             # socket-mode load sweep
     python -m repro wal inspect DIR           # scan durable session journals
     python -m repro wal recover DIR           # rebuild committed sessions
     python -m repro wal compact DIR           # drop snapshot-covered segments
@@ -147,85 +145,33 @@ def build_parser() -> argparse.ArgumentParser:
     p_top.add_argument("--width", type=int, default=100,
                        help="dashboard width in columns (default 100)")
 
-    p_serve = sub.add_parser(
-        "serve-bench",
-        help="load-test the sharded session server across shard counts",
-    )
-    p_serve.add_argument(
-        "--shards", default="1,2,4",
-        help="comma-separated shard counts to sweep (default 1,2,4)",
-    )
-    p_serve.add_argument("--sessions", type=int, default=200,
-                         help="sessions offered per sweep point (default 200)")
-    p_serve.add_argument(
-        "--rate", type=float, default=0.0,
-        help="arrival rate in sessions/s; 0 = open-loop burst (default)",
-    )
-    p_serve.add_argument("--tick-hz", type=float, default=100.0,
-                         help="shard tick frequency (default 100)")
-    p_serve.add_argument("--steps-per-tick", type=int, default=20,
-                         help="session-step budget per shard tick (default 20)")
-    p_serve.add_argument("--max-sessions", type=int, default=100_000,
-                         help="admission-control in-flight cap (default 100000)")
-    p_serve.add_argument("--seed", type=int, default=2007,
-                         help="cohort script sampling seed (default 2007)")
-    p_serve.add_argument("--scripts", type=int, default=16,
-                         help="distinct player scripts in the pool (default 16)")
-    p_serve.add_argument(
-        "--slo", type=Path, default=None,
-        help="also gate the run's metrics through an SLO rule file "
-             "(nonzero exit on breach)",
-    )
-    p_serve.add_argument(
-        "--persist-dir", type=Path, default=None,
-        help="enable durable sessions: per-shard WAL + snapshots under "
-             "this directory",
-    )
-
     p_gw = sub.add_parser(
         "gateway",
-        help="network gateway: serve the sharded session server over "
-             "TCP, or load-test it through real sockets",
+        help="network gateway: serve the sharded session server over TCP",
     )
     p_gw.add_argument(
-        "action", choices=("serve", "bench"),
-        help="serve: run the asyncio TCP front-end until interrupted; "
-             "bench: shard-count sweep through loopback sockets",
+        "action", choices=("serve",),
+        help="serve: run the asyncio TCP front-end until interrupted",
     )
     p_gw.add_argument("--host", default="127.0.0.1",
-                      help="bind/connect address (default 127.0.0.1)")
+                      help="bind address (default 127.0.0.1)")
     p_gw.add_argument(
         "--port", type=int, default=0,
         help="TCP port; 0 binds an ephemeral port and prints it (default 0)",
     )
-    p_gw.add_argument(
-        "--shards", default=None,
-        help="serve: shard count (default 2); bench: comma-separated "
-             "sweep counts (default 1,2,4)",
-    )
-    p_gw.add_argument("--sessions", type=int, default=120,
-                      help="bench: sessions offered per sweep point (default 120)")
-    p_gw.add_argument("--clients", type=int, default=4,
-                      help="bench: concurrent client connections (default 4)")
-    p_gw.add_argument(
-        "--rate", type=float, default=0.0,
-        help="bench: arrival rate in sessions/s; 0 = open-loop burst",
-    )
+    p_gw.add_argument("--shards", type=int, default=2,
+                      help="shard count (default 2)")
     p_gw.add_argument("--tick-hz", type=float, default=100.0,
                       help="shard tick frequency (default 100)")
     p_gw.add_argument("--steps-per-tick", type=int, default=20,
                       help="session-step budget per shard tick (default 20)")
     p_gw.add_argument("--max-sessions", type=int, default=100_000,
                       help="admission-control in-flight cap (default 100000)")
-    p_gw.add_argument("--seed", type=int, default=2007,
-                      help="cohort script sampling seed (default 2007)")
-    p_gw.add_argument("--scripts", type=int, default=12,
-                      help="distinct player scripts in the pool (default 12)")
     p_gw.add_argument("--quests", type=int, default=2,
                       help="quest count of the built-in game (default 2)")
     p_gw.add_argument(
         "--duration", type=float, default=0.0,
-        help="serve: exit after this many seconds (0 = run until ^C)",
+        help="exit after this many seconds (0 = run until ^C)",
     )
     p_gw.add_argument(
         "--persist-dir", type=Path, default=None,
@@ -233,21 +179,15 @@ def build_parser() -> argparse.ArgumentParser:
              "serve recovers any committed sessions found there first",
     )
     p_gw.add_argument(
-        "--slo", type=Path, default=None,
-        help="bench: gate the run's repro_gateway_* metrics through an "
-             "SLO rule file (nonzero exit on breach)",
-    )
-    p_gw.add_argument(
         "--telemetry-port", type=int, default=None,
-        help="serve: also bind the HTTP telemetry endpoint "
+        help="also bind the HTTP telemetry endpoint "
              "(/metrics, /healthz, /trace/<id>) on this port; "
              "0 picks an ephemeral port (default: disabled)",
     )
     p_gw.add_argument(
         "--trace-sample", type=float, default=0.0,
         help="fraction of submissions stamped with a request-trace id "
-             "for phase attribution (default 0.0; serve samples "
-             "server-side, bench stamps client-side)",
+             "for phase attribution (default 0.0)",
     )
 
     p_wal = sub.add_parser(
@@ -832,138 +772,23 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_serve_bench(args: argparse.Namespace) -> int:
-    from . import obs
-    from .core import fetch_quest_game
-    from .reporting import format_table
-    from .serve import run_serve_benchmark
-    from .students import cohort_scripts
-
-    try:
-        shard_counts = [int(s) for s in str(args.shards).split(",") if s.strip()]
-    except ValueError:
-        print(f"error: cannot parse --shards {args.shards!r}", file=sys.stderr)
-        return 2
-    if not shard_counts or any(n < 1 for n in shard_counts):
-        print("error: --shards needs positive integers", file=sys.stderr)
-        return 2
-    if args.tick_hz <= 0:
-        print("error: --tick-hz must be positive", file=sys.stderr)
-        return 2
-
-    obs.enable()
-    # Fresh counters per bench pass: back-to-back CLI runs in one
-    # process would otherwise double-count serve totals in the SLO gate.
-    obs.reset()
-    game = fetch_quest_game(n_quests=2, title="serve-bench").build()
-    scripts = cohort_scripts(game, args.scripts, seed=args.seed)
-    persistence = None
-    if args.persist_dir is not None:
-        from .persist import PersistenceConfig
-
-        persistence = PersistenceConfig(directory=args.persist_dir)
-    results = run_serve_benchmark(
-        game,
-        shard_counts,
-        sessions=args.sessions,
-        scripts=scripts,
-        arrival_rate=args.rate,
-        tick_interval_s=1.0 / args.tick_hz,
-        max_steps_per_tick=args.steps_per_tick,
-        max_sessions=args.max_sessions,
-        persistence=persistence,
-    )
-    print(format_table(
-        [r.as_row() for r in results],
-        title=f"serve-bench: {args.sessions} sessions per sweep point",
-    ))
-    for r in results:
-        per_shard = ", ".join(
-            f"shard {label}: {q * 1e3:.2f}ms"
-            for label, q in sorted(r.tick_p95_by_shard.items())
-        )
-        if per_shard:
-            print(f"  {r.shards}-shard tick p95 — {per_shard}")
-    base = results[0].report.sessions_per_second
-    if base > 0 and len(results) > 1:
-        for r in results[1:]:
-            print(f"  {r.shards} shards vs {results[0].shards}: "
-                  f"{r.report.sessions_per_second / base:.2f}x sessions/s")
-    if args.slo is not None:
-        return _check_slo_rules(args.slo, "repro_serve_", label="serve")
-    return 0
-
-
-def _check_slo_rules(slo_path: Path, prefix: str, label: str) -> int:
-    """Gate a bench run on one subsystem's rules in an SLO file.
-
-    A bench run only exercises one metric family (``repro_serve_*``
-    for ``serve-bench``, ``repro_gateway_*`` for ``gateway bench``),
-    so rules about other subsystems (which ``repro obs check`` covers
-    via its demo workload) are skipped here rather than spuriously
-    failing.
-    """
-    from . import obs
-    from .reporting import format_table
-
-    try:
-        rules = obs.parse_slo_file(slo_path)
-    except (OSError, obs.SloError) as exc:
-        print(f"error: cannot load SLO rules: {exc}", file=sys.stderr)
-        return 2
-    picked = [
-        r for r in rules
-        if (r.metric or r.numerator or "").startswith(prefix)
-    ]
-    if not picked:
-        print(f"error: no {prefix}* rules in {slo_path}", file=sys.stderr)
-        return 2
-    results, all_ok = obs.evaluate_slos(picked, obs.snapshot())
-    print(format_table(
-        [r.as_row() for r in results],
-        title=f"{label} SLO check: {slo_path}",
-    ))
-    if all_ok:
-        print(f"\n{label} SLO check passed ({len(results)} rules)")
-        return 0
-    failed = sum(1 for r in results if not r.ok)
-    print(f"\n{label} SLO check FAILED "
-          f"({failed} of {len(results)} rules breached)")
-    return 1
-
-
 def _cmd_gateway(args: argparse.Namespace) -> int:
-    from . import obs
-
-    if args.tick_hz <= 0:
-        print("error: --tick-hz must be positive", file=sys.stderr)
-        return 2
-    obs.enable()
-    if args.action == "serve":
-        return _cmd_gateway_serve(args)
-    return _cmd_gateway_bench(args)
-
-
-def _cmd_gateway_serve(args: argparse.Namespace) -> int:
     """Run a gateway-fronted session server until ^C (or --duration)."""
     import asyncio
 
+    from . import obs
     from .core import fetch_quest_game
     from .gateway import GatewayConfig, GatewayServer
     from .serve import ServeConfig, SessionManager
 
-    if args.shards is None:
-        n_shards = 2
-    else:
-        try:
-            n_shards = int(args.shards)
-        except ValueError:
-            print(f"error: cannot parse --shards {args.shards!r}",
-                  file=sys.stderr)
-            return 2
+    if args.tick_hz <= 0:
+        print("error: --tick-hz must be positive", file=sys.stderr)
+        return 2
+    n_shards = args.shards
     if n_shards < 1:
         print("error: --shards must be >= 1", file=sys.stderr)
         return 2
+    obs.enable()
     persistence = None
     if args.persist_dir is not None:
         from .persist import PersistenceConfig
@@ -1011,76 +836,6 @@ def _cmd_gateway_serve(args: argparse.Namespace) -> int:
         asyncio.run(_serve())
     except KeyboardInterrupt:
         print("\ndrained and stopped")
-    return 0
-
-
-def _cmd_gateway_bench(args: argparse.Namespace) -> int:
-    """Loopback shard sweep through the gateway (mirrors serve-bench)."""
-    from . import obs
-    from .core import fetch_quest_game
-    from .gateway import run_gateway_benchmark
-    from .reporting import format_table
-    from .students import cohort_scripts
-
-    shards_spec = args.shards if args.shards is not None else "1,2,4"
-    try:
-        shard_counts = [int(s) for s in str(shards_spec).split(",") if s.strip()]
-    except ValueError:
-        print(f"error: cannot parse --shards {shards_spec!r}", file=sys.stderr)
-        return 2
-    if not shard_counts or any(n < 1 for n in shard_counts):
-        print("error: --shards needs positive integers", file=sys.stderr)
-        return 2
-    # Fresh counters per bench pass (same contract as serve-bench).
-    obs.reset()
-    game = fetch_quest_game(n_quests=args.quests, title="gateway-bench").build()
-    scripts = cohort_scripts(game, args.scripts, seed=args.seed)
-    persistence = None
-    if args.persist_dir is not None:
-        from .persist import PersistenceConfig
-
-        persistence = PersistenceConfig(directory=args.persist_dir)
-    if not 0.0 <= args.trace_sample <= 1.0:
-        print("error: --trace-sample must be within [0, 1]", file=sys.stderr)
-        return 2
-    results = run_gateway_benchmark(
-        game,
-        shard_counts,
-        sessions=args.sessions,
-        scripts=scripts,
-        clients=args.clients,
-        arrival_rate=args.rate,
-        tick_interval_s=1.0 / args.tick_hz,
-        max_steps_per_tick=args.steps_per_tick,
-        max_sessions=args.max_sessions,
-        persistence=persistence,
-        trace_sample=args.trace_sample,
-    )
-    print(format_table(
-        [r.as_row() for r in results],
-        title=f"gateway bench: {args.sessions} sessions per sweep point",
-    ))
-    base = results[0].report.sessions_per_second
-    if base > 0 and len(results) > 1:
-        for r in results[1:]:
-            print(f"  {r.shards} shards vs {results[0].shards}: "
-                  f"{r.report.sessions_per_second / base:.2f}x sessions/s")
-    if args.trace_sample > 0:
-        from .obs import get_tracer
-        from .reporting import render_waterfall
-
-        # Render the last sampled request's waterfall so the sweep ends
-        # with a concrete latency attribution, not just aggregate rows.
-        for r in reversed(results):
-            if not r.report.trace_ids:
-                continue
-            timeline = get_tracer().get(r.report.trace_ids[-1])
-            if timeline is not None:
-                print()
-                print(render_waterfall(timeline))
-                break
-    if args.slo is not None:
-        return _check_slo_rules(args.slo, "repro_gateway_", label="gateway")
     return 0
 
 
@@ -1628,8 +1383,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_top(
             args.interval, args.iterations, args.once, args.no_demo, args.width
         )
-    if args.command == "serve-bench":
-        return _cmd_serve_bench(args)
     if args.command == "gateway":
         return _cmd_gateway(args)
     if args.command == "chaos":

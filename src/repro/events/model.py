@@ -23,7 +23,6 @@ with disjoint guards.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
@@ -41,8 +40,6 @@ _M_MATCH_CACHE_MISSES = _obs.counter(
     "repro_engine_condition_cache_misses_total",
     "Interaction dispatches that had to scan and sort the binding table",
 )
-
-_binding_counter = itertools.count(1)
 
 GLOBAL_SCOPE = "*"
 
@@ -86,8 +83,6 @@ class EventBinding:
     _compiled: Any = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not self.binding_id:
-            self.binding_id = f"ev-{next(_binding_counter)}"
         if self.trigger not in Trigger.ALL:
             raise EventError(f"unknown trigger {self.trigger!r}")
         if self.trigger in Trigger.OBJECT_SCOPED and not self.object_id:
@@ -178,7 +173,18 @@ class EventTable:
         self._match_cache.clear()
 
     def add(self, binding: EventBinding) -> str:
-        """Add a binding; returns its id."""
+        """Add a binding; returns its id.
+
+        An unnamed binding gets the first ``ev-<k>`` id free in this
+        table, so ids depend only on the table's contents: a game builds
+        the same ids in every process, and a state's ``fired_once`` set
+        stays valid for a table rebuilt from its saved list.
+        """
+        if not binding.binding_id:
+            k = 1
+            while f"ev-{k}" in self._ids:
+                k += 1
+            binding.binding_id = f"ev-{k}"
         if binding.binding_id in self._ids:
             raise EventError(f"duplicate binding id {binding.binding_id!r}")
         self._bindings.append(binding)

@@ -15,17 +15,13 @@ an in-process benchmark and the paper's remote students:
   drain that flushes shard journals before closing sockets;
 * :class:`~repro.gateway.client.GatewayClient` — connect/idle
   timeouts, PING heartbeats, bounded exponential-backoff retry, and
-  reconnect-resume of live sessions by player id;
-* :func:`~repro.gateway.bench.run_gateway_benchmark` — the loopback
-  shard sweep behind ``repro gateway bench`` and
-  ``benchmarks/bench_gateway.py``.
+  reconnect-resume of live sessions by player id.
 
 Everything is instrumented through :mod:`repro.obs`
 (``repro_gateway_*`` connection/frame/byte counters, handshake and RTT
 histograms) and asserted by the gateway rules in ``examples/slo.toml``.
 """
 
-from .bench import GatewaySweepResult, run_gateway_benchmark
 from .client import (
     GatewayClient,
     GatewayClosed,
@@ -57,7 +53,6 @@ __all__ = [
     "GatewayError",
     "GatewayRejected",
     "GatewayServer",
-    "GatewaySweepResult",
     "GatewayThread",
     "MAX_FRAME_BYTES",
     "MIN_PROTOCOL_VERSION",
@@ -69,5 +64,4 @@ __all__ = [
     "backoff_delays",
     "encode_frame",
     "negotiate_version",
-    "run_gateway_benchmark",
 ]

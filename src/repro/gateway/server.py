@@ -993,8 +993,8 @@ class GatewayServer:
 class GatewayThread:
     """Run a :class:`GatewayServer` on a dedicated event-loop thread.
 
-    The synchronous façade the CLI bench, the benchmarks and the tests
-    use: ``start()`` returns once the port is bound; ``stop()`` drains
+    The synchronous façade the obs demo workload, the benchmarks and
+    the tests use: ``start()`` returns once the port is bound; ``stop()`` drains
     and joins.  Usable as a context manager.
     """
 

@@ -9,10 +9,9 @@ one-student prototype and a platform serving a school district:
   scheduling, admission control with backpressure, graceful drain;
 * :class:`~repro.serve.session.ServedSession` — one scripted engine run,
   owned by exactly one shard (lock-free stepping);
-* :class:`~repro.serve.loadgen.LoadGenerator` — replays
-  :mod:`repro.students` cohort scripts at a target arrival rate;
-* :func:`~repro.serve.bench.run_serve_benchmark` — the shard-count sweep
-  behind ``repro serve-bench`` and ``benchmarks/bench_serve.py``.
+* :class:`~repro.serve.loadgen.LoadGenerator` — submits
+  :mod:`repro.students` cohort scripts as one burst and waits for the
+  drain.
 
 With ``ServeConfig(persistence=PersistenceConfig(directory=...))`` the
 server becomes crash-recoverable: each shard owns a write-ahead journal
@@ -25,7 +24,6 @@ serve rules in ``examples/slo.toml``.
 """
 
 from ..persist import PersistenceConfig
-from .bench import ShardSweepResult, run_serve_benchmark
 from .loadgen import (
     LoadGenerator,
     LoadReport,
@@ -46,11 +44,9 @@ __all__ = [
     "ServeConfig",
     "ServedSession",
     "SessionManager",
-    "ShardSweepResult",
     "SocketLoadGenerator",
     "SocketLoadReport",
     "play_to_completion",
-    "run_serve_benchmark",
     "session_factory_for_script",
     "shard_for",
 ]

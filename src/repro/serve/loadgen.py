@@ -2,29 +2,22 @@
 
 The generator is the client side of a load test: given a pool of
 pre-planned :class:`~repro.students.scripts.PlayerScript` sessions, it
-submits them to a manager at a target arrival rate (sessions/second;
-``0`` = an open-loop burst), waits for the server to drain, and reports
-what the paper's deployment story actually needs measured — completed
-sessions per wall-clock second, rejection counts, and per-shard
-completion spread.
-
-Arrival pacing uses an absolute schedule (``t0 + k/rate``), not
-``sleep(1/rate)``, so generator-side jitter does not silently lower the
-offered load.
+submits them as one open-loop burst, waits for the server to drain, and
+reports what happened to each offered session — admitted or rejected,
+completed or failed, and whether the drain finished.
 
 Two generators share that design: :class:`LoadGenerator` drives a
 :class:`~repro.serve.manager.SessionManager` in-process (isolates the
 serving layer), while :class:`SocketLoadGenerator` drives a running
-network gateway over real TCP connections (measures the whole edge:
-framing, admission acks, END push latency, PING round trips).
+network gateway over real TCP connections (the whole edge: framing,
+admission acks, END pushes, PING round trips).
 """
 
 from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass, field
-from time import monotonic, sleep
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..core.project import CompiledGame
 from ..students.scripts import PlayerScript
@@ -41,63 +34,31 @@ __all__ = [
 
 @dataclass(slots=True)
 class LoadReport:
-    """What one load run did and how fast the server chewed through it."""
+    """What one load run offered and what became of it."""
 
     offered: int
     admitted: int
     rejected: int
     completed: int
     failed: int
-    elapsed_s: float
     drained: bool
-    #: shard index -> sessions completed there
-    completed_by_shard: Dict[int, int] = field(default_factory=dict)
-
-    @property
-    def sessions_per_second(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.completed / self.elapsed_s
-
-    def as_row(self) -> Dict[str, object]:
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "elapsed_s": f"{self.elapsed_s:.3f}",
-            "sessions_per_s": f"{self.sessions_per_second:.1f}",
-            "drained": self.drained,
-        }
 
 
 class LoadGenerator:
-    """Submits scripted sessions to a manager at a target arrival rate."""
+    """Submits scripted sessions to a manager as one burst."""
 
     def __init__(
         self,
         manager: SessionManager,
         game: CompiledGame,
         scripts: Sequence[PlayerScript],
-        arrival_rate: float = 0.0,
-        with_video: bool = False,
     ) -> None:
-        """``arrival_rate`` is offered sessions/second; ``0`` submits the
-        whole run as one burst (open-loop saturation test)."""
         if not scripts:
             raise ValueError("need at least one player script")
-        if arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
         self.manager = manager
-        self.game = game
-        self.arrival_rate = arrival_rate
         # One factory per distinct script, reused round-robin: binding
         # is cheap but allocation-per-submit adds generator-side noise.
-        self._factories = [
-            session_factory_for_script(game, s, with_video=with_video)
-            for s in scripts
-        ]
+        self._factories = [session_factory_for_script(game, s) for s in scripts]
         self._scripts = list(scripts)
 
     def run(
@@ -105,24 +66,12 @@ class LoadGenerator:
         n_sessions: int,
         drain_timeout: Optional[float] = 60.0,
     ) -> LoadReport:
-        """Offer ``n_sessions``, wait for drain, report throughput.
-
-        Elapsed time runs from the first submission to the end of the
-        drain — i.e. it charges the server for its backlog, which is
-        what makes sessions/second comparable across shard counts at a
-        fixed offered load.
-        """
+        """Offer ``n_sessions``, wait for the drain, report the outcome."""
         if n_sessions < 1:
             raise ValueError("n_sessions must be >= 1")
         admitted = 0
         rejected = 0
-        t0 = monotonic()
         for k in range(n_sessions):
-            if self.arrival_rate > 0:
-                due = t0 + k / self.arrival_rate
-                delay = due - monotonic()
-                if delay > 0:
-                    sleep(delay)
             script = self._scripts[k % len(self._scripts)]
             factory = self._factories[k % len(self._factories)]
             player_id = f"{script.player_id}#{k}"
@@ -131,16 +80,13 @@ class LoadGenerator:
             else:
                 rejected += 1
         drained = self.manager.drain(timeout=drain_timeout)
-        elapsed = monotonic() - t0
         return LoadReport(
             offered=n_sessions,
             admitted=admitted,
             rejected=rejected,
             completed=self.manager.completed_sessions,
             failed=self.manager.failed_sessions,
-            elapsed_s=elapsed,
             drained=drained,
-            completed_by_shard=dict(self.manager.completed_by_shard),
         )
 
 
@@ -148,53 +94,15 @@ class LoadGenerator:
 # Socket mode: the same offered load, but through the network gateway
 # ----------------------------------------------------------------------
 
+#: a socket load run measures one PING round trip per this many sessions
+PING_EVERY = 8
+
 @dataclass(slots=True)
-class SocketLoadReport:
+class SocketLoadReport(LoadReport):
     """One gateway load run, as observed from the client side of TCP."""
 
-    offered: int
-    admitted: int
-    rejected: int
-    completed: int
-    failed: int
-    elapsed_s: float
-    drained: bool
     #: PING round-trip samples interleaved with the load (seconds)
     rtt_samples: List[float] = field(default_factory=list)
-    clients: int = 1
-    #: request-trace ids echoed on END frames (sampled sessions only) —
-    #: each resolves to a phase timeline at the gateway's ``/trace/<id>``
-    trace_ids: List[str] = field(default_factory=list)
-
-    @property
-    def sessions_per_second(self) -> float:
-        if self.elapsed_s <= 0:
-            return 0.0
-        return self.completed / self.elapsed_s
-
-    @property
-    def rtt_p95_s(self) -> Optional[float]:
-        """p95 of the interleaved PING round trips (None: no samples)."""
-        if not self.rtt_samples:
-            return None
-        ordered = sorted(self.rtt_samples)
-        return ordered[min(len(ordered) - 1, int(0.95 * len(ordered)))]
-
-    def as_row(self) -> Dict[str, object]:
-        rtt = self.rtt_p95_s
-        return {
-            "offered": self.offered,
-            "admitted": self.admitted,
-            "rejected": self.rejected,
-            "completed": self.completed,
-            "failed": self.failed,
-            "clients": self.clients,
-            "elapsed_s": f"{self.elapsed_s:.3f}",
-            "sessions_per_s": f"{self.sessions_per_second:.1f}",
-            "rtt_p95_ms": "-" if rtt is None else f"{rtt * 1e3:.2f}",
-            "traced": len(self.trace_ids),
-            "drained": self.drained,
-        }
 
 
 class SocketLoadGenerator:
@@ -202,11 +110,9 @@ class SocketLoadGenerator:
 
     Sessions are spread round-robin across persistent client
     connections (a school lab, not one socket per student); each client
-    pipelines its submissions, interleaves a PING every ``ping_every``
-    sessions so the report carries real frame-RTT percentiles, and then
-    waits for every END push.  Like the in-process generator, elapsed
-    time runs from the first submission to the last completion, which
-    charges the server for its backlog.
+    pipelines its submissions, interleaves a PING every
+    :data:`PING_EVERY` sessions so the report carries real frame round
+    trips, and then waits for every END push.
     """
 
     def __init__(
@@ -215,26 +121,18 @@ class SocketLoadGenerator:
         port: int,
         scripts: Sequence[PlayerScript],
         clients: int = 4,
-        arrival_rate: float = 0.0,
-        ping_every: int = 8,
         trace_sample: float = 0.0,
     ) -> None:
         if not scripts:
             raise ValueError("need at least one player script")
         if clients < 1:
             raise ValueError("clients must be >= 1")
-        if arrival_rate < 0:
-            raise ValueError("arrival_rate must be >= 0")
-        if ping_every < 1:
-            raise ValueError("ping_every must be >= 1")
         if not 0.0 <= trace_sample <= 1.0:
             raise ValueError("trace_sample must be within [0, 1]")
         self.host = host
         self.port = port
         self.scripts = list(scripts)
         self.clients = clients
-        self.arrival_rate = arrival_rate
-        self.ping_every = ping_every
         #: fraction of submissions stamped with a request-trace id
         self.trace_sample = trace_sample
 
@@ -266,15 +164,8 @@ class SocketLoadGenerator:
         failed = 0
         rtts: List[float] = []
         pending: List[tuple] = []  # (client, player_id)
-        loop = asyncio.get_running_loop()
-        t0 = loop.time()
         try:
             for k in range(n_sessions):
-                if self.arrival_rate > 0:
-                    due = t0 + k / self.arrival_rate
-                    delay = due - loop.time()
-                    if delay > 0:
-                        await asyncio.sleep(delay)
                 script = self.scripts[k % len(self.scripts)]
                 client = pool[k % len(pool)]
                 player_id = f"{script.player_id}#{k}"
@@ -285,7 +176,7 @@ class SocketLoadGenerator:
                     continue
                 admitted += 1
                 pending.append((client, player_id))
-                if k % self.ping_every == 0:
+                if k % PING_EVERY == 0:
                     rtts.append(await client.ping())
             ends = await asyncio.gather(
                 *(
@@ -295,19 +186,13 @@ class SocketLoadGenerator:
                 return_exceptions=True,
             )
             drained = True
-            trace_ids: List[str] = []
             for end in ends:
                 if isinstance(end, BaseException):
                     drained = False
-                    continue
-                tid = end.get("trace")
-                if isinstance(tid, str) and tid:
-                    trace_ids.append(tid)
-                if end.get("failed"):
+                elif end.get("failed"):
                     failed += 1
                 else:
                     completed += 1
-            elapsed = loop.time() - t0
         finally:
             for client in pool:
                 await client.close()
@@ -317,9 +202,6 @@ class SocketLoadGenerator:
             rejected=rejected,
             completed=completed,
             failed=failed,
-            elapsed_s=elapsed,
             drained=drained and admitted == completed + failed,
             rtt_samples=rtts,
-            clients=len(pool),
-            trace_ids=trace_ids,
         )

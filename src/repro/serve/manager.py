@@ -19,7 +19,7 @@ engine into a multi-tenant server with a classic game-server shape:
   rejects new work instead of queueing unboundedly; rejected admissions
   are counted, queue depth and active sessions are exported as gauges,
   and per-shard tick latency is a labelled histogram — the numbers the
-  load benchmark's SLO rules assert on.
+  serve SLO rules in ``examples/slo.toml`` assert on.
 * **Graceful drain.**  ``drain()`` stops admissions and waits for every
   in-flight session to finish; ``shutdown()`` stops the shard threads
   (after an optional drain) and zeroes the gauges.  With persistence
@@ -776,7 +776,7 @@ class SessionManager:
         return {s.index: s.completed for s in self._shards}
 
     def shard_stats(self) -> List[Dict[str, float]]:
-        """Per-shard plain-data rows (CLI table / bench report)."""
+        """Per-shard counters as plain-data rows."""
         return [
             {
                 "shard": s.index,

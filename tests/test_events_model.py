@@ -205,6 +205,40 @@ class TestEventTable:
         assert [b.binding_id for b in t2] == [b.binding_id for b in t]
 
 
+class TestBindingIds:
+    """Unnamed bindings are numbered per table, not per process."""
+
+    @staticmethod
+    def _unnamed(object_id="obj"):
+        return EventBinding(scenario_id="s1", trigger=Trigger.CLICK,
+                            object_id=object_id, actions=[ShowText(text="x")])
+
+    def test_saved_table_takes_a_new_unnamed_binding(self):
+        # as a saved project holds it: the ids are data, not fresh objects
+        saved = [
+            {"binding_id": f"ev-{k}", "scenario_id": "s1", "trigger": "click",
+             "object_id": f"o{k}", "actions": [ShowText(text="x").to_dict()]}
+            for k in (1, 2, 3)
+        ]
+        table = EventTable.from_list(saved)
+        assert table.add(self._unnamed()) == "ev-4"
+        table.remove("ev-2")
+        assert table.add(self._unnamed()) == "ev-2"
+
+    def test_same_game_built_twice_has_the_same_ids_and_digest(self):
+        from repro.core import fetch_quest_game
+        from repro.faultline.chaos import reference_digest
+        from repro.students import cohort_scripts
+
+        games = [fetch_quest_game(n_quests=2).build() for _ in range(2)]
+        script = cohort_scripts(games[0], 1, seed=3)[0]
+        n = len(script.ops)
+        digests = {reference_digest(g, script.ops, script.dt, n) for g in games}
+        assert len(digests) == 1
+        ids = [[b.binding_id for b in game.events] for game in games]
+        assert ids[0] == ids[1] == [f"ev-{k}" for k in range(1, 7)]
+
+
 class TestEventBus:
     def test_topic_and_wildcard_delivery(self):
         bus = EventBus()

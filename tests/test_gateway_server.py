@@ -22,7 +22,7 @@ from repro.gateway.protocol import END, HELLO, PING, STATE, encode_frame
 from repro.gateway.server import _Connection
 from repro.persist import PersistenceConfig, scan_journal, state_digest
 from repro.persist.records import apply_scripted_op
-from repro.serve import ServeConfig, SessionManager
+from repro.serve import ServeConfig, SessionManager, SocketLoadGenerator
 from repro.students import cohort_scripts
 
 
@@ -68,6 +68,23 @@ def _reference_digest(game, script):
     for op in script.ops:
         apply_scripted_op(engine, op, script.dt)
     return state_digest(engine.state)
+
+
+class TestSocketLoad:
+    def test_socket_burst_completes_on_every_shard(self, classroom_game, scripts):
+        server = _gateway(classroom_game)
+        with GatewayThread(server) as handle:
+            report = SocketLoadGenerator(
+                handle.host, handle.port, scripts, clients=3,
+            ).run(24, timeout=30.0)
+        assert report.drained
+        assert report.completed == report.offered == 24
+        assert report.rejected == report.failed == 0
+        assert report.rtt_samples, "the load run recorded no PING round trip"
+        assert all(0.0 < rtt < 1.0 for rtt in report.rtt_samples)
+        by_shard = server.manager.completed_by_shard
+        assert sorted(by_shard) == [0, 1]
+        assert all(n >= 1 for n in by_shard.values()), by_shard
 
 
 class TestEndToEnd:

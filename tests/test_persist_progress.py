@@ -10,16 +10,13 @@ committed ``tests/data/wal_v1`` journal was written in the older form.
 """
 
 import asyncio
-import itertools
 import json
 import shutil
 import time
 from pathlib import Path
 
 import pytest
-from conftest import build_classroom_wizard
 
-from repro.events import model as event_model
 from repro.faultline.chaos import reference_digest
 from repro.gateway import GatewayClient, GatewayServer, GatewayThread
 from repro.persist import (
@@ -48,19 +45,6 @@ def scripts(classroom_game):
     return cohort_scripts(classroom_game, 4, seed=41)
 
 
-@pytest.fixture(scope="module")
-def fixture_game():
-    """The classroom game as a fresh process builds it, which is how the
-    fixture was written: event binding ids come from a process-wide
-    counter and enter a won session's state (``fired_once``)."""
-    saved = event_model._binding_counter
-    event_model._binding_counter = itertools.count(1)
-    try:
-        return build_classroom_wizard().build()
-    finally:
-        event_model._binding_counter = saved
-
-
 def _standby_apply(game, directory, records):
     """Fold ``records`` through a standby shard's own apply path."""
     standby = StandbyReplica(directory, game, 1, "127.0.0.1", 0)
@@ -87,10 +71,10 @@ class TestOldFormatFixture:
         assert _kinds(records) == EXPECTED["record_kinds"]
         assert "progress" not in _kinds(records)
 
-    def test_recovery_reproduces_reference_digests(self, tmp_path, fixture_game):
+    def test_recovery_reproduces_reference_digests(self, tmp_path, classroom_game):
         work = tmp_path / "shard-00"
         shutil.copytree(FIXTURE / "shard-00", work)
-        report = recover_shard(work, fixture_game)
+        report = recover_shard(work, classroom_game)
         assert report.digests() == EXPECTED["recovered"]
         assert report.ended_sessions == len(EXPECTED["ended"])
         assert report.orphan_records == 0
@@ -99,10 +83,10 @@ class TestOldFormatFixture:
             assert session.cursor == EXPECTED["cursors"][session.player_id]
 
     def test_standby_apply_reproduces_reference_digests(
-        self, tmp_path, fixture_game
+        self, tmp_path, classroom_game
     ):
         records = scan_journal(FIXTURE / "shard-00").records
-        st = _standby_apply(fixture_game, tmp_path / "standby", records)
+        st = _standby_apply(classroom_game, tmp_path / "standby", records)
         digests = {sid: state_digest(s.engine.state) for sid, s in st.sessions.items()}
         assert digests == EXPECTED["mirrored"]
         assert {sid for sid, s in st.sessions.items() if s.ended} == set(
@@ -112,7 +96,7 @@ class TestOldFormatFixture:
             assert sess.cursor == EXPECTED["cursors"][sid]
 
     def test_resumed_old_journal_appends_new_form_and_still_folds(
-        self, tmp_path, fixture_game
+        self, tmp_path, classroom_game
     ):
         """Recover the old journal, resume it to the end with the new
         writer, then fold the mixed-form journal on a standby."""
@@ -122,7 +106,7 @@ class TestOldFormatFixture:
             persistence=PersistenceConfig(directory=tmp_path),
         )
         manager = SessionManager(config)
-        reports = manager.recover(fixture_game)
+        reports = manager.recover(classroom_game)
         assert {s.player_id for s in reports[0].sessions} == set(
             EXPECTED["recovered"]
         )
@@ -135,12 +119,12 @@ class TestOldFormatFixture:
         assert kinds["input"] == EXPECTED["record_kinds"]["input"]
         assert kinds["progress"] >= 1
         assert kinds["end"] == 6
-        st = _standby_apply(fixture_game, tmp_path / "standby", records)
+        st = _standby_apply(classroom_game, tmp_path / "standby", records)
         assert len(st.sessions) == 6
         for sid, sess in st.sessions.items():
             assert sess.ended, sid
             assert state_digest(sess.engine.state) == _oracle(
-                fixture_game, sess.ops, sess.dt, sess.cursor
+                classroom_game, sess.ops, sess.dt, sess.cursor
             ), sid
 
 

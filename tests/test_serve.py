@@ -243,6 +243,22 @@ class TestServeMetrics:
             )
         assert hist.count_of(shard="0") > n0
 
+    def test_burst_reaches_every_shard(self, live, classroom_game, scripts):
+        hist = obs.get_registry().get("repro_serve_tick_seconds")
+        labels = ("0", "1", "2")
+        ticks0 = {label: hist.count_of(shard=label) for label in labels}
+        cfg = ServeConfig(n_shards=3, tick_interval_s=0.002,
+                          max_steps_per_tick=50)
+        with SessionManager(cfg) as manager:
+            report = LoadGenerator(manager, classroom_game, scripts).run(
+                24, drain_timeout=30.0
+            )
+            by_shard = manager.completed_by_shard
+        assert report.drained and report.completed == 24
+        assert all(by_shard[i] >= 1 for i in range(3)), by_shard
+        for label in labels:
+            assert hist.count_of(shard=label) > ticks0[label]
+
     def test_gauges_zeroed_after_shutdown(self, live, classroom_game, scripts):
         cfg = ServeConfig(n_shards=2, tick_interval_s=0.002,
                           max_steps_per_tick=50)
