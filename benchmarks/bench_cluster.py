@@ -2,7 +2,7 @@
 
 Two claims this file defends:
 
-* **Overhead:** gating a traced END's durability wait on 2-of-3
+* **Overhead:** holding every END back until 2-of-3
   standby acks (``PersistenceConfig.quorum_standbys``) costs less than
   **2x** the p95 submit-to-complete latency of the same workload with
   primary-only durability.  The acks ride the existing shipping link,
@@ -18,8 +18,8 @@ Two claims this file defends:
 
 Latency is sampled per session: submit through the placement-routed
 gateway, then wait for the session's ``on_done`` callback — which the
-shard fires only after the END's durability bookkeeping, quorum wait
-included, so the sample is the client-visible ack time.
+shard fires only once the end record is durable, quorum acks included,
+so the sample is the client-visible ack time.
 
 Tunable from the environment so the CI smoke job can run it small:
 
@@ -42,7 +42,7 @@ import pytest
 
 from conftest import save_json, save_result
 from repro import obs
-from repro.cluster import ClusterSupervisor, run_cluster_chaos, traced_factory
+from repro.cluster import ClusterSupervisor, run_cluster_chaos
 from repro.core import fetch_quest_game
 from repro.reporting import format_table
 from repro.serve import session_factory_for_script
@@ -73,13 +73,13 @@ def _submit_latencies(quorum: int) -> list:
         game, n_shards=SHARDS, n_standbys=STANDBYS, quorum=quorum,
     ) as supervisor:
         for script in scripts:
-            base = traced_factory(session_factory_for_script(game, script))
+            base = session_factory_for_script(game, script)
             settled = threading.Event()
 
             def factory(player_id, _base=base, _settled=settled):
                 session = _base(player_id)
-                # on_done fires after the END's durability bookkeeping
-                # (quorum wait included): the client-visible ack
+                # on_done fires once the end record is durable (quorum
+                # acks included): the client-visible ack
                 session.on_done = lambda _s: _settled.set()
                 return session
 

@@ -328,8 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--quorum", type=int, default=0,
-        help="for 'serve': standby acks a traced commit must collect "
-             "before wait_durable resolves (default 0: local-only)",
+        help="for 'serve': standby acks an end record must collect "
+             "before its END goes out (default 0: local-only)",
     )
     p_cluster.add_argument(
         "--duration", type=float, default=None,

@@ -25,7 +25,7 @@ from .placement import (
     ShardAssignment,
     plan_placement,
 )
-from .supervisor import ClusterSupervisor, traced_factory
+from .supervisor import ClusterSupervisor
 
 __all__ = [
     "ClusterGateway",
@@ -35,5 +35,4 @@ __all__ = [
     "ShardAssignment",
     "plan_placement",
     "run_cluster_chaos",
-    "traced_factory",
 ]

@@ -30,27 +30,11 @@ from ..serve import ServeConfig, SessionManager
 from .gateway import ClusterGateway
 from .placement import NodeInfo, PlacementMap, plan_placement
 
-__all__ = ["ClusterSupervisor", "traced_factory"]
+__all__ = ["ClusterSupervisor"]
 
 _LOG = _obslog.get_logger("cluster")
 
 PRIMARY_ID = "primary"
-
-
-def traced_factory(base: Callable[[str], Any]) -> Callable[[str], Any]:
-    """Wrap a session factory so every session is durability-traced.
-
-    A traced session's END rides out its own ``wait_durable`` — with
-    quorum commit armed, that is the client-visible ack the chaos
-    audit and the quorum bench measure.
-    """
-
-    def build(player_id: str) -> Any:
-        session = base(player_id)
-        session.trace_id = f"quorum-{player_id}"
-        return session
-
-    return build
 
 
 class ClusterSupervisor:
@@ -64,7 +48,6 @@ class ClusterSupervisor:
         n_standbys: int = 3,
         replicas_per_shard: Optional[int] = None,
         quorum: int = 0,
-        quorum_timeout_s: float = 5.0,
         root: Optional[Union[str, Path]] = None,
         tick_interval_s: float = 0.005,
         max_steps_per_tick: int = 8,
@@ -86,7 +69,6 @@ class ClusterSupervisor:
         self.n_standbys = n_standbys
         self.replicas_per_shard = replicas_per_shard
         self.quorum = quorum
-        self.quorum_timeout_s = quorum_timeout_s
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if root is None:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
@@ -125,7 +107,6 @@ class ClusterSupervisor:
             snapshot_every=0,
             compact=False,
             quorum_standbys=self.quorum,
-            quorum_timeout_s=self.quorum_timeout_s,
         )
         self.manager = SessionManager(ServeConfig(
             n_shards=self.n_shards,
@@ -140,7 +121,7 @@ class ClusterSupervisor:
             poll_interval_s=self.poll_interval_s,
             heartbeat_s=self.heartbeat_s,
         ).start()
-        # barrier before start(): journals arm quorum as they open
+        # before start(): shard journals take the hook as they open
         self.source.attach(self.manager)
         self.manager.start()
         self._primary_alive = True

@@ -81,15 +81,6 @@ class ValidationReport:
         return not self.errors
 
 
-def _collect_object_ids(project: GameProject) -> Dict[str, str]:
-    """object id → scenario id, across the whole project."""
-    out: Dict[str, str] = {}
-    for sid, sc in project.scenarios.items():
-        for obj in sc.objects:
-            out[obj.object_id] = sid
-    return out
-
-
 def _obtainable_items(project: GameProject) -> Set[str]:
     """Items a player could ever hold: portable objects + GiveItem targets
     (from event bindings and dialogue choices)."""

@@ -14,8 +14,9 @@ and the failover benches.  The plan picks the topology:
 * ``quorum`` (``repl-quorum-partition``) — a primary and three standbys
   with 2-of-3 quorum commit, every END waiting for its quorum ack.  One
   member is hard-killed after ``wait_for`` ENDs, mid-burst; the primary
-  dies once the burst has ended on the survivors' acks.  The freshest
-  survivor is promoted and the placement map advances.
+  dies once the burst, plus one tail session per shard admitted after
+  the kill, has ended on the survivors' acks.  The freshest survivor is
+  promoted and the placement map advances.
 
 Every run tells the same story:
 
@@ -288,10 +289,10 @@ class _Soak:
     def ended(self) -> int:
         return len(self.ends) + len(self.failed)
 
-    async def _offer(self, submit: Submit) -> None:
+    async def _offer(self, submit: Submit, tag: str = "c") -> None:
         k = len(self.assignments)
         script = self.scripts[k % len(self.scripts)]
-        pid = f"{script.player_id}#c{k}"
+        pid = f"{script.player_id}#{tag}{k}"
         self.assignments.append((pid, script))
         if await submit(pid, script):
             self.submitted.append(pid)
@@ -359,8 +360,7 @@ async def _gateway_end(client: Any, pid: str) -> Tuple[str, Optional[str]]:
 
 
 def _single(report: ChaosReport, root: Path, game: Any, soak: _Soak,
-            injector: Any, wait_for: int, durable_wait_s: float,
-            trace_sample: float) -> None:
+            injector: Any, wait_for: int, durable_wait_s: float) -> None:
     from ..gateway import GatewayServer, GatewayThread
     from ..gateway.client import GatewayClient
 
@@ -373,8 +373,7 @@ def _single(report: ChaosReport, root: Path, game: Any, soak: _Soak,
     ))
 
     async def drive(host: str, port: int) -> None:
-        client = GatewayClient(host, port, request_timeout_s=DEADLINE_S,
-                               trace_sample=trace_sample)
+        client = GatewayClient(host, port, request_timeout_s=DEADLINE_S)
         await client.connect()
         try:
             await soak.run(partial(_gateway_submit, client),
@@ -448,8 +447,6 @@ def _replicated(report: ChaosReport, root: Path, game: Any, soak: _Soak,
         def build(player_id: str) -> Any:
             session = base(player_id)
             session.on_done = settle
-            if quorum:  # the END rides out its own quorum ack
-                session.trace_id = f"quorum-{player_id}"
             return session
 
         return sup.submit(pid, build)
@@ -459,6 +456,23 @@ def _replicated(report: ChaosReport, root: Path, game: Any, soak: _Soak,
         while not ends and monotonic() < soak.deadline:
             await asyncio.sleep(0.005)
         return ends.popleft() if ends else (oldest, None)
+
+    async def tail() -> None:
+        """One more session per shard, admitted after the member died.
+
+        ENDs park off the shard thread, so the whole burst may be
+        logged, and acked by the victim, before it dies.  A tail END
+        needs both survivors' acks, which cover every earlier record
+        of its shard: the primary dies once the burst has ended on the
+        survivors' acks, as the audit assumes.
+        """
+        unseen = set(range(report.shards))
+        while unseen and monotonic() < soak.deadline:
+            await soak._offer(submit, tag="t")
+            pid = soak.assignments[-1][0]
+            if pid in soak.submitted:
+                unseen.discard(sup.manager.shard_for(pid))
+        await soak.run(submit, next_end, len(soak.submitted))
 
     victim = f"standby-{report.standbys}" if quorum else ""
     try:
@@ -472,6 +486,8 @@ def _replicated(report: ChaosReport, root: Path, game: Any, soak: _Soak,
             report.standby_killed = victim
             wait_for = len(soak.submitted)
         asyncio.run(soak.run(submit, next_end, wait_for, injector))
+        if quorum:
+            asyncio.run(tail())
         report.completed_before_primary_kill = sup.manager.completed_sessions
         # the kill: discard everything mid-flight.  Quorum survivors
         # must already hold every acked record, so shipping dies with
@@ -569,7 +585,6 @@ def run_chaos(
     game: Any = None,
     scripts: Optional[List[Any]] = None,
     durable_wait_s: float = 5.0,
-    trace_sample: float = 0.0,
 ) -> ChaosReport:
     """One soak-kill-recover-audit cycle under a fault plan.
 
@@ -578,8 +593,8 @@ def run_chaos(
     ``wait_for`` ENDs land before the first kill (default: half the
     sessions, a quarter for ``quorum``), so the rest die mid-flight.
     ``n_standbys`` and ``quorum`` shape the quorum topology only.
-    ``trace_sample`` (single node only) is the client's trace sampling
-    rate; a traced END waits up to ``durable_wait_s`` for durability.
+    Every END waits up to ``durable_wait_s`` for its end record to be
+    covered before it is sent anyway and counted as a timeout.
     With ``persist_dir`` set every journal of the run (primary and each
     standby) goes under it and stays; otherwise under a temporary
     directory removed afterwards.
@@ -628,7 +643,7 @@ def run_chaos(
     with root_ctx as root, _armed(compiled) as (injector, timeouts):
         if topology == SINGLE:
             _single(report, Path(root), game, soak, injector, wait_for,
-                    durable_wait_s, trace_sample)
+                    durable_wait_s)
         else:
             _replicated(report, Path(root), game, soak, injector,
                         wait_for, durable_wait_s)

@@ -194,8 +194,8 @@ def builtin_plans() -> Dict[str, FaultPlan]:
         ),
         FaultPlan(
             name="fsync-timeout",
-            description="one very long fsync stall: group commits (and "
-                        "any traced END's durability wait) outlive the "
+            description="one very long fsync stall: group commits, and "
+                        "the ENDs parked on them, outlive the "
                         "durable-wait budget",
             specs=(
                 FaultSpec("wal.fsync", "stall", at=None, window=(2, 4),

@@ -9,10 +9,12 @@ thread-safe seams:
 * **submit** — ``SessionManager.submit`` is lock-protected and cheap,
   so the event loop calls it directly when a SUBMIT frame arrives.
 * **completion** — each gateway-built session carries an ``on_done``
-  callback; the owning shard fires it (on the shard thread) after the
-  final step, and the callback queues the END and hops back onto the
-  event loop with ``loop.call_soon_threadsafe`` — once per batch of
-  ENDs, not once per END — to push the END frames.
+  callback; the owning shard fires it once the session's end record
+  is durable (on the thread that saw it become durable: the journal
+  flusher, the replication ack reader or the shard itself), and the
+  callback queues the END and hops back onto the event loop with
+  ``loop.call_soon_threadsafe`` — once per batch of ENDs, not once per
+  END — to push the END frames.
 
 Backpressure is explicit on both sides of a connection:
 
@@ -910,7 +912,7 @@ class GatewayServer:
 
     # -- completion bridge ---------------------------------------------
     def _on_session_done(self, session: ServedSession) -> None:
-        """Shard-thread side of the bridge: snapshot, then hop loops."""
+        """Releasing-thread side of the bridge: snapshot, then hop loops."""
         state = session.engine.state
         payload = {
             "player": session.player_id,

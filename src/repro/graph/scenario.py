@@ -117,10 +117,6 @@ class Scenario:
         """Mounted objects in ascending z-order (stable for equal z)."""
         return sorted(self._objects.values(), key=lambda o: o.z_order)
 
-    @property
-    def object_ids(self) -> List[str]:
-        return [o.object_id for o in self.objects]
-
     def __iter__(self) -> Iterator[InteractiveObject]:
         return iter(self.objects)
 

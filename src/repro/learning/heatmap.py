@@ -15,7 +15,7 @@ authoring actions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -33,12 +33,6 @@ class ClickHeatmap:
     counts: np.ndarray  #: (grid_h, grid_w) float64 click counts
     cell: int           #: pixels per grid cell
     total_clicks: int
-
-    def hottest_cell(self) -> Tuple[int, int]:
-        """(x, y) pixel centre of the most-clicked cell."""
-        gy, gx = np.unravel_index(int(self.counts.argmax()), self.counts.shape)
-        return (int(gx) * self.cell + self.cell // 2,
-                int(gy) * self.cell + self.cell // 2)
 
     def density(self) -> np.ndarray:
         """Counts normalised to [0, 1] (zeros if no clicks)."""

@@ -187,10 +187,6 @@ class RecoveredSession:
     digest: str  #: SHA-256 of the rebuilt state (bit-identity check)
     replayed: int  #: ops replayed beyond the snapshot
 
-    @property
-    def remaining_ops(self) -> int:
-        return max(0, len(self.ops) - self.cursor)
-
 
 @dataclass(slots=True)
 class ShardRecovery:

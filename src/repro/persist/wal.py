@@ -46,7 +46,7 @@ import threading
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from time import monotonic, perf_counter, sleep
+from time import monotonic, sleep
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from .. import faultline as _fl
@@ -105,15 +105,6 @@ _M_TORN = _obs.counter(
     "repro_persist_torn_records_total",
     "Torn/corrupt WAL tail frames detected (and truncated at recovery)",
 )
-_M_QUORUM_WAIT = _obs.histogram(
-    "repro_quorum_wait_seconds",
-    "Extra wait for standby quorum after local durability, per record",
-)
-_M_QUORUM_TIMEOUT = _obs.counter(
-    "repro_quorum_timeouts_total",
-    "wait_durable calls that were locally durable but never reached "
-    "standby quorum, by shard journal",
-)
 
 _LOG = _obslog.get_logger("persist")
 
@@ -137,15 +128,12 @@ class PersistenceConfig:
     snapshot_every: int = 64
     #: drop WAL segments fully covered by snapshots after each snapshot
     compact: bool = True
-    #: opt-in quorum commit: ``wait_durable`` resolves only once this
-    #: many subscribed standbys have mirrored (fsynced) the COMMIT
-    #: watermark for the LSN.  0 keeps durability primary-local.  The
-    #: replication source installs the actual barrier at attach time
-    #: (:meth:`Journal.set_quorum`); without one the knob is inert.
+    #: opt-in quorum commit: a finished session's END goes out only
+    #: once this many subscribed standbys have mirrored (fsynced) the
+    #: COMMIT watermark covering its end record.  0 keeps durability
+    #: primary-local; without an attached replication source (the ack
+    #: ledger) the knob is inert.
     quorum_standbys: int = 0
-    #: extra time ``wait_durable`` grants the quorum barrier on top of
-    #: local durability before declaring a quorum timeout
-    quorum_timeout_s: float = 5.0
 
     def __post_init__(self) -> None:
         if self.segment_max_bytes < 4096:
@@ -156,8 +144,6 @@ class PersistenceConfig:
             raise ValueError("snapshot_every must be >= 0")
         if self.quorum_standbys < 0:
             raise ValueError("quorum_standbys must be >= 0")
-        if self.quorum_timeout_s <= 0:
-            raise ValueError("quorum_timeout_s must be positive")
 
     def shard_dir(self, shard_index: int) -> Path:
         """Where shard ``shard_index`` keeps its journal + snapshots."""
@@ -310,12 +296,6 @@ class Journal:
         self._seq = 0
         self._size = 0
         self._segment_has_data = False
-        #: ``(require, wait_fn)`` — quorum-commit barrier consulted by
-        #: :meth:`wait_durable` after local durability (see
-        #: :meth:`set_quorum`); None keeps durability primary-local
-        self._quorum: Optional[
-            Tuple[int, Callable[[int, Optional[float]], bool]]
-        ] = None
         self._attach_tip()
         self._flusher: Optional[threading.Thread] = None
         if not self.config.sync_each:
@@ -385,9 +365,9 @@ class Journal:
     def append(self, record: Dict[str, Any]) -> int:
         """Stamp an LSN onto ``record`` and enqueue it; returns the LSN.
 
-        Group-commit mode returns immediately (use :meth:`wait_durable`
-        or :meth:`sync` for durability); ``sync_each`` mode returns
-        only after the record is fsynced.
+        Group-commit mode returns immediately (``on_durable``,
+        :meth:`wait_durable` or :meth:`sync` tell when it is durable);
+        ``sync_each`` mode returns only after the record is fsynced.
         """
         with self._cond:
             if self._closed:
@@ -417,63 +397,11 @@ class Journal:
                 self._pending.append((lsn, frame, monotonic()))
         return lsn
 
-    def set_quorum(
-        self,
-        require: int,
-        wait: Callable[[int, Optional[float]], bool],
-    ) -> None:
-        """Arm quorum commit: ``wait(lsn, timeout)`` must return True
-        once ``require`` subscribed standbys have durably mirrored the
-        COMMIT watermark for ``lsn``.
-
-        Installed by the replication source when
-        ``PersistenceConfig.quorum_standbys`` is set; after this,
-        :meth:`wait_durable` resolves only when the record is durable
-        locally *and* on the quorum.  ``require <= 0`` or ``wait=None``
-        disarms.
-        """
-        if require <= 0 or wait is None:
-            self._quorum = None
-        else:
-            self._quorum = (require, wait)
-
     def wait_durable(self, lsn: int, timeout: Optional[float] = None) -> bool:
-        """Block until ``lsn`` is fsynced; False on timeout or failure.
-
-        With quorum commit armed (:meth:`set_quorum`), local durability
-        is only half the contract: the call then also waits for the
-        standby quorum to mirror ``lsn`` and returns False on a quorum
-        timeout — an ack the caller never sees is an ack the cluster
-        never gave.
-        """
+        """Block until ``lsn`` is fsynced here; False on timeout or
+        failure.  Standby quorum is not this journal's business: the
+        serving layer gates ENDs on the replication ack ledger."""
         deadline = None if timeout is None else monotonic() + timeout
-        if not self._wait_local_durable(lsn, deadline):
-            return False
-        with self._cond:
-            quorum = self._quorum
-        if quorum is None:
-            return True
-        require, wait = quorum
-        budget = self.config.quorum_timeout_s
-        if deadline is not None:
-            budget = min(budget, max(0.0, deadline - monotonic()))
-        t0 = perf_counter()
-        try:
-            acked = bool(wait(lsn, budget))
-        except Exception:
-            acked = False
-        if _obs.enabled():
-            _M_QUORUM_WAIT.observe(perf_counter() - t0)
-        if not acked:
-            _M_QUORUM_TIMEOUT.inc(shard=self.label)
-            _LOG.warning("persist.quorum_timeout", shard=self.label,
-                         lsn=lsn, require=require, waited_s=budget)
-        return acked
-
-    def _wait_local_durable(
-        self, lsn: int, deadline: Optional[float]
-    ) -> bool:
-        """Block until ``lsn`` is fsynced *here*; no quorum involved."""
         with self._cond:
             while self._durable < lsn:
                 if self._failed is not None or self._closed:
@@ -488,18 +416,10 @@ class Journal:
         return True
 
     def sync(self, timeout: Optional[float] = None) -> bool:
-        """Flush everything appended so far; True when all durable.
-
-        Deliberately local-only even with quorum commit armed: quorum
-        is a property of client-visible acks (a traced END's
-        ``wait_durable``), not of shutdown flushes — by the time a
-        journal syncs for close, the shipping link may already be
-        severed, and that must not read as a quorum timeout.
-        """
+        """Flush everything appended so far; True when all durable."""
         with self._cond:
             target = self._next_lsn - 1
-        deadline = None if timeout is None else monotonic() + timeout
-        return self._wait_local_durable(target, deadline)
+        return self.wait_durable(target, timeout)
 
     def close(self, timeout: Optional[float] = 10.0) -> None:
         """Flush pending records, fsync and close (idempotent)."""

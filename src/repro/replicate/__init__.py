@@ -10,7 +10,8 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   APPEND / COMMIT / HEARTBEAT / ACK —
   :mod:`repro.replicate.protocol`), keeping a per-shard ack ledger of
   each standby's durable watermark so quorum commit
-  (``PersistenceConfig.quorum_standbys``) can gate ``wait_durable``;
+  (``PersistenceConfig.quorum_standbys``) can hold back each END until
+  enough standbys mirror its end record;
 * :class:`~repro.replicate.replica.StandbyReplica` mirrors the log
   durably and applies committed records through the shared
   :func:`~repro.persist.records.apply_scripted_op` semantics, so its

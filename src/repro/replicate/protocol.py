@@ -32,9 +32,9 @@ class, parametrized; the conversation is different:
     Standby → source: the COMMIT watermark the standby has durably
     mirrored (fsynced into its own log).  The source folds acks into
     its per-shard quorum ledger; with quorum commit enabled
-    (``PersistenceConfig.quorum_standbys``) the primary's
-    ``Journal.wait_durable`` resolves only once enough standbys have
-    acked the LSN.
+    (``PersistenceConfig.quorum_standbys``) a finished session's END
+    goes out only once enough standbys have acked its end record's
+    LSN.
 
 The handshake also carries the standby's full **shard-subscription
 set** (``subs``): a standby may follow a subset of the primary's

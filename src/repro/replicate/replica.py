@@ -648,7 +648,7 @@ class StandbyReplica:
                     _M_APPLIED.inc(len(ready), shard=st.label)
             st.sample_lag()
         # the mirror is fsynced up to the watermark: tell the source,
-        # so quorum-gated primaries can resolve their wait_durable
+        # so quorum-gated primaries can release the ENDs it covers
         self._send_ack(st)
 
     def _apply_record(

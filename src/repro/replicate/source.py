@@ -31,7 +31,7 @@ import threading
 import zlib as _zlib
 from pathlib import Path
 from time import monotonic, sleep
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional
 
 from .. import faultline as _fl
 from ..obs import logging as _obslog
@@ -218,6 +218,9 @@ class ReplicationSource:
         self._ack_cond = threading.Condition()
         #: standby client -> the shard-subscription set it handshook
         self._subs: Dict[str, List[int]] = {}
+        #: ``(shard, quorum_lsn)`` report fired when an ack advances the
+        #: ledger (installed by :meth:`attach` under quorum commit)
+        self._on_quorum: Optional[Callable[[int, int], None]] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ReplicationSource":
@@ -264,28 +267,32 @@ class ReplicationSource:
     def attach(self, manager: Any) -> None:
         """Wire :meth:`notify` into a :class:`SessionManager`.
 
-        With ``PersistenceConfig.quorum_standbys > 0`` this also
-        installs :meth:`wait_quorum` as the manager's quorum-commit
-        barrier, so every shard journal's ``wait_durable`` blocks on
-        the ack ledger.  Call before ``manager.start()`` — journals arm
-        the barrier when they open on the shard threads.
+        With ``PersistenceConfig.quorum_standbys > 0`` this ledger also
+        reports each advance of a shard's quorum watermark to
+        ``manager.quorum_acked``, which releases the ENDs it covers.
+        Call before ``manager.start()`` — shard journals take the hook
+        when they open on the shard threads.
         """
         manager.set_replication_hook(self.notify)
         if self.persistence.quorum_standbys > 0:
-            setter = getattr(manager, "set_quorum_barrier", None)
-            if setter is not None:
-                setter(self.wait_quorum)
+            self._on_quorum = manager.quorum_acked
 
     # -- quorum ledger (any thread) ------------------------------------
     def record_ack(self, shard: int, client: str, lsn: int) -> None:
         """Fold one standby's durable-mirror watermark into the ledger."""
         with self._ack_cond:
             shard_acks = self._acks.setdefault(shard, {})
-            if lsn > shard_acks.get(client, 0):
+            advanced = lsn > shard_acks.get(client, 0)
+            if advanced:
                 shard_acks[client] = lsn
                 self._ack_cond.notify_all()
         if _obs.enabled():
             _M_ACKS.inc(shard=str(shard))
+        report = self._on_quorum
+        if advanced and report is not None:
+            report(shard, self.quorum_lsn(
+                shard, self.persistence.quorum_standbys
+            ))
 
     def acked_count(self, shard: int, lsn: int) -> int:
         """How many standbys have durably mirrored ``lsn`` on ``shard``."""
@@ -310,11 +317,10 @@ class ReplicationSource:
         require: int,
         timeout: Optional[float] = None,
     ) -> bool:
-        """Block until ``require`` standbys acked ``lsn`` (the barrier).
+        """Block until ``require`` standbys acked ``lsn``.
 
-        Signature matches ``SessionManager.set_quorum_barrier``.  A
-        standby that died keeps its old acks — they were durable — but
-        stops advancing, so quorum for new LSNs rides the survivors.
+        A standby that died keeps its old acks — they were durable —
+        but stops advancing, so quorum for new LSNs rides the survivors.
         """
         deadline = None if timeout is None else monotonic() + timeout
         with self._ack_cond:
@@ -353,7 +359,7 @@ class ReplicationSource:
             # the link interleaves big APPENDs with tiny COMMIT/ACK
             # frames; Nagle would hold the small ones behind the
             # peer's delayed ACK (~40ms), which quorum commit eats
-            # on every traced END
+            # on every END
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             with self._conns_lock:
                 self._conns.append(conn)
@@ -428,7 +434,7 @@ class ReplicationSource:
 
         Runs on its own thread so the ship loop never blocks on reads:
         the moment a standby fsyncs a COMMIT its ack lands in the
-        ledger and any quorum-gated ``wait_durable`` wakes.
+        ledger and releases the quorum-gated ENDs it covers.
         """
         try:
             while not self._stop.is_set():

@@ -83,10 +83,6 @@ class SessionLog:
             return 0.0
         return 60.0 * self.interaction_count / self.duration
 
-    def events_of(self, topic: str) -> List[Notice]:
-        """All notices on one topic, in order."""
-        return [n for n in self.notices if n.topic == topic]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "player_id": self.player_id,

@@ -34,7 +34,11 @@ engine into a multi-tenant server with a classic game-server shape:
   record of their own); finishes log an end record with the final
   cursor.  Group commit makes one fsync cover a batch across sessions;
   sessions are snapshotted every N applied ops and fully-covered WAL
-  segments are compacted away.  After a crash,
+  segments are compacted away.  A finished session's END (its
+  ``on_done``) is parked until its end record is durable — and, under
+  quorum commit, mirrored by the standby quorum; the group commit and
+  the standby acks release it, so no shard thread waits on an fsync.
+  After a crash,
   :meth:`SessionManager.recover` rebuilds every committed session
   bit-identically and ``start()`` resumes stepping them.
 
@@ -48,7 +52,6 @@ The manager is a context manager::
 
 from __future__ import annotations
 
-import functools
 import threading
 import zlib
 from collections import deque
@@ -115,8 +118,17 @@ _M_STEPS = _obs.counter(
 )
 _M_DURABILITY_TIMEOUT = _obs.counter(
     "repro_persist_durability_timeout_total",
-    "Traced ENDs whose end record missed the durability wait "
-    "(group-commit timeout or journal failure), by shard",
+    "ENDs sent before their end record was covered "
+    "(durable-wait timeout or journal failure), by shard",
+)
+_M_QUORUM_WAIT = _obs.histogram(
+    "repro_quorum_wait_seconds",
+    "Extra wait for standby quorum after local durability, per END",
+)
+_M_QUORUM_TIMEOUT = _obs.counter(
+    "repro_quorum_timeouts_total",
+    "ENDs whose end record was durable locally but never reached "
+    "standby quorum, by shard",
 )
 
 _LOG = _obslog.get_logger("serve")
@@ -145,13 +157,10 @@ class ServeConfig:
     #: new sessions started per shard per tick (engine construction is
     #: paid here; bounding it keeps tick latency flat under a burst)
     max_admissions_per_tick: int = 32
-    #: retained for compatibility: drain() used to poll at this
-    #: interval; it now waits on a condition variable and wakes the
-    #: moment the last in-flight session closes
-    drain_poll_s: float = 0.005
-    #: how long a traced session's END may ride out its end record's
-    #: group commit before the END is reported non-durable (counted in
-    #: repro_persist_durability_timeout_total)
+    #: how long a finished session's END may wait for its end record to
+    #: be covered (durable here, and mirrored by the standby quorum when
+    #: one is armed) before it is sent anyway and counted non-durable in
+    #: repro_persist_durability_timeout_total
     durable_wait_s: float = 5.0
     #: durability: when set, every shard owns a write-ahead journal
     #: under ``persistence.shard_dir(i)`` and the manager becomes
@@ -169,15 +178,8 @@ class ServeConfig:
             raise ValueError("max_steps_per_tick must be >= 1")
         if self.max_admissions_per_tick < 1:
             raise ValueError("max_admissions_per_tick must be >= 1")
-        if self.drain_poll_s <= 0:
-            raise ValueError("drain_poll_s must be positive")
         if self.durable_wait_s <= 0:
             raise ValueError("durable_wait_s must be positive")
-
-    @property
-    def steps_per_second_per_shard(self) -> float:
-        """Nominal stepping capacity one shard offers."""
-        return self.max_steps_per_tick / self.tick_interval_s
 
 
 class _Shard:
@@ -215,6 +217,20 @@ class _Shard:
         #: sessions recovered from the WAL whose start record must not
         #: be re-logged (seeded by SessionManager.recover)
         self._recovered_ids: set = set()
+        #: finished sessions whose END waits for its end record to be
+        #: covered, as ``[end_lsn, session, parked_at, durable_at]`` in
+        #: LSN order; ``durable_at`` is stamped once the record is
+        #: durable here but still short of the standby quorum
+        self._parked: Deque[list] = deque()
+        #: guards _parked and the two watermarks below: the flusher
+        #: (on_durable), the ack ledger (quorum_acked) and this shard's
+        #: thread all release parked ENDs
+        self._parked_lock = threading.Lock()
+        self._durable_lsn = 0
+        self._quorum_lsn = 0
+        #: standbys that must mirror an end record before its END goes
+        #: out (0: local durability is enough)
+        self._quorum = 0
         self._thread = threading.Thread(
             target=self._run, name=f"repro-serve-shard-{index}", daemon=True
         )
@@ -265,26 +281,100 @@ class _Shard:
         if persistence is None:
             return
         directory = persistence.shard_dir(self.index)
+        hook = self._manager._repl_hook
+        if hook is not None:
+            # the hook's owner reports standby acks (quorum_acked)
+            self._quorum = persistence.quorum_standbys
         try:
-            hook = self._manager._repl_hook
             self._journal = Journal(
                 directory, persistence, label=self.label,
-                on_durable=functools.partial(hook, self.index) if hook else None,
+                on_durable=self._on_durable,
             )
+            self._durable_lsn = self._journal.durable_lsn
             self._snapshots = SnapshotStore(snapshot_dir_for(directory))
-            barrier = self._manager._quorum_barrier
-            if persistence.quorum_standbys > 0 and barrier is not None:
-                require = persistence.quorum_standbys
-                shard = self.index
-                self._journal.set_quorum(
-                    require,
-                    lambda lsn, timeout: barrier(shard, lsn, require, timeout),
-                )
         except Exception:
             self._journal = None
             self._snapshots = None
             _LOG.error("persist.journal_open_failed", shard=self.index,
                        dir=str(directory))
+
+    def _on_durable(self, lsn: int) -> None:
+        """The journal's group-commit callback (flusher thread): wake
+        the replication hook, then release the ENDs ``lsn`` covers."""
+        hook = self._manager._repl_hook
+        try:
+            if hook is not None:
+                hook(self.index, lsn)
+        finally:
+            self._settle(durable_lsn=lsn)
+
+    def _settle(self, durable_lsn: int = 0, quorum_lsn: int = 0) -> None:
+        """Advance the watermarks and release, oldest first, every
+        parked END whose end record they now cover."""
+        released = []
+        now = monotonic()
+        with self._parked_lock:
+            self._durable_lsn = max(self._durable_lsn, durable_lsn)
+            self._quorum_lsn = max(self._quorum_lsn, quorum_lsn)
+            covered = self._durable_lsn
+            if self._quorum:
+                covered = min(covered, self._quorum_lsn)
+            parked = self._parked
+            while parked and parked[0][0] <= covered:
+                released.append(parked.popleft())
+            if self._quorum:
+                for entry in parked:
+                    if entry[0] > self._durable_lsn:
+                        break
+                    if entry[3] is None:
+                        entry[3] = now
+        for _lsn, session, _parked_at, durable_at in released:
+            if self._quorum and _obs.enabled():
+                _M_QUORUM_WAIT.observe(now - (durable_at or now))
+            self._release(session)
+
+    def _expire_parked(self) -> None:
+        """Tick: send ENDs that waited ``durable_wait_s`` in vain, or
+        whose journal died, and count each one as non-durable."""
+        if not self._parked:
+            return
+        now = monotonic()
+        dead = self._journal is None or self._journal.failed
+        cutoff = now - self.config.durable_wait_s
+        expired = []
+        with self._parked_lock:
+            while self._parked and (dead or self._parked[0][2] <= cutoff):
+                expired.append(self._parked.popleft())
+            durable = self._durable_lsn
+        for lsn, session, parked_at, _durable_at in expired:
+            waited = now - parked_at
+            if self._quorum and lsn <= durable:
+                _M_QUORUM_TIMEOUT.inc(shard=self.label)
+                _LOG.warning("persist.quorum_timeout", shard=self.index,
+                             lsn=lsn, require=self._quorum, waited_s=waited)
+            _M_DURABILITY_TIMEOUT.inc(shard=self.label)
+            _LOG.warning("persist.durability_timeout", shard=self.index,
+                         player=session.player_id, lsn=lsn, waited_s=waited)
+            self._release(session, durable=False)
+
+    def _release(self, session: ServedSession, durable: bool = True) -> None:
+        """The END goes out: close the trace's fsync_wait phase, count
+        the session out of flight and fire ``on_done``."""
+        trace_id = session.trace_id
+        if trace_id is not None:
+            if not durable:
+                _tracer().annotate(trace_id, durable=False)
+            _tracer().mark(trace_id, "fsync_wait")
+        self._manager._session_closed()
+        callback = session.on_done
+        if callback is not None:
+            # The session has left the shard: a completion bridge (e.g.
+            # the network gateway) reads its engine state unraced.
+            try:
+                callback(session)
+            except Exception:
+                _LOG.warning("serve.on_done_failed", shard=self.index,
+                             player=session.player_id)
 
     def _close_journal(self) -> None:
         if self._journal is not None:
@@ -345,12 +435,20 @@ class _Shard:
             )
             compact_segments(self._journal.directory, watermark)
 
-    def _retire_persisted(self, session: ServedSession) -> Optional[int]:
-        """End-of-life bookkeeping for a finished session.
+    def _finish(self, session: ServedSession) -> None:
+        """Log a finished session's end record and park its END until
+        that record is covered; without a journal it goes out now."""
+        lsn = self._retire_persisted(session)
+        if lsn is None:
+            self._release(session)
+            return
+        with self._parked_lock:
+            self._parked.append([lsn, session, monotonic(), None])
+        self._settle()
 
-        Returns the end record's LSN (None when the journal is gone) so
-        a traced session can wait out its own fsync.
-        """
+    def _retire_persisted(self, session: ServedSession) -> Optional[int]:
+        """End-of-life bookkeeping for a finished session; returns the
+        end record's LSN (None without a journal)."""
         sid = session.player_id
         lsn = self._journal_append(
             end_record(sid, session.engine.state.outcome, session.cursor)
@@ -456,52 +554,8 @@ class _Shard:
                 if not session.failed:
                     self.completed += 1
                     _M_COMPLETED.inc(shard=self.label)
-                if self._journal is not None or self._snapshots is not None:
-                    end_lsn = self._retire_persisted(session)
-                    if trace_id is not None:
-                        if end_lsn is not None and self._journal is not None:
-                            # Traced sessions ride out their own group
-                            # commit (bounded by the window), so the
-                            # fsync_wait phase is measured, not modelled
-                            # — and their END implies a durable end
-                            # record.  A wait that comes back False
-                            # (flusher timeout or journal failure)
-                            # means that implication is broken: say so
-                            # instead of reporting a silently
-                            # non-durable END.
-                            durable = self._journal.wait_durable(
-                                end_lsn, timeout=self.config.durable_wait_s
-                            )
-                            if not durable:
-                                _M_DURABILITY_TIMEOUT.inc(shard=self.label)
-                                _LOG.warning(
-                                    "persist.durability_timeout",
-                                    shard=self.index,
-                                    player=session.player_id,
-                                    lsn=end_lsn,
-                                    waited_s=self.config.durable_wait_s,
-                                )
-                                _tracer().annotate(
-                                    trace_id, durable=False
-                                )
-                        _tracer().mark(trace_id, "fsync_wait")
-                elif trace_id is not None:
-                    # no journal: a zero-width mark keeps the phase
-                    # partition exact (fsync_wait ~ 0)
-                    _tracer().mark(trace_id, "fsync_wait")
                 done_count += 1
-                self._manager._session_closed()
-                callback = session.on_done
-                if callback is not None:
-                    # Fires after the final step *and* the durability
-                    # bookkeeping: the session is fully settled, so a
-                    # completion bridge (e.g. the network gateway) can
-                    # read the engine state without racing this shard.
-                    try:
-                        callback(session)
-                    except Exception:
-                        _LOG.warning("serve.on_done_failed", shard=self.index,
-                                     player=session.player_id)
+                self._finish(session)
             else:
                 self._active.append(session)
         if self._advanced:
@@ -519,6 +573,9 @@ class _Shard:
             dropped = len(self._inbox) + len(self._active)
             self._inbox.clear()
         self._active.clear()
+        with self._parked_lock:
+            dropped += len(self._parked)
+            self._parked.clear()
         for _ in range(dropped):
             self._manager._session_closed()
 
@@ -540,6 +597,7 @@ class _Shard:
                         sleep(action.seconds)
                 self._admit()
                 self._step_batch()
+                self._expire_parked()
                 busy = perf_counter() - t0
                 self.ticks += 1
                 if _obs.enabled():
@@ -592,10 +650,6 @@ class SessionManager:
         #: optional ``(shard_index, lsn)`` callback fired after every
         #: durable commit (see :meth:`set_replication_hook`)
         self._repl_hook: Optional[Callable[[int, int], None]] = None
-        #: optional quorum-commit barrier (see :meth:`set_quorum_barrier`)
-        self._quorum_barrier: Optional[
-            Callable[[int, int, int, Optional[float]], bool]
-        ] = None
 
     def set_replication_hook(
         self, hook: Optional[Callable[[int, int], None]]
@@ -609,24 +663,19 @@ class SessionManager:
         It must be cheap and non-blocking (it delays the next group
         commit).  Set it before :meth:`start`: journals take it as they
         open; ``None`` installs nothing.
+
+        With ``PersistenceConfig.quorum_standbys > 0`` the hook's owner
+        is also the ack ledger: a finished session's END then waits
+        until :meth:`quorum_acked` reports its end record mirrored too.
         """
         self._repl_hook = hook
 
-    def set_quorum_barrier(
-        self,
-        barrier: Optional[Callable[[int, int, int, Optional[float]], bool]],
-    ) -> None:
-        """Install the quorum-commit barrier,
-        ``(shard, lsn, require, timeout) -> bool``.
-
-        With ``PersistenceConfig.quorum_standbys > 0`` each shard
-        journal consults it from ``wait_durable`` once a record is
-        locally durable: True means ``require`` standbys have mirrored
-        ``lsn``.  The replication source installs its ack ledger here
-        (:meth:`ReplicationSource.attach`).  Must be set before
-        :meth:`start` — shard journals arm themselves when they open.
-        """
-        self._quorum_barrier = barrier
+    def quorum_acked(self, shard: int, lsn: int) -> None:
+        """The ack ledger's report: ``quorum_standbys`` standbys have
+        mirrored ``shard``'s log up to ``lsn``.  Releases the ENDs it
+        covers, on the caller's thread."""
+        if 0 <= shard < len(self._shards):
+            self._shards[shard]._settle(quorum_lsn=lsn)
 
     # ------------------------------------------------------------------
     def start(self) -> "SessionManager":

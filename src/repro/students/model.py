@@ -200,17 +200,3 @@ class AttentionModel:
         if self._time <= 0:
             return self.level
         return self._integral / self._time
-
-    def retention_probability(self, active: bool) -> float:
-        """P(acquire an item exposed right now).
-
-        Attention scales retention with a 0.25 floor (matching
-        :func:`repro.students.cohort.roll_acquisition`): a distracted
-        student still retains something from material actually seen.
-        """
-        base = (
-            self.profile.retention_active
-            if active
-            else self.profile.retention_passive
-        )
-        return base * (0.25 + 0.75 * self.level)

@@ -300,10 +300,6 @@ class Frame:
         f = self.data.astype(np.float32)
         return f[..., 0] * 0.299 + f[..., 1] * 0.587 + f[..., 2] * 0.114
 
-    def mean_color(self) -> np.ndarray:
-        """Per-channel mean as ``float64`` length-3 vector."""
-        return self.data.reshape(-1, CHANNELS).mean(axis=0)
-
 
 # ----------------------------------------------------------------------
 # Free-standing kernels shared by shot detection and the compositor

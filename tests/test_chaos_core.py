@@ -53,7 +53,7 @@ def test_soak_tops_up_until_a_deep_fault_fires():
 def test_timeouts_count_with_obs_disabled(obs_off):
     report = run_chaos(
         "fsync-timeout", seed=2007, sessions=8, wait_for=4,
-        trace_sample=1.0, durable_wait_s=0.05,
+        durable_wait_s=0.05,
     )
     assert report.durability_timeouts >= 1
     assert obs.enabled() is False  # the caller's setting is restored

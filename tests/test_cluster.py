@@ -20,7 +20,6 @@ from repro.cluster import (
     PlacementMap,
     plan_placement,
     run_cluster_chaos,
-    traced_factory,
 )
 from repro.faultline.chaos import reference_digest
 from repro.replicate import ReplicaLagging
@@ -250,9 +249,7 @@ class TestQuorumCluster:
             for k, script in enumerate(scripts):
                 assert supervisor.submit(
                     f"{script.player_id}#q{k}",
-                    traced_factory(
-                        session_factory_for_script(classroom_game, script)
-                    ),
+                    session_factory_for_script(classroom_game, script),
                 )
             assert supervisor.manager.drain(timeout=60)
             assert supervisor.wait_caught_up(timeout_s=30)
@@ -301,9 +298,7 @@ class TestQuorumCluster:
             timeouts_before = _counter_total("repro_quorum_timeouts_total")
             for k, script in enumerate(scripts[:2]):
                 done = threading.Event()
-                base = traced_factory(
-                    session_factory_for_script(classroom_game, script)
-                )
+                base = session_factory_for_script(classroom_game, script)
 
                 def factory(pid, base=base, done=done):
                     session = base(pid)

@@ -89,7 +89,7 @@ class TestDurabilityTimeout:
         ).total()
         report = run_chaos(
             "fsync-timeout", seed=2007, sessions=8, wait_for=4,
-            trace_sample=1.0, durable_wait_s=0.05,
+            durable_wait_s=0.05,
         )
         _assert_contract(report)
         assert report.durability_timeouts >= 1
@@ -102,7 +102,7 @@ class TestDurabilityTimeout:
         """Same stall, durable-wait budget longer than it: no misses."""
         report = run_chaos(
             "fsync-timeout", seed=2007, sessions=8, wait_for=4,
-            trace_sample=1.0, durable_wait_s=5.0,
+            durable_wait_s=5.0,
         )
         _assert_contract(report)
         assert report.durability_timeouts == 0
