@@ -436,19 +436,9 @@ class _Shard:
             compact_segments(self._journal.directory, watermark)
 
     def _finish(self, session: ServedSession) -> None:
-        """Log a finished session's end record and park its END until
-        that record is covered; without a journal it goes out now."""
-        lsn = self._retire_persisted(session)
-        if lsn is None:
-            self._release(session)
-            return
-        with self._parked_lock:
-            self._parked.append([lsn, session, monotonic(), None])
-        self._settle()
-
-    def _retire_persisted(self, session: ServedSession) -> Optional[int]:
-        """End-of-life bookkeeping for a finished session; returns the
-        end record's LSN (None without a journal)."""
+        """End-of-life bookkeeping for a finished session: log its end
+        record and park its END until that record is covered (without
+        a journal the END goes out now)."""
         sid = session.player_id
         lsn = self._journal_append(
             end_record(sid, session.engine.state.outcome, session.cursor)
@@ -460,7 +450,12 @@ class _Shard:
         self._recovered_ids.discard(sid)
         if self._snapshots is not None:
             self._snapshots.remove(sid)
-        return lsn
+        if lsn is None:
+            self._release(session)
+            return
+        with self._parked_lock:
+            self._parked.append([lsn, session, monotonic(), None])
+        self._settle()
 
     # -- shard thread --------------------------------------------------
     def _admit(self) -> None:
