@@ -14,6 +14,8 @@ The pieces:
   :class:`~repro.persist.wal.PersistenceConfig` — the log itself;
 * :mod:`repro.persist.records` — record payloads, the op codec, the
   shared step semantics and the state digest;
+* :class:`~repro.persist.gate.DurableGate` — holds what waits on a
+  record (a finished session's END) until the log covers it;
 * :class:`~repro.persist.snapshot.SnapshotStore` +
   :func:`~repro.persist.snapshot.compact_segments` — resume points and
   segment garbage collection;
@@ -27,6 +29,7 @@ histograms and torn-record counters) and asserted by the persist rules
 in ``examples/slo.toml``.
 """
 
+from .gate import DurableGate
 from .records import (
     PersistError,
     WalLayoutError,
@@ -65,6 +68,7 @@ from .wal import (
 )
 
 __all__ = [
+    "DurableGate",
     "Journal",
     "PersistError",
     "PersistenceConfig",

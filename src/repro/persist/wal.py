@@ -399,8 +399,8 @@ class Journal:
 
     def wait_durable(self, lsn: int, timeout: Optional[float] = None) -> bool:
         """Block until ``lsn`` is fsynced here; False on timeout or
-        failure.  Standby quorum is not this journal's business: the
-        serving layer gates ENDs on the replication ack ledger."""
+        failure.  Standby quorum is not this journal's business: a
+        :class:`~repro.persist.gate.DurableGate` adds that wait."""
         deadline = None if timeout is None else monotonic() + timeout
         with self._cond:
             while self._durable < lsn:

@@ -31,7 +31,7 @@ import threading
 import zlib as _zlib
 from pathlib import Path
 from time import monotonic, sleep
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 from .. import faultline as _fl
 from ..obs import logging as _obslog
@@ -218,9 +218,6 @@ class ReplicationSource:
         self._ack_cond = threading.Condition()
         #: standby client -> the shard-subscription set it handshook
         self._subs: Dict[str, List[int]] = {}
-        #: ``(shard, quorum_lsn)`` report fired when an ack advances the
-        #: ledger (installed by :meth:`attach` under quorum commit)
-        self._on_quorum: Optional[Callable[[int, int], None]] = None
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ReplicationSource":
@@ -267,32 +264,23 @@ class ReplicationSource:
     def attach(self, manager: Any) -> None:
         """Wire :meth:`notify` into a :class:`SessionManager`.
 
-        With ``PersistenceConfig.quorum_standbys > 0`` this ledger also
-        reports each advance of a shard's quorum watermark to
-        ``manager.quorum_acked``, which releases the ENDs it covers.
-        Call before ``manager.start()`` — shard journals take the hook
-        when they open on the shard threads.
+        With ``PersistenceConfig.quorum_standbys > 0`` this ledger's
+        :meth:`wait_quorum` also gates each END on its end record's
+        quorum ack.  Call before ``manager.start()`` — shard journals
+        take the hook when they open on the shard threads.
         """
-        manager.set_replication_hook(self.notify)
-        if self.persistence.quorum_standbys > 0:
-            self._on_quorum = manager.quorum_acked
+        manager.set_replication_hook(self.notify, self.wait_quorum)
 
     # -- quorum ledger (any thread) ------------------------------------
     def record_ack(self, shard: int, client: str, lsn: int) -> None:
         """Fold one standby's durable-mirror watermark into the ledger."""
         with self._ack_cond:
             shard_acks = self._acks.setdefault(shard, {})
-            advanced = lsn > shard_acks.get(client, 0)
-            if advanced:
+            if lsn > shard_acks.get(client, 0):
                 shard_acks[client] = lsn
                 self._ack_cond.notify_all()
         if _obs.enabled():
             _M_ACKS.inc(shard=str(shard))
-        report = self._on_quorum
-        if advanced and report is not None:
-            report(shard, self.quorum_lsn(
-                shard, self.persistence.quorum_standbys
-            ))
 
     def acked_count(self, shard: int, lsn: int) -> int:
         """How many standbys have durably mirrored ``lsn`` on ``shard``."""
@@ -301,14 +289,6 @@ class ReplicationSource:
                 1 for acked in self._acks.get(shard, {}).values()
                 if acked >= lsn
             )
-
-    def quorum_lsn(self, shard: int, require: int) -> int:
-        """Highest LSN acked by at least ``require`` standbys (0 if none)."""
-        with self._ack_cond:
-            acked = sorted(self._acks.get(shard, {}).values(), reverse=True)
-        if require <= 0 or len(acked) < require:
-            return 0
-        return acked[require - 1]
 
     def wait_quorum(
         self,
@@ -434,7 +414,7 @@ class ReplicationSource:
 
         Runs on its own thread so the ship loop never blocks on reads:
         the moment a standby fsyncs a COMMIT its ack lands in the
-        ledger and releases the quorum-gated ENDs it covers.
+        ledger and wakes every :meth:`wait_quorum` it satisfies.
         """
         try:
             while not self._stop.is_set():

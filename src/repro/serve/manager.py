@@ -36,8 +36,9 @@ engine into a multi-tenant server with a classic game-server shape:
   sessions are snapshotted every N applied ops and fully-covered WAL
   segments are compacted away.  A finished session's END (its
   ``on_done``) is parked until its end record is durable — and, under
-  quorum commit, mirrored by the standby quorum; the group commit and
-  the standby acks release it, so no shard thread waits on an fsync.
+  quorum commit, mirrored by the standby quorum.  Each shard's gate
+  thread (:class:`~repro.persist.DurableGate`) makes that wait and
+  fires ``on_done``, so no shard thread waits on an fsync.
   After a crash,
   :meth:`SessionManager.recover` rebuilds every committed session
   bit-identically and ``start()`` resumes stepping them.
@@ -52,6 +53,7 @@ The manager is a context manager::
 
 from __future__ import annotations
 
+import functools
 import threading
 import zlib
 from collections import deque
@@ -65,6 +67,7 @@ from ..obs import logging as _obslog
 from ..obs import metrics as _obs
 from ..obs.tracing import get_tracer as _tracer
 from ..persist import (
+    DurableGate,
     Journal,
     PersistenceConfig,
     PersistError,
@@ -217,20 +220,10 @@ class _Shard:
         #: sessions recovered from the WAL whose start record must not
         #: be re-logged (seeded by SessionManager.recover)
         self._recovered_ids: set = set()
-        #: finished sessions whose END waits for its end record to be
-        #: covered, as ``[end_lsn, session, parked_at, durable_at]`` in
-        #: LSN order; ``durable_at`` is stamped once the record is
-        #: durable here but still short of the standby quorum
-        self._parked: Deque[list] = deque()
-        #: guards _parked and the two watermarks below: the flusher
-        #: (on_durable), the ack ledger (quorum_acked) and this shard's
-        #: thread all release parked ENDs
-        self._parked_lock = threading.Lock()
-        self._durable_lsn = 0
-        self._quorum_lsn = 0
-        #: standbys that must mirror an end record before its END goes
-        #: out (0: local durability is enough)
-        self._quorum = 0
+        #: holds each finished session's END until its end record is
+        #: covered (None when persistence is off or the journal never
+        #: opened)
+        self._gate: Optional[DurableGate] = None
         self._thread = threading.Thread(
             target=self._run, name=f"repro-serve-shard-{index}", daemon=True
         )
@@ -281,89 +274,57 @@ class _Shard:
         if persistence is None:
             return
         directory = persistence.shard_dir(self.index)
-        hook = self._manager._repl_hook
-        if hook is not None:
-            # the hook's owner reports standby acks (quorum_acked)
-            self._quorum = persistence.quorum_standbys
         try:
+            hook = self._manager._repl_hook
             self._journal = Journal(
                 directory, persistence, label=self.label,
-                on_durable=self._on_durable,
+                on_durable=functools.partial(hook, self.index) if hook else None,
             )
-            self._durable_lsn = self._journal.durable_lsn
             self._snapshots = SnapshotStore(snapshot_dir_for(directory))
         except Exception:
             self._journal = None
             self._snapshots = None
             _LOG.error("persist.journal_open_failed", shard=self.index,
                        dir=str(directory))
-
-    def _on_durable(self, lsn: int) -> None:
-        """The journal's group-commit callback (flusher thread): wake
-        the replication hook, then release the ENDs ``lsn`` covers."""
-        hook = self._manager._repl_hook
-        try:
-            if hook is not None:
-                hook(self.index, lsn)
-        finally:
-            self._settle(durable_lsn=lsn)
-
-    def _settle(self, durable_lsn: int = 0, quorum_lsn: int = 0) -> None:
-        """Advance the watermarks and release, oldest first, every
-        parked END whose end record they now cover."""
-        released = []
-        now = monotonic()
-        with self._parked_lock:
-            self._durable_lsn = max(self._durable_lsn, durable_lsn)
-            self._quorum_lsn = max(self._quorum_lsn, quorum_lsn)
-            covered = self._durable_lsn
-            if self._quorum:
-                covered = min(covered, self._quorum_lsn)
-            parked = self._parked
-            while parked and parked[0][0] <= covered:
-                released.append(parked.popleft())
-            if self._quorum:
-                for entry in parked:
-                    if entry[0] > self._durable_lsn:
-                        break
-                    if entry[3] is None:
-                        entry[3] = now
-        for _lsn, session, _parked_at, durable_at in released:
-            if self._quorum and _obs.enabled():
-                _M_QUORUM_WAIT.observe(now - (durable_at or now))
-            self._release(session)
-
-    def _expire_parked(self) -> None:
-        """Tick: send ENDs that waited ``durable_wait_s`` in vain, or
-        whose journal died, and count each one as non-durable."""
-        if not self._parked:
             return
-        now = monotonic()
-        dead = self._journal is None or self._journal.failed
-        cutoff = now - self.config.durable_wait_s
-        expired = []
-        with self._parked_lock:
-            while self._parked and (dead or self._parked[0][2] <= cutoff):
-                expired.append(self._parked.popleft())
-            durable = self._durable_lsn
-        for lsn, session, parked_at, _durable_at in expired:
-            waited = now - parked_at
-            if self._quorum and lsn <= durable:
-                _M_QUORUM_TIMEOUT.inc(shard=self.label)
-                _LOG.warning("persist.quorum_timeout", shard=self.index,
-                             lsn=lsn, require=self._quorum, waited_s=waited)
+        quorum_wait = None
+        if self._manager._quorum_wait is not None and persistence.quorum_standbys:
+            quorum_wait = self._wait_quorum
+        self._gate = DurableGate(
+            self._journal, self._release, self.config.durable_wait_s,
+            quorum_wait=quorum_wait, name=f"repro-serve-release-{self.index}",
+        )
+
+    def _wait_quorum(self, lsn: int, timeout: float) -> bool:
+        """Gate thread: wait, after local durability, for the standby
+        quorum to mirror ``lsn``; a miss is counted as a quorum timeout."""
+        require = self.config.persistence.quorum_standbys
+        t0 = monotonic()
+        acked = self._manager._quorum_wait(self.index, lsn, require, timeout)
+        if acked:
+            if _obs.enabled():
+                _M_QUORUM_WAIT.observe(monotonic() - t0)
+        else:
+            _M_QUORUM_TIMEOUT.inc(shard=self.label)
+            _LOG.warning("persist.quorum_timeout", shard=self.index,
+                         lsn=lsn, require=require,
+                         waited_s=monotonic() - t0)
+        return acked
+
+    def _release(self, session: ServedSession, lsn: Optional[int] = None,
+                 durable: bool = True) -> None:
+        """The END goes out (on the gate's thread when it was parked):
+        close the trace's fsync_wait phase, count the session out of
+        flight and fire ``on_done``.  A non-durable END is counted and
+        logged as a durability timeout."""
+        trace_id = session.trace_id
+        if not durable:
             _M_DURABILITY_TIMEOUT.inc(shard=self.label)
             _LOG.warning("persist.durability_timeout", shard=self.index,
-                         player=session.player_id, lsn=lsn, waited_s=waited)
-            self._release(session, durable=False)
-
-    def _release(self, session: ServedSession, durable: bool = True) -> None:
-        """The END goes out: close the trace's fsync_wait phase, count
-        the session out of flight and fire ``on_done``."""
-        trace_id = session.trace_id
-        if trace_id is not None:
-            if not durable:
+                         player=session.player_id, lsn=lsn)
+            if trace_id is not None:
                 _tracer().annotate(trace_id, durable=False)
+        if trace_id is not None:
             _tracer().mark(trace_id, "fsync_wait")
         self._manager._session_closed()
         callback = session.on_done
@@ -377,9 +338,14 @@ class _Shard:
                              player=session.player_id)
 
     def _close_journal(self) -> None:
+        """Close the journal, then the gate: the final commit covers
+        every END still parked, so each goes out before this returns."""
         if self._journal is not None:
             self._journal.close()
             self._journal = None
+        if self._gate is not None:
+            self._gate.close()
+            self._gate = None
 
     def _journal_append(self, record: Dict) -> Optional[int]:
         """Append one record; a dead journal disables persistence for
@@ -437,8 +403,9 @@ class _Shard:
 
     def _finish(self, session: ServedSession) -> None:
         """End-of-life bookkeeping for a finished session: log its end
-        record and park its END until that record is covered (without
-        a journal the END goes out now)."""
+        record and park its END until that record is covered.  Without
+        persistence the END goes out now; with a journal that is gone
+        it goes out now too, counted non-durable."""
         sid = session.player_id
         lsn = self._journal_append(
             end_record(sid, session.engine.state.outcome, session.cursor)
@@ -451,11 +418,9 @@ class _Shard:
         if self._snapshots is not None:
             self._snapshots.remove(sid)
         if lsn is None:
-            self._release(session)
-            return
-        with self._parked_lock:
-            self._parked.append([lsn, session, monotonic(), None])
-        self._settle()
+            self._release(session, durable=self.config.persistence is None)
+        else:
+            self._gate.park(lsn, session)
 
     # -- shard thread --------------------------------------------------
     def _admit(self) -> None:
@@ -568,9 +533,9 @@ class _Shard:
             dropped = len(self._inbox) + len(self._active)
             self._inbox.clear()
         self._active.clear()
-        with self._parked_lock:
-            dropped += len(self._parked)
-            self._parked.clear()
+        if self._gate is not None:
+            dropped += self._gate.close(discard=True)
+            self._gate = None
         for _ in range(dropped):
             self._manager._session_closed()
 
@@ -592,7 +557,6 @@ class _Shard:
                         sleep(action.seconds)
                 self._admit()
                 self._step_batch()
-                self._expire_parked()
                 busy = perf_counter() - t0
                 self.ticks += 1
                 if _obs.enabled():
@@ -643,11 +607,15 @@ class SessionManager:
         self._started = False
         self._stopped = False
         #: optional ``(shard_index, lsn)`` callback fired after every
-        #: durable commit (see :meth:`set_replication_hook`)
+        #: durable commit, and the ack ledger's quorum wait (see
+        #: :meth:`set_replication_hook`)
         self._repl_hook: Optional[Callable[[int, int], None]] = None
+        self._quorum_wait: Optional[Callable[..., bool]] = None
 
     def set_replication_hook(
-        self, hook: Optional[Callable[[int, int], None]]
+        self,
+        hook: Optional[Callable[[int, int], None]],
+        quorum_wait: Optional[Callable[[int, int, int, float], bool]] = None,
     ) -> None:
         """Install a ``(shard_index, lsn)`` callback fired after each
         durable commit, on the journal's flusher thread (on the shard
@@ -659,18 +627,15 @@ class SessionManager:
         commit).  Set it before :meth:`start`: journals take it as they
         open; ``None`` installs nothing.
 
-        With ``PersistenceConfig.quorum_standbys > 0`` the hook's owner
-        is also the ack ledger: a finished session's END then waits
-        until :meth:`quorum_acked` reports its end record mirrored too.
+        ``quorum_wait(shard, lsn, require, timeout_s) -> bool`` is the
+        ack ledger's blocking wait.  With it set and
+        ``PersistenceConfig.quorum_standbys > 0``, a finished session's
+        END also waits until ``quorum_standbys`` standbys mirrored its
+        end record.  Each shard's gate thread makes that wait and fires
+        ``on_done``; no shard, flusher or ack thread does either.
         """
         self._repl_hook = hook
-
-    def quorum_acked(self, shard: int, lsn: int) -> None:
-        """The ack ledger's report: ``quorum_standbys`` standbys have
-        mirrored ``shard``'s log up to ``lsn``.  Releases the ENDs it
-        covers, on the caller's thread."""
-        if 0 <= shard < len(self._shards):
-            self._shards[shard]._settle(quorum_lsn=lsn)
+        self._quorum_wait = quorum_wait
 
     # ------------------------------------------------------------------
     def start(self) -> "SessionManager":

@@ -245,16 +245,20 @@ def test_a_dead_journal_releases_parked_ends_at_once(
 ):
     # Every group commit fails, so the journal dies under the first
     # batch; no END may wait out the (long) durable-wait budget for a
-    # commit that will never come.
+    # commit that will never come.  None may count as durable either,
+    # including the END of a session admitted once the journal was
+    # gone, whose end record never reached the log at all.
+    obs.set_enabled(True)
+    before = _total("repro_persist_durability_timeout_total")
     faultline.install(FaultPlan(name="fsync-dies", specs=(
         FaultSpec("wal.fsync", "error", at=2, times=100),
     )))
-    done = threading.Event()
     base = session_factory_for_script(classroom_game, scripts[0])
+    done = {"doomed": threading.Event(), "late": threading.Event()}
 
     def factory(pid):
         session = base(pid)
-        session.on_done = lambda _s: done.set()
+        session.on_done = lambda _s: done[pid].set()
         return session
 
     manager = SessionManager(ServeConfig(
@@ -263,7 +267,10 @@ def test_a_dead_journal_releases_parked_ends_at_once(
     )).start()
     try:
         assert manager.submit("doomed", factory)
-        assert done.wait(5.0), "END waited on a dead journal"
+        assert done["doomed"].wait(5.0), "END waited on a dead journal"
+        assert manager.submit("late", factory)
+        assert done["late"].wait(5.0), "END waited on a dead journal"
         assert manager.drain(timeout=5.0)
     finally:
         manager.shutdown(drain=False)
+    assert _total("repro_persist_durability_timeout_total") == before + 2
