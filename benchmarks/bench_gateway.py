@@ -41,9 +41,7 @@ def test_trace_attribution_accounts_for_client_latency(results_dir, tmp_path):
         n_shards=2,
         tick_interval_s=0.02,  # deliberate: latency >> transit noise
         max_steps_per_tick=4,
-        persistence=PersistenceConfig(
-            directory=tmp_path / "wal", group_window_s=0.002,
-        ),
+        persistence=PersistenceConfig(directory=tmp_path / "wal"),
     ))
     server = GatewayServer(
         manager, game, config=GatewayConfig(telemetry_port=0),

@@ -77,9 +77,7 @@ def _run_mode(sync_each: bool) -> dict:
     """Closed-loop committed-records/s at equal durability semantics."""
     root = Path(tempfile.mkdtemp(prefix="repro-bench-wal-"))
     try:
-        config = PersistenceConfig(
-            directory=root, sync_each=sync_each, group_window_s=0.001
-        )
+        config = PersistenceConfig(directory=root, sync_each=sync_each)
         journal = Journal(
             root,
             config,

@@ -68,8 +68,8 @@ def _steady_state() -> dict:
     root = Path(tempfile.mkdtemp(prefix="repro-bench-repl-"))
     try:
         persistence = PersistenceConfig(
-            directory=root / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=root / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = SessionManager(ServeConfig(
             n_shards=SHARDS, tick_interval_s=TICK_S,

@@ -299,14 +299,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cluster = sub.add_parser(
         "cluster",
-        help="placement-aware cluster: supervise a node set, inspect or "
-             "rebalance its placement map",
+        help="placement-aware cluster: supervise a node set or inspect "
+             "its placement map",
     )
     p_cluster.add_argument(
-        "action", choices=("serve", "status", "rebalance"),
+        "action", choices=("serve", "status"),
         help="serve: run a primary plus standby set in this process; "
-             "status: print a root's placement map; rebalance: re-plan "
-             "the standby subsets and bump the map version",
+             "status: print a root's placement map",
     )
     p_cluster.add_argument(
         "directory", type=Path,
@@ -323,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_cluster.add_argument(
         "--replicas-per-shard", type=int, default=None,
-        help="standbys subscribed per shard (serve/rebalance; "
-             "default: every standby)",
+        help="for 'serve': standbys subscribed per shard "
+             "(default: every standby)",
     )
     p_cluster.add_argument(
         "--quorum", type=int, default=0,
@@ -523,9 +522,7 @@ def _obs_demo_workload() -> None:
     from .persist import PersistenceConfig, recover_shard
 
     with _tempfile.TemporaryDirectory(prefix="repro-obs-wal-") as wal_dir:
-        pconfig = PersistenceConfig(
-            directory=wal_dir, snapshot_every=4, group_window_s=0.001
-        )
+        pconfig = PersistenceConfig(directory=wal_dir, snapshot_every=4)
         config = ServeConfig(
             n_shards=2, tick_interval_s=0.002, max_steps_per_tick=50,
             persistence=pconfig,
@@ -1214,64 +1211,25 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               "(run 'repro cluster serve' first)", file=sys.stderr)
         return 2
 
-    if args.action == "status":
-        doc = pmap.to_dict()
-        if args.json:
-            print(json.dumps(doc, indent=2, sort_keys=True))
-            return 0
-        print(format_table(
-            [{
-                "shard": a["shard"], "primary": a["primary"],
-                "standbys": " ".join(a["standbys"]) or "-",
-                "epoch": a["epoch"],
-            } for a in doc["assignments"]],
-            title=f"Placement v{doc['version']}: {directory}",
-        ))
-        print(format_table(
-            [{
-                "node": n["node_id"], "kind": n["kind"],
-                "address": f"{n['host']}:{n['port']}" if n["host"] else "-",
-            } for n in doc["nodes"]],
-            title="Nodes",
-        ))
-        return 0
-
-    # rebalance: re-deal the standby subsets round-robin, keeping every
-    # primary and epoch where it is (epochs only move via promotion)
-    pool = sorted(
-        node_id for node_id, node in pmap.nodes().items()
-        if node.kind == "standby"
-    )
-    if not pool:
-        print("error: the map has no standby nodes to deal",
-              file=sys.stderr)
-        return 2
-    want = (
-        len(pool) if args.replicas_per_shard is None
-        else min(args.replicas_per_shard, len(pool))
-    )
-    rows = []
-    for shard in range(pmap.n_shards):
-        entry = pmap.assignment(shard)
-        subset = tuple(
-            pool[(shard + k) % len(pool)] for k in range(want)
-        )
-        pmap.assign(shard, entry.primary, subset, epoch=entry.epoch)
-        rows.append({
-            "shard": shard, "primary": entry.primary,
-            "was": " ".join(entry.standbys) or "-",
-            "now": " ".join(subset),
-            "epoch": entry.epoch,
-        })
-    path = pmap.save(directory)
+    doc = pmap.to_dict()
     if args.json:
-        print(json.dumps(pmap.to_dict(), indent=2, sort_keys=True))
-    else:
-        print(format_table(
-            rows, title=f"Rebalanced -> v{pmap.version}: {path}",
-        ))
-        print("note: a running supervisor re-reads the map on restart; "
-              "live re-subscription is the next roadmap item")
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0
+    print(format_table(
+        [{
+            "shard": a["shard"], "primary": a["primary"],
+            "standbys": " ".join(a["standbys"]) or "-",
+            "epoch": a["epoch"],
+        } for a in doc["assignments"]],
+        title=f"Placement v{doc['version']}: {directory}",
+    ))
+    print(format_table(
+        [{
+            "node": n["node_id"], "kind": n["kind"],
+            "address": f"{n['host']}:{n['port']}" if n["host"] else "-",
+        } for n in doc["nodes"]],
+        title="Nodes",
+    ))
     return 0
 
 

@@ -122,10 +122,6 @@ class PlacementMap:
         with self._lock:
             return self._version
 
-    def nodes(self) -> Dict[str, NodeInfo]:
-        with self._lock:
-            return dict(self._nodes)
-
     def node(self, node_id: str) -> Optional[NodeInfo]:
         with self._lock:
             return self._nodes.get(node_id)

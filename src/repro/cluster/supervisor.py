@@ -36,6 +36,12 @@ _LOG = _obslog.get_logger("cluster")
 
 PRIMARY_ID = "primary"
 
+#: pacing of every manager the supervisor starts, primary or promoted
+TICK_INTERVAL_S = 0.005
+MAX_STEPS_PER_TICK = 8
+#: standbys answer reads at any lag (never ``ReplicaLagging``)
+MAX_READ_LAG_RECORDS = 1 << 30
+
 
 class ClusterSupervisor:
     """Launches and steers the node set of one single-primary cluster."""
@@ -49,11 +55,7 @@ class ClusterSupervisor:
         replicas_per_shard: Optional[int] = None,
         quorum: int = 0,
         root: Optional[Union[str, Path]] = None,
-        tick_interval_s: float = 0.005,
-        max_steps_per_tick: int = 8,
-        group_window_s: float = 0.004,
         durable_wait_s: float = 5.0,
-        max_read_lag_records: int = 1 << 30,
         batch_max_records: int = 64,
         poll_interval_s: float = 0.01,
         heartbeat_s: float = 0.05,
@@ -74,11 +76,7 @@ class ClusterSupervisor:
             self._tmp = tempfile.TemporaryDirectory(prefix="repro-cluster-")
             root = self._tmp.name
         self.root = Path(root)
-        self.tick_interval_s = tick_interval_s
-        self.max_steps_per_tick = max_steps_per_tick
-        self.group_window_s = group_window_s
         self.durable_wait_s = durable_wait_s
-        self.max_read_lag_records = max_read_lag_records
         self.batch_max_records = batch_max_records
         self.poll_interval_s = poll_interval_s
         self.heartbeat_s = heartbeat_s
@@ -103,15 +101,14 @@ class ClusterSupervisor:
         self._started = True
         self.persistence = PersistenceConfig(
             directory=self.root / PRIMARY_ID,
-            group_window_s=self.group_window_s,
             snapshot_every=0,
             compact=False,
             quorum_standbys=self.quorum,
         )
         self.manager = SessionManager(ServeConfig(
             n_shards=self.n_shards,
-            tick_interval_s=self.tick_interval_s,
-            max_steps_per_tick=self.max_steps_per_tick,
+            tick_interval_s=TICK_INTERVAL_S,
+            max_steps_per_tick=MAX_STEPS_PER_TICK,
             persistence=self.persistence,
             durable_wait_s=self.durable_wait_s,
         ))
@@ -141,7 +138,7 @@ class ClusterSupervisor:
                 self.root / nid, self.game, self.n_shards,
                 self.source.host, self.source.port or 0,
                 shards=self.placement.shards_of(nid),
-                max_read_lag_records=self.max_read_lag_records,
+                max_read_lag_records=MAX_READ_LAG_RECORDS,
                 reconnect_backoff_s=0.02,
                 client_name=nid,
             ).start()
@@ -236,11 +233,10 @@ class ClusterSupervisor:
         if recover:
             new_manager = SessionManager(ServeConfig(
                 n_shards=self.n_shards,
-                tick_interval_s=self.tick_interval_s,
-                max_steps_per_tick=self.max_steps_per_tick,
+                tick_interval_s=TICK_INTERVAL_S,
+                max_steps_per_tick=MAX_STEPS_PER_TICK,
                 persistence=PersistenceConfig(
                     directory=replica.directory,
-                    group_window_s=self.group_window_s,
                     snapshot_every=0,
                     compact=False,
                 ),

@@ -24,10 +24,6 @@ __all__ = ["EventBus", "Notice"]
 
 _LOG = _obslog.get_logger("bus")
 
-_M_PUBLISHED = _obs.counter(
-    "repro_bus_published_total",
-    "Notices published on engine buses, by topic",
-)
 _M_SUB_ERRORS = _obs.counter(
     "repro_bus_subscriber_errors_total",
     "Exceptions raised by bus subscribers (swallowed by quarantine logic)",
@@ -92,7 +88,6 @@ class EventBus:
         """Publish a notice; delivers to topic and "*" subscribers."""
         notice = Notice(topic=topic, payload=dict(payload or {}), time=time)
         self.published_count += 1
-        _M_PUBLISHED.inc(topic=topic)
         for sub_topic in (topic, "*"):
             # Copy: subscribers may unsubscribe during delivery.
             for token, fn in list(self._subs.get(sub_topic, ())):

@@ -364,9 +364,7 @@ def _single(report: ChaosReport, root: Path, game: Any, soak: _Soak,
     from ..gateway import GatewayServer, GatewayThread
     from ..gateway.client import GatewayClient
 
-    persistence = PersistenceConfig(
-        directory=root, group_window_s=0.004, snapshot_every=0,
-    )
+    persistence = PersistenceConfig(directory=root, snapshot_every=0)
     manager = SessionManager(ServeConfig(
         n_shards=report.shards, tick_interval_s=0.005, max_steps_per_tick=8,
         persistence=persistence, durable_wait_s=durable_wait_s,

@@ -2,7 +2,8 @@
 
 The durability contract of the serving layer: every session mutation is
 appended here *before* it is considered committed, so a crash loses at
-most the records not yet fsynced (bounded by the group-commit window).
+most the records not yet fsynced: the batch in flight and the ones
+queued behind it.
 
 **Physical format.**  A journal is a directory of segment files
 (``wal-00000001.log``, ``wal-00000002.log``, …).  Every record is a
@@ -20,17 +21,18 @@ log has been deleted.  A torn tail (partial frame, CRC mismatch,
 unparseable payload) ends the readable log; readers report the valid
 byte length so recovery can truncate exactly there.
 
-**Group commit.**  ``append()`` assigns an LSN and enqueues the frame;
-a flusher thread batches everything enqueued across sessions — waiting
-at most ``group_window_s`` to let a batch build — writes it with one
-``write``/``fsync`` pair, advances the durable watermark and calls
-``on_durable(lsn)``.  An append wakes only an idle flusher: the one
-append that finds the queue empty notifies it, and the rest of the
-batch lands while it sleeps out its window undisturbed.  The window is
-the maximum extra latency any record pays for amortising the fsync;
-throughput under load scales with the batch size (benchmarked against
-``benchmarks/bench_persist.py``'s per-record fsync).  ``sync_each=True``
-is that fsync-per-append baseline.
+**Group commit.**  ``append()`` assigns an LSN and enqueues the frame.
+A flusher thread takes everything pending the moment it is idle,
+writes it with one ``write``/``fsync`` pair, advances the durable
+watermark and calls ``on_durable(lsn)``.  Records appended while that
+write and fsync are in flight form the next batch, so under load the
+batch grows with the fsync's own cost and no timer is involved.  An
+append wakes only an idle flusher: the one append that finds the queue
+empty notifies it, and the rest land behind it undisturbed.  The most
+extra latency a record pays for amortising the fsync is one in-flight
+write+fsync; throughput under load scales with the batch size
+(benchmarked against ``benchmarks/bench_persist.py``'s per-record
+fsync).  ``sync_each=True`` is that fsync-per-append baseline.
 
 The journal is intentionally single-writer: one serve shard owns one
 journal, so appends never contend across shards.
@@ -120,8 +122,6 @@ class PersistenceConfig:
     directory: Union[str, Path]
     #: seal the active segment and start a new one past this size
     segment_max_bytes: int = 1 << 20
-    #: max extra latency the group-commit flusher waits to build a batch
-    group_window_s: float = 0.002
     #: fsync on every append instead of group commit (baseline mode)
     sync_each: bool = False
     #: snapshot a session every N applied ops (0 = never)
@@ -138,8 +138,6 @@ class PersistenceConfig:
     def __post_init__(self) -> None:
         if self.segment_max_bytes < 4096:
             raise ValueError("segment_max_bytes must be >= 4096")
-        if self.group_window_s < 0:
-            raise ValueError("group_window_s must be >= 0")
         if self.snapshot_every < 0:
             raise ValueError("snapshot_every must be >= 0")
         if self.quorum_standbys < 0:
@@ -390,8 +388,8 @@ class Journal:
                 self._committed(lsn, 1, t0)
             else:
                 # Only an idle flusher needs waking: with records
-                # already pending it is inside its window (or writing
-                # the previous batch) and will pick this one up.
+                # already pending it has been woken, or is writing the
+                # previous batch, and will take this one with the rest.
                 if not self._pending:
                     self._cond.notify_all()
                 self._pending.append((lsn, frame, monotonic()))
@@ -526,29 +524,17 @@ class Journal:
             _M_BYTES.inc(sum(len(fr) for _, fr in batch), shard=self.label)
 
     def _flush_loop(self) -> None:
-        window = self.config.group_window_s
         while True:
             with self._cond:
                 while not self._pending and not self._stop:
                     self._cond.wait(0.05)
-                if not self._pending and self._stop:
+                if not self._pending:
                     return
-                if window > 0 and not self._stop:
-                    # Let the batch build: wait out the window so many
-                    # sessions' records share one fsync.
-                    deadline = monotonic() + window
-                    while not self._stop:
-                        remaining = deadline - monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cond.wait(remaining)
                 batch = self._pending
                 self._pending = []
             try:
-                # One span per fsync batch: request traces attribute
-                # their fsync_wait to this window, and the span ties a
-                # slow commit to its batch size/shard in the flight
-                # recorder.
+                # One span per fsync batch: it ties a slow commit to
+                # its batch size and shard in the flight recorder.
                 with _span("wal.group_commit", shard=self.label,
                            batch=len(batch)):
                     self._write_batch([(lsn, fr) for lsn, fr, _ in batch])

@@ -85,14 +85,6 @@ _M_BINDINGS_FIRED = _obs.counter(
     "repro_engine_bindings_fired_total",
     "Event bindings whose actions ran, by trigger kind",
 )
-_M_ACTIONS = _obs.counter(
-    "repro_engine_actions_total",
-    "Actions executed, by action kind",
-)
-_M_TICKS = _obs.counter(
-    "repro_engine_ticks_total",
-    "Clock ticks advanced across all engines",
-)
 
 _LOG = _obslog.get_logger("engine")
 
@@ -483,7 +475,6 @@ class GameEngine:
 
     def _execute_one(self, action: Action, source: str) -> None:
         now = self.clock.now()
-        _M_ACTIONS.inc(kind=action.kind)
         self.bus.publish("action", {"kind": action.kind, "source": source}, time=now)
         if isinstance(action, SwitchScenario):
             if action.target not in self.scenarios:
@@ -576,7 +567,6 @@ class GameEngine:
             raise EngineError("call start() before tick()")
         if self.state.finished:
             return
-        _M_TICKS.inc()
         if isinstance(self.clock, SimulatedClock):
             self.clock.advance(dt)
         self.state.advance_time(dt)

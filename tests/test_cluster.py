@@ -3,9 +3,11 @@
 Unit coverage for :mod:`repro.cluster` — the map's fencing and
 round-robin planning, the gateway's lag-ranked read routing and
 epoch-triggered write failover (against in-memory fakes), plus one
-small end-to-end quorum cluster and one seeded chaos audit.
+small end-to-end quorum cluster, one seeded chaos audit and the
+``repro cluster`` CLI.
 """
 
+import json
 import socket
 import threading
 import time
@@ -13,6 +15,7 @@ import time
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.cluster import (
     ClusterGateway,
     ClusterSupervisor,
@@ -369,3 +372,33 @@ class TestClusterChaos:
                 sessions=2, n_shards=1, n_standbys=2, quorum=2,
                 game=classroom_game,
             )
+
+
+class TestCli:
+    def test_serve_then_status(self, tmp_path, capsys, live):
+        root = tmp_path / "cluster"
+        assert main([
+            "cluster", "serve", str(root), "--duration", "0.3",
+            "--standbys", "2", "--replicas-per-shard", "1",
+        ]) == 0
+        assert f"placement saved under {root}" in capsys.readouterr().out
+
+        assert main(["cluster", "status", str(root)]) == 0
+        out = capsys.readouterr().out
+        assert "Placement v" in out and "Nodes" in out
+        assert "standby-1" in out and "standby-2" in out
+
+        assert main(["cluster", "status", str(root), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["n_shards"] == N_SHARDS
+        assert [a["shard"] for a in doc["assignments"]] == [0, 1]
+        for a in doc["assignments"]:
+            assert a["primary"] == "primary" and a["epoch"] == 1
+            assert len(a["standbys"]) == 1
+        assert sorted(n["node_id"] for n in doc["nodes"]) == [
+            "primary", "standby-1", "standby-2",
+        ]
+
+    def test_status_without_a_map_exits_2(self, tmp_path, capsys):
+        assert main(["cluster", "status", str(tmp_path)]) == 2
+        assert "no PLACEMENT.json" in capsys.readouterr().err

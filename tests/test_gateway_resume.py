@@ -32,7 +32,7 @@ def _config(tmp_path):
         tick_interval_s=0.02,
         max_steps_per_tick=1,
         persistence=PersistenceConfig(
-            directory=tmp_path, snapshot_every=3, group_window_s=0.001
+            directory=tmp_path, snapshot_every=3
         ),
     )
 

@@ -277,7 +277,7 @@ class TestDrain:
         self, tmp_path, classroom_game, scripts, live
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path, snapshot_every=4, group_window_s=0.001
+            directory=tmp_path, snapshot_every=4
         )
         gw = _gateway(classroom_game, persistence=persistence)
         handle = GatewayThread(gw).start()

@@ -60,7 +60,7 @@ def test_traced_submit_nests_shard_steps_and_engine_dispatch(
 ):
     manager = SessionManager(ServeConfig(
         n_shards=2, tick_interval_s=0.002, max_steps_per_tick=50,
-        persistence=PersistenceConfig(directory=tmp_path / "wal", group_window_s=0.001),
+        persistence=PersistenceConfig(directory=tmp_path / "wal"),
     ))
     server = GatewayServer(manager, classroom_game, config=GatewayConfig(telemetry_port=0))
     script = cohort_scripts(classroom_game, 1, seed=41)[0]

@@ -192,7 +192,7 @@ class TestDyingFsync:
         journal.close()
 
     def test_group_commit_failure_unblocks_waiters(self, tmp_path, scripts):
-        config = PersistenceConfig(directory=tmp_path, group_window_s=0.001)
+        config = PersistenceConfig(directory=tmp_path)
         journal = Journal(
             tmp_path, config,
             file_factory=lambda p: FaultyFile(p, die_on_fsync_call=2),

@@ -247,8 +247,7 @@ def test_live_ops_and_multi_tick_sessions_survive_crash_and_replica(
     live_script = scripts[0]
     multi_ops = scripts[1].ops * 3  # long enough to outlive the crash
     persistence = PersistenceConfig(
-        directory=tmp_path / "primary", snapshot_every=3,
-        group_window_s=0.001, compact=False,
+        directory=tmp_path / "primary", snapshot_every=3, compact=False,
     )
     config = ServeConfig(n_shards=1, tick_interval_s=0.02,
                          max_steps_per_tick=1, persistence=persistence)

@@ -1,5 +1,6 @@
 """Tests for the write-ahead log: framing, rotation, group commit."""
 
+import os
 import struct
 import threading
 
@@ -20,6 +21,55 @@ from repro.persist.records import PersistError
 
 def _rec(i, sid="s"):
     return {"t": "input", "sid": sid, "op": {"k": "key", "key": str(i)}}
+
+
+class HeldFsync:
+    """A ``file_factory`` whose fsyncs, once ``armed``, each count
+    themselves, set ``entered`` and block until ``release`` is set.
+
+    The flusher holds no lock while it writes and fsyncs, so a test can
+    append behind a held fsync and know which batch each record joins
+    without sleeping.  Arm it after the journal is built: the segment
+    header's fsync runs in the constructor.
+    """
+
+    def __init__(self):
+        self.armed = False
+        self.fsyncs = 0
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, path):
+        return _HeldFile(path, self)
+
+
+class _HeldFile:
+    def __init__(self, path, held):
+        self._fh = open(path, "ab")
+        self._held = held
+
+    def write(self, data):
+        return self._fh.write(data)
+
+    def flush(self):
+        self._fh.flush()
+
+    def fsync(self):
+        held = self._held
+        if held.armed:
+            held.fsyncs += 1
+            held.entered.set()
+            held.release.wait(10.0)
+        os.fsync(self._fh.fileno())
+
+    def close(self):
+        self._fh.close()
+
+
+def _data_lsns(directory):
+    records, _valid, torn = read_segment(list_segments(directory)[0][1])
+    assert not torn
+    return [r["n"] for r in records if r.get("t") != "h"]
 
 
 class TestFrameCodec:
@@ -128,22 +178,31 @@ class TestJournal:
         assert last == 200
 
     def test_group_commit_batches_across_threads(self, tmp_path):
-        config = PersistenceConfig(directory=tmp_path, group_window_s=0.005)
-        j = Journal(tmp_path, config)
-        done = []
+        # Records appended from several threads while fsync #1 is in
+        # flight all share the next fsync.
+        held = HeldFsync()
+        committed = []
+        j = Journal(tmp_path, PersistenceConfig(directory=tmp_path),
+                    file_factory=held, on_durable=committed.append)
+        held.armed = True
+        assert j.append(_rec(0)) == 1
+        assert held.entered.wait(5.0)
 
-        def commit(w):
-            lsn = j.append(_rec(w, sid=f"w{w}"))
-            assert j.wait_durable(lsn, timeout=10.0)
-            done.append(lsn)
+        def append_ten(w):
+            for i in range(10):
+                j.append(_rec(i, sid=f"w{w}"))
 
-        threads = [threading.Thread(target=commit, args=(w,)) for w in range(8)]
+        threads = [threading.Thread(target=append_ten, args=(w,)) for w in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
-        assert sorted(done) == list(range(1, 9))
+        held.release.set()
+        assert j.sync(timeout=5.0)
         j.close()
+        assert committed == [1, 81]
+        assert held.fsyncs == 2
+        assert _data_lsns(tmp_path) == list(range(1, 82))
 
     def test_append_after_close_raises(self, tmp_path):
         j = Journal(tmp_path, PersistenceConfig(directory=tmp_path))
@@ -152,30 +211,63 @@ class TestJournal:
             j.append(_rec(0))
 
     def test_close_flushes_pending(self, tmp_path):
-        config = PersistenceConfig(directory=tmp_path, group_window_s=0.5)
-        j = Journal(tmp_path, config)
-        lsns = [j.append(_rec(i)) for i in range(10)]
-        j.close()  # must not lose the batch still inside the window
-        records, _valid, torn = read_segment(list_segments(tmp_path)[0][1])
-        assert not torn
-        assert [r["n"] for r in records if r.get("t") != "h"] == lsns
+        # close() started while an fsync is held loses neither the batch
+        # in flight nor the records queued behind it.
+        held = HeldFsync()
+        j = Journal(tmp_path, PersistenceConfig(directory=tmp_path),
+                    file_factory=held)
+        held.armed = True
+        lsns = [j.append(_rec(0))]
+        assert held.entered.wait(5.0)
+        lsns += [j.append(_rec(i)) for i in range(1, 10)]
+        joining = threading.Event()
+        flusher_join = j._flusher.join
+
+        def join(timeout=None):
+            joining.set()  # close() has already asked the flusher to stop
+            flusher_join(timeout)
+
+        j._flusher.join = join
+        closer = threading.Thread(target=j.close)
+        closer.start()
+        assert joining.wait(5.0)
+        held.release.set()
+        closer.join(10.0)
+        assert not closer.is_alive()
+        assert not j.failed
+        assert lsns == list(range(1, 11))
+        assert _data_lsns(tmp_path) == lsns
 
     def test_config_validation(self, tmp_path):
         with pytest.raises(ValueError):
             PersistenceConfig(directory=tmp_path, segment_max_bytes=16)
         with pytest.raises(ValueError):
-            PersistenceConfig(directory=tmp_path, group_window_s=-1)
-        with pytest.raises(ValueError):
             PersistenceConfig(directory=tmp_path, snapshot_every=-1)
 
 
 class TestFlusherWakeup:
+    def test_an_append_to_an_idle_journal_is_written_at_once(self, tmp_path):
+        held = HeldFsync()
+        j = Journal(tmp_path, PersistenceConfig(directory=tmp_path),
+                    file_factory=held)
+        held.armed = True
+        j.append(_rec(0))
+        # no second append, sync() or close(): the lone record is
+        # already being fsynced
+        assert held.entered.wait(5.0)
+        held.release.set()
+        assert j.sync(timeout=5.0)
+        j.close()
+        assert held.fsyncs == 1
+
     def test_only_the_append_into_an_empty_queue_notifies(self, tmp_path):
+        held = HeldFsync()
         committed = []
         j = Journal(
-            tmp_path, PersistenceConfig(directory=tmp_path, group_window_s=0.05),
-            on_durable=committed.append,
+            tmp_path, PersistenceConfig(directory=tmp_path),
+            file_factory=held, on_durable=committed.append,
         )
+        held.armed = True
         appender = threading.get_ident()
         notifies = []
         real_notify_all = j._cond.notify_all
@@ -186,20 +278,23 @@ class TestFlusherWakeup:
             real_notify_all()
 
         j._cond.notify_all = counting_notify_all
-        lsns = [j.append(_rec(i)) for i in range(200)]
-        # one wakeup, issued by the append (LSN 1) that found the queue
-        # empty; the other 199 land while the flusher sleeps out its window
-        assert notifies == [1]
+        lsns = [j.append(_rec(0))]
+        assert held.entered.wait(5.0)  # the flusher took LSN 1 alone
+        lsns += [j.append(_rec(i)) for i in range(1, 200)]
+        # LSN 1 found the queue empty, and so did LSN 2 behind the held
+        # fsync; the other 198 joined a non-empty queue
+        assert notifies == [1, 2]
+        held.release.set()
         assert j.sync(timeout=5.0)
         j.close()
-        assert committed == [lsns[-1]] == [200]  # one group commit
+        assert committed == [1, lsns[-1]] == [1, 200]
 
 
 class TestDurableCallback:
     """``on_durable(lsn)``: fired once per commit with the new watermark."""
 
     @staticmethod
-    def _recording_journal(tmp_path, **config):
+    def _recording_journal(tmp_path, file_factory=None, **config):
         seen = []
         holder = {}
 
@@ -216,12 +311,12 @@ class TestDurableCallback:
 
         journal = holder["j"] = Journal(
             tmp_path, PersistenceConfig(directory=tmp_path, **config),
-            on_durable=on_durable,
+            file_factory=file_factory, on_durable=on_durable,
         )
         return journal, seen
 
     def test_group_commit_reports_each_new_watermark(self, tmp_path):
-        j, seen = self._recording_journal(tmp_path, group_window_s=0.001)
+        j, seen = self._recording_journal(tmp_path)
         for i in range(20):
             lsn = j.append(_rec(i))
             if i % 3 == 0:
@@ -241,9 +336,15 @@ class TestDurableCallback:
         assert seen == lsns == [1, 2, 3, 4, 5]
 
     def test_not_fired_before_the_commit_lands(self, tmp_path):
-        j, seen = self._recording_journal(tmp_path, group_window_s=0.3)
+        held = HeldFsync()
+        j, seen = self._recording_journal(tmp_path, file_factory=held)
+        held.armed = True
         j.append(_rec(0))
-        assert seen == [] and j.durable_lsn == 0  # still inside the window
+        assert held.entered.wait(5.0)
+        # written but not yet fsynced: nothing may call it durable
+        assert seen == [] and j.durable_lsn == 0
+        assert not j.wait_durable(1, timeout=0)
+        held.release.set()
         assert j.sync(timeout=5.0)
         # the callback runs just after the watermark is published, so
         # sync() may return first; close() joins the flusher
@@ -262,7 +363,7 @@ class TestDurableCallback:
         events = []
         sink = olog.add_log_sink(events.append)
         try:
-            for config in ({"group_window_s": 0.001}, {"sync_each": True}):
+            for config in ({}, {"sync_each": True}):
                 directory = tmp_path / ("sync" if config.get("sync_each")
                                         else "group")
                 j = Journal(directory,

@@ -91,8 +91,8 @@ class TestShipping:
         self, tmp_path, classroom_game, scripts
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence)
         with ReplicationSource(persistence, N_SHARDS) as source:
@@ -124,8 +124,8 @@ class TestShipping:
         self, tmp_path, classroom_game, scripts
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence)
         with ReplicationSource(persistence, N_SHARDS) as source:
@@ -150,8 +150,8 @@ class TestShipping:
         self, tmp_path, classroom_game, scripts, live
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence, tick_interval_s=0.01,
                            max_steps_per_tick=1)
@@ -340,8 +340,8 @@ class TestLagAndQuery:
         self, tmp_path, classroom_game, scripts
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence)
         with ReplicationSource(persistence, N_SHARDS) as source:
@@ -429,8 +429,8 @@ class TestGatewayReadReplica:
         )
 
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence)
         with ReplicationSource(persistence, N_SHARDS) as source:

@@ -101,8 +101,8 @@ class TestPromotion:
         self, tmp_path, classroom_game, scripts
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence, tick_interval_s=0.01,
                            max_steps_per_tick=1)
@@ -173,8 +173,8 @@ class TestPromotion:
         # consistent (commit-gated) state, and the deposed primary's
         # source must be fenced by the new epoch
         persistence = PersistenceConfig(
-            directory=tmp_path / "primary", group_window_s=0.002,
-            snapshot_every=0, compact=False,
+            directory=tmp_path / "primary", snapshot_every=0,
+            compact=False,
         )
         manager = _manager(persistence, tick_interval_s=0.01,
                            max_steps_per_tick=1, durable_wait_s=2.0)

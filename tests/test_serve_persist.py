@@ -46,7 +46,7 @@ class TestKillAndRecover:
         self, tmp_path, classroom_game, scripts
     ):
         persistence = PersistenceConfig(
-            directory=tmp_path, snapshot_every=3, group_window_s=0.001
+            directory=tmp_path, snapshot_every=3
         )
         config = ServeConfig(
             n_shards=2, tick_interval_s=0.02, max_steps_per_tick=1,
