@@ -836,46 +836,43 @@ def _cmd_gateway(args: argparse.Namespace) -> int:
     return 0
 
 
-def _wal_shard_dirs(root: Path) -> list:
-    """Journal directories under a persistence root (or the root itself)."""
-    if not root.is_dir():
-        return []
-    shards = sorted(p for p in root.glob("shard-*") if p.is_dir())
-    return shards if shards else [root]
-
-
 def _cmd_wal(args: argparse.Namespace) -> int:
+    from collections import Counter
+
     from . import obs
     from .persist import (
+        SessionTable,
         SnapshotStore,
         compact_segments,
         compaction_watermark,
         list_segments,
+        list_shard_dirs,
         recover_shard,
         scan_journal,
         snapshot_dir_for,
     )
     from .reporting import format_table
 
-    shard_dirs = _wal_shard_dirs(args.directory)
+    root: Path = args.directory
+    shard_dirs = [path for _index, path in list_shard_dirs(root)]
+    if not shard_dirs and root.is_dir():
+        shard_dirs = [root]  # a single shard's journal directory
     if not shard_dirs:
-        print(f"error: {args.directory} is not a journal directory",
-              file=sys.stderr)
+        print(f"error: {root} is not a journal directory", file=sys.stderr)
         return 2
+
+    def fold(shard_dir: Path, records: list) -> SessionTable:
+        """Recovery's session fold, without building engines."""
+        store = SnapshotStore(snapshot_dir_for(shard_dir))
+        return SessionTable.from_log(store.load_all()[0].values(), records)
 
     if args.action == "inspect":
         rows = []
         for shard_dir in shard_dirs:
             report = scan_journal(shard_dir)  # read-only: no truncation
-            sids: dict = {}
-            kinds: dict = {}
-            for record in report.records:
-                kind = record.get("t")
-                kinds[kind] = kinds.get(kind, 0) + 1
-                sid = record.get("sid")
-                if sid is not None:
-                    sids[sid] = kind
-            store = SnapshotStore(snapshot_dir_for(shard_dir))
+            kinds = Counter(record.get("t") for record in report.records)
+            table = fold(shard_dir, report.records)
+            ended = sum(1 for entry in table.values() if entry.ended)
             bytes_on_disk = sum(
                 p.stat().st_size for _seq, p in list_segments(shard_dir)
             )
@@ -885,17 +882,17 @@ def _cmd_wal(args: argparse.Namespace) -> int:
                 "records": len(report.records),
                 # per kind: an old journal logs an input per step, a
                 # current one progress records and live inputs only
-                **{kind: kinds.get(kind, 0)
+                **{kind: kinds[kind]
                    for kind in ("start", "input", "progress", "end")},
                 "tip_lsn": report.tip_lsn,
-                "live": sum(1 for t in sids.values() if t != "end"),
-                "ended": sum(1 for t in sids.values() if t == "end"),
-                "snapshots": store.count(),
+                "live": len(table) - ended,
+                "ended": ended,
+                "snapshots": SnapshotStore(snapshot_dir_for(shard_dir)).count(),
                 "torn": report.torn_records,
                 "discarded_b": report.discarded_bytes,
                 "wal_bytes": bytes_on_disk,
             })
-        print(format_table(rows, title=f"wal inspect: {args.directory}"))
+        print(format_table(rows, title=f"wal inspect: {root}"))
         torn = sum(r["torn"] for r in rows)
         if torn:
             print(f"\n{torn} torn record(s) detected; "
@@ -906,25 +903,11 @@ def _cmd_wal(args: argparse.Namespace) -> int:
         total_dropped = 0
         for shard_dir in shard_dirs:
             report = scan_journal(shard_dir)
-            snapshots, _rejected = SnapshotStore(
-                snapshot_dir_for(shard_dir)
-            ).load_all()
-            covered = {}
-            ended = set()
-            for record in report.records:
-                sid = record.get("sid")
-                if record.get("t") == "start" and sid not in covered:
-                    covered[sid] = int(record.get("n", 0)) - 1
-                elif record.get("t") == "end":
-                    ended.add(sid)
-            for sid, snap in snapshots.items():
-                covered[sid] = max(
-                    covered.get(sid, 0), int(snap.get("lsn", 0))
-                )
-            for sid in ended:  # finished sessions don't pin the watermark
-                covered.pop(sid, None)
+            table = fold(shard_dir, report.records)
+            # finished sessions don't pin the watermark
             watermark = compaction_watermark(
-                covered.values(), report.tip_lsn
+                (e.covered_lsn for e in table.values() if not e.ended),
+                report.tip_lsn,
             )
             dropped = compact_segments(shard_dir, watermark)
             total_dropped += dropped
@@ -969,7 +952,7 @@ def _cmd_wal(args: argparse.Namespace) -> int:
                   f"cursor {session.cursor}/{len(session.ops)}, "
                   f"digest {session.digest[:16]}…")
     if rows:
-        print(format_table(rows, title=f"wal recover: {args.directory}"))
+        print(format_table(rows, title=f"wal recover: {root}"))
     return exit_code
 
 
@@ -1238,21 +1221,22 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     from time import sleep as _sleep
 
     from . import obs
+    from .persist import PersistenceConfig, list_shard_dirs, scan_journal
     from .reporting import format_table
 
     directory: Path = args.directory
-    shard_dirs = sorted(
-        entry for entry in directory.iterdir()
-        if entry.is_dir() and entry.name.startswith("shard-")
-    ) if directory.is_dir() else []
-    n_shards = args.shards if args.shards is not None else len(shard_dirs)
+    shard_dirs = list_shard_dirs(directory)
+    n_shards = args.shards if args.shards is not None else (
+        shard_dirs[-1][0] + 1 if shard_dirs else 0
+    )
+    # serve can ship a root the primary has not written yet
+    empty = n_shards < 1 if args.action == "serve" else not shard_dirs
+    if empty:
+        print(f"error: no shard-* journals under {directory} "
+              "(pass --shards to serve an empty root)", file=sys.stderr)
+        return 2
 
     if args.action == "serve":
-        if n_shards < 1:
-            print(f"error: no shard-* journals under {directory} "
-                  "(pass --shards to serve an empty root)", file=sys.stderr)
-            return 2
-        from .persist import PersistenceConfig
         from .replicate import ReplicationSource
 
         obs.enable()
@@ -1275,11 +1259,10 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         return 0
 
     if args.action == "status":
-        from .persist import scan_journal
         from .replicate import read_epoch
 
         rows = []
-        for index, shard_dir in enumerate(shard_dirs):
+        for index, shard_dir in shard_dirs:
             scan = scan_journal(shard_dir, truncate=False)
             rows.append({
                 "shard": index,
@@ -1298,10 +1281,6 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         return 0
 
     # promote
-    if not shard_dirs:
-        print(f"error: no shard-* journals under {directory}",
-              file=sys.stderr)
-        return 2
     from .replicate import promote_directory
 
     game = None

@@ -13,6 +13,7 @@ The pieces:
 * :class:`~repro.persist.wal.Journal` /
   :class:`~repro.persist.wal.PersistenceConfig` — the log itself;
 * :mod:`repro.persist.records` — record payloads, the op codec, the
+  session fold (:class:`~repro.persist.records.SessionTable`), the
   shared step semantics and the state digest;
 * :class:`~repro.persist.gate.DurableGate` — holds what waits on a
   record (a finished session's END) until the log covers it;
@@ -32,6 +33,7 @@ in ``examples/slo.toml``.
 from .gate import DurableGate
 from .records import (
     PersistError,
+    SessionTable,
     WalLayoutError,
     apply_scripted_op,
     end_record,
@@ -63,6 +65,7 @@ from .wal import (
     PersistenceConfig,
     encode_frame,
     list_segments,
+    list_shard_dirs,
     read_segment,
     segment_first_lsn,
 )
@@ -74,6 +77,7 @@ __all__ = [
     "PersistenceConfig",
     "RecoveredSession",
     "ScanReport",
+    "SessionTable",
     "ShardRecovery",
     "SnapshotStore",
     "WalLayoutError",
@@ -86,6 +90,7 @@ __all__ = [
     "fence_record",
     "input_record",
     "list_segments",
+    "list_shard_dirs",
     "op_from_dict",
     "op_to_dict",
     "progress_record",

@@ -26,9 +26,10 @@ out.  Four record types describe a served session's life:
 ============  ==========================================================
 
 Journals written before progress records existed log one ``input``
-record per step (scripted or live) and no ``c`` fields.  Readers fold
-both forms through :func:`record_advances` and :func:`steps_to`, so an
-old journal still recovers bit-identically.  Replay is bit-exact
+record per step (scripted or live) and no ``c`` fields.  Every reader
+(recovery, the replication standby, ``repro wal``) folds both forms
+through the one :class:`SessionTable`, so an old journal still
+recovers bit-identically.  Replay is bit-exact
 because the engine is deterministic under a simulated clock.
 
 Ops are either abstract solver :class:`~repro.core.solver.Move`\\ s or
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
 
 from ..core.solver import Move, _apply
 from ..runtime.inputs import KeyPress, MouseClick, MouseDrag
@@ -57,6 +59,8 @@ __all__ = [
     "REC_INPUT",
     "REC_PROGRESS",
     "REC_START",
+    "SessionEntry",
+    "SessionTable",
     "WalLayoutError",
     "apply_scripted_op",
     "end_record",
@@ -67,10 +71,8 @@ __all__ = [
     "ops_from_dicts",
     "ops_to_dicts",
     "progress_record",
-    "record_advances",
     "start_record",
     "state_digest",
-    "steps_to",
 ]
 
 REC_START = "start"
@@ -186,34 +188,136 @@ def fence_record(epoch: int) -> Dict[str, Any]:
 
 
 # ----------------------------------------------------------------------
-# Folding session progress (shared by recovery and the standby)
+# The session fold (shared by recovery, the standby and ``repro wal``)
 # ----------------------------------------------------------------------
 
-#: ``(sid, cursor, op)``: one session's advance logged by one record
-Advance = Tuple[Optional[str], Optional[int], Optional[Dict[str, Any]]]
+@dataclass(slots=True)
+class SessionEntry:
+    """One session as snapshots and the log describe it."""
+
+    dt: float = 0.25
+    #: the logged script, extended by live ops past its end
+    ops: List[Dict[str, Any]] = field(default_factory=list)
+    #: ops applied: the snapshot's cursor plus every folded advance
+    cursor: int = 0
+    #: advances at or below this LSN are already in ``state`` (a
+    #: session born from its start record covers everything before it)
+    covered_lsn: int = 0
+    ended: bool = False
+    outcome: Optional[str] = None
+    #: snapshot state the engine is built from; None once it is built
+    state: Optional[Dict[str, Any]] = None
+    #: op dicts folded but not yet applied to ``engine``
+    replay: List[Dict[str, Any]] = field(default_factory=list)
+    #: the rebuilt engine; the fold itself never builds one
+    engine: Any = None
+    from_snapshot: bool = False
 
 
-def record_advances(record: Dict[str, Any]) -> List[Advance]:
-    """The session advances ``record`` logs, as ``(sid, cursor, op)``.
+class SessionTable(Dict[str, SessionEntry]):
+    """The one fold of snapshots and WAL records into session state.
 
-    ``cursor`` is the session's cursor after the record — None for an
-    old-form ``input`` record (one step past wherever the session
-    stood) and an old-form ``end`` (no advance).  ``op`` is the op dict
-    an ``input`` record carries.  Other record kinds log no advance.
+    Keyed by player id.  :meth:`load_snapshot` seeds a session from a
+    snapshot; :meth:`fold` takes the log in LSN order: ``start``
+    registers a session (unless a snapshot already carries it),
+    ``progress``, ``input`` and ``end`` advance its cursor past its
+    covered LSN and queue the ops in between on ``replay``, ``end``
+    retires it.  Old journals' one-``input``-per-step form folds the
+    same way.  An epoch ``fence`` is shard-wide and only raises
+    :attr:`epoch`.  A record naming no known session (or no session
+    at all) and a record of unknown kind count as orphans.  Building
+    engines is the caller's: recovery builds each live one once,
+    the standby brings the :attr:`touched` ones up to date per batch.
     """
-    kind = record.get("t")
-    if kind == REC_PROGRESS:
-        return [(sid, int(c), None) for sid, c in record["c"].items()]
-    cursor = record.get("c")
-    cursor = None if cursor is None else int(cursor)
-    if kind == REC_INPUT:
-        return [(record.get("sid"), cursor, record.get("op", {}))]
-    if kind == REC_END:
-        return [(record.get("sid"), cursor, None)]
-    return []
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.orphans = 0
+        #: the highest epoch fence folded
+        self.epoch = 0
+        #: ids whose ``state`` or ``replay`` changed since last cleared
+        self.touched: Set[str] = set()
+
+    @classmethod
+    def from_log(
+        cls,
+        snapshots: Iterable[Dict[str, Any]],
+        records: Iterable[Dict[str, Any]],
+    ) -> "SessionTable":
+        """Snapshot documents first, then the log's records in order."""
+        table = cls()
+        for doc in snapshots:
+            table.load_snapshot(doc)
+        for record in records:
+            table.fold(record)
+        return table
+
+    def load_snapshot(self, doc: Dict[str, Any]) -> str:
+        """Seed (or reset) one session from a snapshot document; raises
+        ``KeyError``/``TypeError``/``ValueError`` on a malformed one."""
+        sid = str(doc["sid"])
+        self[sid] = SessionEntry(
+            dt=float(doc.get("dt", 0.25)),
+            ops=list(doc.get("ops", [])),
+            cursor=int(doc.get("cursor", 0)),
+            covered_lsn=int(doc.get("lsn", 0)),
+            state=doc["state"],
+            from_snapshot=True,
+        )
+        self.touched.add(sid)
+        return sid
+
+    def fold(self, record: Dict[str, Any]) -> int:
+        """Fold one record in; returns the orphans it held."""
+        kind = record.get("t")
+        lsn = int(record.get("n", 0))
+        if kind == REC_FENCE:
+            self.epoch = max(self.epoch, int(record.get("epoch", 0)))
+            return 0
+        if kind == REC_START:
+            sid = record.get("sid")
+            if sid is None:
+                return self._orphans(1)
+            if sid not in self:
+                self[sid] = SessionEntry(
+                    dt=float(record.get("dt", 0.25)),
+                    ops=list(record.get("ops", [])),
+                    covered_lsn=lsn - 1,
+                )
+                self.touched.add(sid)
+            return 0
+        # (sid, cursor after the record, op): the cursor is None for an
+        # old-form input (one step) or end (no step)
+        if kind == REC_PROGRESS:
+            advances = [(sid, int(c), None) for sid, c in record["c"].items()]
+        elif kind in (REC_INPUT, REC_END):
+            c = record.get("c")
+            op = record.get("op", {}) if kind == REC_INPUT else None
+            advances = [(record.get("sid"), None if c is None else int(c), op)]
+        else:
+            return self._orphans(1)
+        orphans = 0
+        for sid, target, op in advances:
+            entry = self.get(sid)
+            if entry is None:
+                orphans += 1
+                continue
+            if kind == REC_END:
+                entry.ended = True
+                entry.outcome = record.get("out")
+            if lsn > entry.covered_lsn:
+                steps = _steps_to(entry.ops, entry.cursor, target, op)
+                entry.replay.extend(steps)
+                entry.cursor += len(steps)
+                self.touched.add(sid)
+        return self._orphans(orphans)
+
+    def _orphans(self, n: int) -> int:
+        self.orphans += n
+        return n
 
 
-def steps_to(
+def _steps_to(
     ops: List[Dict[str, Any]],
     cursor: int,
     target: Optional[int],
@@ -223,8 +327,7 @@ def steps_to(
 
     Scripted steps come from ``ops``, the logged script.  An ``input``
     record's ``op`` is the last step; when it lies past the script it is
-    appended to ``ops``, so later cursors resolve against it.  The new
-    cursor is ``cursor + len(result)``.
+    appended to ``ops``, so later cursors resolve against it.
     """
     if op is None:
         return [] if target is None else ops[cursor:target]

@@ -9,17 +9,19 @@ Recovery of one shard journal is a pure function of what is on disk:
    tear is counted and exported.
 2. **Load snapshots**; a snapshot whose digest does not verify is
    ignored (the log has the same information, just slower).
-3. **Fold the records**: ``start`` registers a session (unless a
-   snapshot already covers it); ``progress``, ``input`` and ``end``
-   records past a session's snapshot LSN advance its cursor, queueing
-   the ops between the old and new cursor for replay (old journals'
-   one-``input``-per-step form folds the same way); ``end`` retires it.
-4. **Rebuild engines**: fresh engine per live session, snapshot state
-   installed under a simulated clock rewound to the saved play time,
-   then the queued ops replayed through the *same* step function the
-   serving layer uses — so the rebuilt state is bit-identical to what
-   the crashed process had committed (asserted via state digests in
-   the fault-injection tests).
+3. **Fold the records** over the snapshots with
+   :class:`~repro.persist.records.SessionTable`, the same fold the
+   replication standby and ``repro wal`` use: each session ends up
+   with its snapshot state (if any), its cursor, and the ops between
+   the snapshot's cursor and that one queued for replay; ``end``
+   retires it.
+4. **Rebuild engines** with :func:`rebuild_engine`: fresh engine per
+   live session, snapshot state installed under a simulated clock
+   rewound to the saved play time, then the queued ops replayed
+   through the *same* step function the serving layer uses — so the
+   rebuilt state is bit-identical to what the crashed process had
+   committed (asserted via state digests in the fault-injection
+   tests).
 
 Sessions that had already ended are counted, not rebuilt.  After a
 successful rebuild each live session gets a fresh snapshot at the log
@@ -33,25 +35,19 @@ import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import perf_counter
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
 from ..runtime.state import GameState
 from ..video.player import SimulatedClock
 from .records import (
-    REC_END,
-    REC_FENCE,
-    REC_INPUT,
-    REC_PROGRESS,
-    REC_START,
+    SessionTable,
     WalLayoutError,
     apply_scripted_op,
     op_from_dict,
     ops_from_dicts,
-    record_advances,
     state_digest,
-    steps_to,
 )
 from .snapshot import SNAPSHOT_DIRNAME, SnapshotStore, snapshot_dir_for
 from .wal import _M_TORN, list_segments, read_segment
@@ -208,73 +204,6 @@ class ShardRecovery:
         return {s.player_id: s.digest for s in self.sessions}
 
 
-@dataclass(slots=True)
-class _Rebuild:
-    dt: float = 0.25
-    ops: List[Dict[str, Any]] = field(default_factory=list)
-    #: ops applied: the snapshot's cursor plus every folded advance
-    cursor: int = 0
-    state: Optional[Dict[str, Any]] = None
-    covered_lsn: int = 0
-    #: op dicts to replay on top of ``state`` (the folded advances)
-    replay: List[Dict[str, Any]] = field(default_factory=list)
-    ended: bool = False
-    from_snapshot: bool = False
-
-
-def _fold_records(
-    records: List[Dict[str, Any]],
-    snapshots: Dict[str, Dict[str, Any]],
-) -> Tuple[Dict[str, _Rebuild], int]:
-    """Fold log records over the snapshot table; returns (table, orphans)."""
-    table: Dict[str, _Rebuild] = {}
-    for sid, snap in snapshots.items():
-        table[sid] = _Rebuild(
-            dt=float(snap.get("dt", 0.25)),
-            ops=list(snap.get("ops", [])),
-            cursor=int(snap.get("cursor", 0)),
-            state=snap["state"],
-            covered_lsn=int(snap.get("lsn", 0)),
-            from_snapshot=True,
-        )
-    orphans = 0
-    for record in records:
-        kind = record.get("t")
-        if kind == REC_FENCE:
-            # an epoch fence from replication failover: shard-wide
-            # metadata, deliberately session-less — not an orphan
-            continue
-        lsn = int(record.get("n", 0))
-        if kind == REC_START:
-            sid = record.get("sid")
-            if sid is None:
-                orphans += 1
-            elif sid not in table:
-                table[sid] = _Rebuild(
-                    dt=float(record.get("dt", 0.25)),
-                    ops=list(record.get("ops", [])),
-                    covered_lsn=lsn,  # the start record itself is absorbed
-                )
-            # else: a snapshot already carries dt/ops/state
-            continue
-        if kind not in (REC_INPUT, REC_PROGRESS, REC_END):
-            orphans += 1
-            continue
-        for sid, target, op in record_advances(record):
-            entry = table.get(sid)
-            if entry is None:
-                orphans += 1
-                continue
-            if kind == REC_END:
-                entry.ended = True
-            if lsn <= entry.covered_lsn:
-                continue  # the snapshot already includes this progress
-            steps = steps_to(entry.ops, entry.cursor, target, op)
-            entry.replay.extend(steps)
-            entry.cursor += len(steps)
-    return table, orphans
-
-
 def rebuild_engine(
     game: Any,
     state: Optional[Dict[str, Any]] = None,
@@ -307,14 +236,6 @@ def rebuild_engine(
     return engine
 
 
-def _rebuild_engine(game: Any, entry: _Rebuild, with_video: bool) -> Any:
-    """Fresh engine restored to the snapshot state, log replayed on top."""
-    return rebuild_engine(
-        game, state=entry.state, replay=entry.replay,
-        dt=entry.dt, with_video=with_video,
-    )
-
-
 def recover_shard(
     directory: Union[str, Path],
     game: Any,
@@ -336,14 +257,14 @@ def recover_shard(
     scan = scan_journal(directory, truncate=truncate)
     store = SnapshotStore(snapshot_dir_for(directory))
     snapshots, rejected = store.load_all()
-    table, orphans = _fold_records(scan.records, snapshots)
+    table = SessionTable.from_log(snapshots.values(), scan.records)
 
     report = ShardRecovery(
         directory=directory,
         torn_records=scan.torn_records,
         discarded_bytes=scan.discarded_bytes,
         snapshots_rejected=rejected,
-        orphan_records=orphans,
+        orphan_records=table.orphans,
         tip_lsn=scan.tip_lsn,
     )
     for sid, entry in sorted(table.items()):
@@ -352,7 +273,10 @@ def recover_shard(
             if truncate:
                 store.remove(sid)
             continue
-        engine = _rebuild_engine(game, entry, with_video)
+        engine = rebuild_engine(
+            game, state=entry.state, replay=entry.replay,
+            dt=entry.dt, with_video=with_video,
+        )
         session = RecoveredSession(
             player_id=sid,
             dt=entry.dt,

@@ -49,7 +49,7 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 from time import monotonic, sleep
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, Union
 
 from .. import faultline as _fl
 from ..obs import logging as _obslog
@@ -60,8 +60,10 @@ from .records import PersistError
 __all__ = [
     "Journal",
     "PersistenceConfig",
+    "decode_frames",
     "encode_frame",
     "list_segments",
+    "list_shard_dirs",
     "read_segment",
     "segment_first_lsn",
     "segment_path",
@@ -72,6 +74,7 @@ _FRAME = struct.Struct("<II")
 MAX_RECORD_BYTES = 16 * 1024 * 1024
 
 _SEGMENT_RE = re.compile(r"^wal-(\d{8})\.log$")
+_SHARD_RE = re.compile(r"^shard-(\d+)$")
 
 _M_COMMIT = _obs.histogram(
     "repro_persist_commit_seconds",
@@ -149,7 +152,8 @@ class PersistenceConfig:
 
 
 # ----------------------------------------------------------------------
-# Frame codec + segment readers (shared with recovery / inspection)
+# Frame codec + segment readers (recovery, inspection, the replication
+# tailer)
 # ----------------------------------------------------------------------
 
 def encode_frame(record: Dict[str, Any]) -> bytes:
@@ -176,6 +180,37 @@ def list_segments(directory: Union[str, Path]) -> List[Tuple[int, Path]]:
     return out
 
 
+def decode_frames(data: bytes) -> Iterator[Tuple[Dict[str, Any], int]]:
+    """The one WAL frame decoder: ``(record, end)`` per valid frame.
+
+    Walks ``data`` (a segment, or the part of one past a reader's byte
+    offset) and stops at the first frame that is incomplete or invalid
+    — zero length, over ``MAX_RECORD_BYTES``, CRC mismatch, bad JSON or
+    a non-object payload.  ``end`` is the byte offset just past the
+    frame, so the last one yielded is where the valid prefix ends.
+    Whether the rest is a torn tail (recovery) or a frame still being
+    written (the replication tailer) is the caller's call.
+    """
+    offset = 0
+    n = len(data)
+    while offset + _FRAME.size <= n:
+        length, crc = _FRAME.unpack_from(data, offset)
+        end = offset + _FRAME.size + length
+        if length == 0 or length > MAX_RECORD_BYTES or end > n:
+            return
+        payload = data[offset + _FRAME.size : end]
+        if zlib.crc32(payload) != crc:
+            return
+        try:
+            record = json.loads(payload.decode("utf-8"))
+        except ValueError:  # includes UnicodeDecodeError
+            return
+        if not isinstance(record, dict):
+            return
+        yield record, end
+        offset = end
+
+
 def read_segment(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int, bool]:
     """Parse one segment file.
 
@@ -187,51 +222,45 @@ def read_segment(path: Union[str, Path]) -> Tuple[List[Dict[str, Any]], int, boo
     """
     data = Path(path).read_bytes()
     records: List[Dict[str, Any]] = []
-    off = 0
-    n = len(data)
-    while off + _FRAME.size <= n:
-        length, crc = _FRAME.unpack_from(data, off)
-        end = off + _FRAME.size + length
-        if length == 0 or length > MAX_RECORD_BYTES or end > n:
-            return records, off, True
-        payload = data[off + _FRAME.size : end]
-        if zlib.crc32(payload) != crc:
-            return records, off, True
-        try:
-            record = json.loads(payload.decode("utf-8"))
-        except (UnicodeDecodeError, ValueError):
-            return records, off, True
-        if not isinstance(record, dict):
-            return records, off, True
+    valid = 0
+    for record, valid in decode_frames(data):
         records.append(record)
-        off = end
-    if off != n:
-        return records, off, True  # trailing partial header
-    return records, off, False
+    return records, valid, valid != len(data)
 
 
 def segment_first_lsn(path: Union[str, Path]) -> Optional[int]:
-    """First data LSN a segment holds, from its header frame (or None)."""
+    """First data LSN a segment holds, from its header frame (or None).
+
+    Reads the header frame only, however long the segment is.
+    """
     try:
         with open(path, "rb") as fh:
-            head = fh.read(_FRAME.size)
-            if len(head) < _FRAME.size:
-                return None
-            length, crc = _FRAME.unpack(head)
-            if length == 0 or length > MAX_RECORD_BYTES:
-                return None
-            payload = fh.read(length)
+            data = fh.read(_FRAME.size)
+            if len(data) == _FRAME.size:
+                length, _crc = _FRAME.unpack(data)
+                if length <= MAX_RECORD_BYTES:
+                    data += fh.read(length)
     except OSError:
         return None
-    if len(payload) < length or zlib.crc32(payload) != crc:
-        return None
-    try:
-        record = json.loads(payload.decode("utf-8"))
-    except (UnicodeDecodeError, ValueError):
-        return None
-    if not isinstance(record, dict) or record.get("t") != "h":
-        return None
-    return int(record.get("first", 0)) or None
+    for record, _end in decode_frames(data):
+        if record.get("t") == "h":
+            return int(record.get("first", 0)) or None
+    return None
+
+
+def list_shard_dirs(root: Union[str, Path]) -> List[Tuple[int, Path]]:
+    """(index, path) of every ``shard-NN`` journal directory under a
+    persistence root, by index; the index is the one in the name."""
+    out: List[Tuple[int, Path]] = []
+    root = Path(root)
+    if not root.is_dir():
+        return out
+    for path in root.iterdir():
+        m = _SHARD_RE.match(path.name)
+        if m and path.is_dir():
+            out.append((int(m.group(1)), path))
+    out.sort()
+    return out
 
 
 def _default_open(path: Path) -> Any:

@@ -35,6 +35,7 @@ from ..persist import (
     Journal,
     PersistenceConfig,
     fence_record,
+    list_shard_dirs,
     recover_shard,
     scan_journal,
 )
@@ -197,19 +198,16 @@ def promote_directory(
 
     The ``repro repl promote`` path — no live replica, so the commit
     watermark is gone with the process; the torn-tail truncation the
-    journal scan already performs is the cut.  Each ``shard-*``
-    directory gets its epoch bumped, the ``EPOCH`` sidecar rewritten
-    and a fence record appended; with ``game`` given the promoted log
-    is recovered read-only and the live sessions' digests reported.
+    journal scan already performs is the cut.  Each ``shard-NN``
+    directory (reported as shard ``NN``) gets its epoch bumped, the
+    ``EPOCH`` sidecar rewritten and a fence record appended; with
+    ``game`` given the promoted log is recovered read-only and the live
+    sessions' digests reported.
     """
     t0 = perf_counter()
     root = Path(root)
     report = PromotionReport(root=str(root))
-    shard_dirs = sorted(
-        entry for entry in root.iterdir()
-        if entry.is_dir() and entry.name.startswith("shard-")
-    ) if root.is_dir() else []
-    for index, directory in enumerate(shard_dirs):
+    for index, directory in list_shard_dirs(root):
         scan = scan_journal(directory, truncate=True)
         epoch = read_epoch(directory) + 1
         write_epoch(directory, epoch)

@@ -10,9 +10,12 @@ things in lockstep:
   ``shard-NN/`` directory, and fsynced at each COMMIT watermark — so
   the standby's directory is, byte-for-byte in record content, a WAL
   the ordinary recovery path can adopt at promotion.
-* **A warm in-memory mirror.**  Committed records are applied through
-  the shared :func:`~repro.persist.records.apply_scripted_op` step
-  semantics on engines built exactly like recovery builds them — the
+* **A warm in-memory mirror.**  Committed records are folded into a
+  :class:`~repro.persist.records.SessionTable`, the same fold crash
+  recovery runs, and each committed batch then steps the sessions it
+  touched through the shared
+  :func:`~repro.persist.records.apply_scripted_op` on engines built by
+  recovery's :func:`~repro.persist.recovery.rebuild_engine` — the
   replica's session states are therefore bit-identical to the
   primary's (asserted by SHA-256 state digests in the failover tests),
   and read-only queries are answered from memory with zero primary
@@ -42,22 +45,13 @@ from ..obs import logging as _obslog
 from ..obs import metrics as _obs
 from ..obs.tracing import span as _span
 from ..persist import (
+    SessionTable,
     SnapshotStore,
     rebuild_engine,
     snapshot_dir_for,
     state_digest,
 )
-from ..persist.records import (
-    REC_END,
-    REC_FENCE,
-    REC_INPUT,
-    REC_PROGRESS,
-    REC_START,
-    apply_scripted_op,
-    op_from_dict,
-    record_advances,
-    steps_to,
-)
+from ..persist.records import apply_scripted_op, op_from_dict
 from ..persist.wal import encode_frame as wal_encode_frame, segment_path
 from ..serve.manager import shard_for
 from .promote import read_epoch
@@ -189,31 +183,6 @@ class _ReplicaLog:
             self._fh = None
 
 
-class _ReplicaSession:
-    """One mirrored session: the replica-side twin of a ServedSession."""
-
-    __slots__ = ("player_id", "dt", "ops", "cursor", "engine", "ended",
-                 "outcome", "covered_lsn")
-
-    def __init__(
-        self,
-        player_id: str,
-        dt: float,
-        ops: List[Dict[str, Any]],
-        engine: Any,
-        cursor: int = 0,
-        covered_lsn: int = 0,
-    ) -> None:
-        self.player_id = player_id
-        self.dt = dt
-        self.ops = ops
-        self.cursor = cursor
-        self.engine = engine
-        self.ended = False
-        self.outcome: Optional[str] = None
-        self.covered_lsn = covered_lsn
-
-
 class _StandbyShard:
     """Everything one shard's follower thread owns."""
 
@@ -228,7 +197,9 @@ class _StandbyShard:
         self.last_heartbeat: Optional[float] = None
         self.connected = False
         self.fenced = False
-        self.sessions: Dict[str, _ReplicaSession] = {}
+        #: the shared session fold; every entry has an engine between
+        #: batches
+        self.sessions = SessionTable()
         self.pending: List[Dict[str, Any]] = []
         self.log: Optional[_ReplicaLog] = None
         self.lock = threading.Lock()
@@ -590,22 +561,16 @@ class StandbyReplica:
         store = SnapshotStore(snapshot_dir_for(st.directory))
         for doc in docs:
             try:
-                sid = str(doc["sid"])
-                dt = float(doc.get("dt", 0.25))
-                ops = list(doc.get("ops", []))
-                cursor = int(doc.get("cursor", 0))
-                state = doc["state"]
-                lsn = int(doc.get("lsn", 0))
+                sid = st.sessions.load_snapshot(doc)
             except (KeyError, TypeError, ValueError):
                 _M_APPLY_FAIL.inc(shard=st.label)
                 continue
-            engine = rebuild_engine(self.game, state=state, dt=dt)
-            st.sessions[sid] = _ReplicaSession(
-                sid, dt, ops, engine, cursor=cursor, covered_lsn=lsn,
-            )
+            sess = st.sessions[sid]
             # mirrored durably too: the promoted directory must carry
             # the same resume points the primary had
-            store.write(sid, dt, ops, cursor, state, lsn=lsn)
+            store.write(sid, sess.dt, sess.ops, sess.cursor, sess.state,
+                        lsn=sess.covered_lsn)
+        self._catch_up(st)
 
     def _handle_append(
         self, st: _StandbyShard, payload: Dict[str, Any]
@@ -642,7 +607,14 @@ class StandbyReplica:
                 t0 = perf_counter()
                 with _span("repl.apply", shard=st.label, batch=len(ready)):
                     for record in ready:
-                        self._apply_record(st, record)
+                        orphans = st.sessions.fold(record)
+                        if orphans:
+                            _M_APPLY_FAIL.inc(orphans, shard=st.label)
+                            _LOG.warning("repl.orphan_record", shard=st.index,
+                                         lsn=record["n"], kind=record.get("t"))
+                    st.applied_lsn = int(ready[-1]["n"])
+                    st.epoch = max(st.epoch, st.sessions.epoch)
+                    self._catch_up(st)
                 if _obs.enabled():
                     _M_APPLY.observe(perf_counter() - t0)
                     _M_APPLIED.inc(len(ready), shard=st.label)
@@ -651,38 +623,19 @@ class StandbyReplica:
         # so quorum-gated primaries can release the ENDs it covers
         self._send_ack(st)
 
-    def _apply_record(
-        self, st: _StandbyShard, record: Dict[str, Any]
-    ) -> None:
-        kind = record.get("t")
-        lsn = int(record["n"])
-        if kind == REC_FENCE:
-            st.epoch = max(st.epoch, int(record.get("epoch", st.epoch)))
-        elif kind == REC_START:
-            sid = record.get("sid")
-            if sid not in st.sessions:
-                dt = float(record.get("dt", 0.25))
-                st.sessions[sid] = _ReplicaSession(
-                    sid, dt, list(record.get("ops", [])),
-                    rebuild_engine(self.game, dt=dt),
-                )
-        elif kind in (REC_INPUT, REC_PROGRESS, REC_END):
-            for sid, target, op in record_advances(record):
-                sess = st.sessions.get(sid)
-                if sess is None:
-                    _M_APPLY_FAIL.inc(shard=st.label)
-                    _LOG.warning("repl.orphan_record", shard=st.index,
-                                 lsn=lsn, sid=sid)
-                    continue
-                if lsn > sess.covered_lsn:
-                    for op_dict in steps_to(sess.ops, sess.cursor, target, op):
-                        apply_scripted_op(
-                            sess.engine, op_from_dict(op_dict), sess.dt
-                        )
-                        sess.cursor += 1
-                if kind == REC_END:
-                    sess.ended = True
-                    sess.outcome = record.get("out")
-        else:
-            _M_APPLY_FAIL.inc(shard=st.label)
-        st.applied_lsn = lsn
+    def _catch_up(self, st: _StandbyShard) -> None:
+        """Bring the engines of the sessions the fold touched up to
+        date: build a new one from its snapshot state, then step the
+        folded ops through the shared step function.  Neither the
+        state nor the op list is kept once applied."""
+        table = st.sessions
+        for sid in table.touched:
+            sess = table[sid]
+            if sess.engine is None:
+                sess.engine = rebuild_engine(self.game, state=sess.state,
+                                             dt=sess.dt)
+                sess.state = None
+            for op_dict in sess.replay:
+                apply_scripted_op(sess.engine, op_from_dict(op_dict), sess.dt)
+            sess.replay.clear()
+        table.touched.clear()

@@ -11,11 +11,12 @@ then streams every new WAL record as it becomes file-visible.
 file-visible in the same breath it fsyncs them (buffered writes are
 flushed immediately before the fsync), so a tailer reading complete
 CRC-valid frames from the segment files observes, to within one
-group-commit window, exactly the durable log — the same frame scan
-recovery uses, incremental.  A partial frame at EOF is a batch still
-being flushed: wait, never guess.  The serve layer's replication hook
-(:meth:`attach`) wakes a shard's tailer right after each group commit
-is durable; ``poll_interval_s`` is only the fallback/heartbeat cadence.
+group commit, exactly the durable log — through the same frame
+decoder recovery's scan uses, incrementally.  A partial frame at EOF
+is a batch still being flushed: wait, never guess.  The serve layer's
+replication hook (:meth:`attach`) wakes a shard's tailer right after
+each group commit is durable; ``poll_interval_s`` is only the
+fallback/heartbeat cadence.
 
 **Fencing.**  Every handshake carries the standby's epoch.  A standby
 ahead of this source's own epoch is proof of a completed promotion
@@ -25,10 +26,8 @@ deposed primary that comes back cannot split the brain.
 
 from __future__ import annotations
 
-import json as _json
 import socket
 import threading
-import zlib as _zlib
 from pathlib import Path
 from time import monotonic, sleep
 from typing import Any, Dict, List, Optional
@@ -39,11 +38,11 @@ from ..obs import metrics as _obs
 from ..obs.tracing import span as _span
 from ..persist.snapshot import SnapshotStore, snapshot_dir_for
 from ..persist.wal import (
-    _FRAME,
-    MAX_RECORD_BYTES,
     PersistenceConfig,
+    decode_frames,
     list_segments,
     segment_first_lsn,
+    segment_path,
 )
 from .promote import read_epoch
 from .protocol import (
@@ -87,13 +86,17 @@ _LOG = _obslog.get_logger("replicate")
 
 
 class _Tailer:
-    """Incremental CRC32 frame scan over one shard's segment files.
+    """Incremental frame scan over one shard's segment files.
 
-    Stateless about the journal's writer: it only ever reads complete,
-    CRC-valid frames and remembers ``(segment seq, byte offset, next
-    LSN)``.  Rotation is followed by noticing the next sequence number
-    exists once the current file stops growing; compaction is survived
-    by re-latching onto the earliest remaining segment.
+    Frames go through :func:`~repro.persist.wal.decode_frames`, the
+    decoder recovery's scan uses, so the tailer ships exactly the
+    records a scan keeps.  Where the scan would call the rest of the
+    file torn, the tailer waits instead: a partial frame at the end of
+    the active segment is a batch still being written.  It remembers
+    only ``(segment seq, byte offset, next LSN)``.  It moves on to the
+    next segment once that one exists and this one is read to its end
+    (the journal seals a segment before it opens the next); compaction
+    is survived by re-latching onto the earliest remaining segment.
     """
 
     def __init__(self, directory: Path, start_lsn: int) -> None:
@@ -121,7 +124,7 @@ class _Tailer:
     def _current_path(self) -> Optional[Path]:
         if self.seq is None:
             return self._latch()
-        path = self.directory / f"wal-{self.seq:08d}.log"
+        path = segment_path(self.directory, self.seq)
         if not path.exists():  # compacted away under us: re-latch
             return self._latch()
         return path
@@ -133,54 +136,35 @@ class _Tailer:
             path = self._current_path()
             if path is None:
                 return out
+            # checked before the read: once the next segment exists,
+            # this one is sealed and the read below sees all of it
+            sealed = segment_path(self.directory, self.seq + 1).exists()
             try:
                 with open(path, "rb") as fh:
                     fh.seek(self.offset)
                     data = fh.read()
             except OSError:
                 return out
-            advanced = self._parse(data, out, max_records)
-            if advanced:
-                continue  # same segment may hold more
-            # nothing complete here: has the writer rotated past us?
-            next_path = self.directory / f"wal-{(self.seq or 0) + 1:08d}.log"
-            if self.offset > 0 and next_path.exists():
-                self.seq = (self.seq or 0) + 1
+            consumed = 0
+            for record, consumed in decode_frames(data):
+                if record.get("t") == "h":
+                    continue
+                lsn = int(record.get("n", 0))
+                if lsn < self.next_lsn:
+                    continue  # resume overlap: already shipped
+                out.append(record)
+                self.next_lsn = lsn + 1
+                if len(out) >= max_records:
+                    break
+            self.offset += consumed
+            if consumed:
+                continue  # the same segment may hold more
+            if sealed and not data:
+                self.seq += 1
                 self.offset = 0
                 continue
             return out
         return out
-
-    def _parse(
-        self, data: bytes, out: List[Dict[str, Any]], max_records: int
-    ) -> bool:
-        """Consume complete frames from ``data``; True when any did."""
-        consumed = 0
-        n = len(data)
-        advanced = False
-        while consumed + _FRAME.size <= n and len(out) < max_records:
-            length, crc = _FRAME.unpack_from(data, consumed)
-            end = consumed + _FRAME.size + length
-            if length == 0 or length > MAX_RECORD_BYTES or end > n:
-                break  # partial frame mid-flush: wait for the rest
-            payload = data[consumed + _FRAME.size:end]
-            if _zlib.crc32(payload) != crc:
-                break  # torn tail: recovery's problem, not ours
-            try:
-                record = _json.loads(payload.decode("utf-8"))
-            except (UnicodeDecodeError, ValueError):
-                break
-            consumed = end
-            advanced = True
-            if not isinstance(record, dict) or record.get("t") == "h":
-                continue
-            lsn = int(record.get("n", 0))
-            if lsn < self.next_lsn:
-                continue  # resume overlap: already shipped
-            out.append(record)
-            self.next_lsn = lsn + 1
-        self.offset += consumed
-        return advanced
 
 
 class ReplicationSource:

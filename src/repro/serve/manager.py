@@ -78,6 +78,7 @@ from ..persist import (
     compaction_watermark,
     end_record,
     input_record,
+    list_shard_dirs,
     progress_record,
     recover_shard,
     snapshot_dir_for,
@@ -686,17 +687,13 @@ class SessionManager:
         if self._started:
             raise RuntimeError("recover() must run before start()")
         root = Path(self.config.persistence.directory)
-        if root.is_dir():
-            entries = list(root.iterdir())
-            has_shards = any(
-                e.is_dir() and e.name.startswith("shard-") for e in entries
-            )
-            if entries and not has_shards:
+        if root.is_dir() and not list_shard_dirs(root):
+            names = sorted(e.name for e in root.iterdir())
+            if names:
                 # A populated directory with no shard-* journals is not
                 # a persistence root the serving layer ever wrote —
                 # refuse loudly rather than "recovering" zero sessions
                 # from somebody else's files.
-                names = sorted(e.name for e in entries)
                 raise WalLayoutError(
                     f"{root} is not a persistence root: no shard-* "
                     f"journal directories, found {names[:5]}"

@@ -183,6 +183,44 @@ class TestCli:
         assert (row["start"], row["input"], row["end"]) == ("1", "0", "1")
         assert int(row["progress"]) >= 1
 
+    def test_wal_inspect_counts_live_sessions_whose_start_was_compacted(
+        self, tmp_path, capsys
+    ):
+        """Snapshots and compaction leave only progress records, which
+        name no ``sid``; inspect still counts what recovery rebuilds."""
+        from repro.core import fetch_quest_game
+        from repro.persist import PersistenceConfig, recover_shard, scan_journal
+        from repro.serve import ServeConfig, SessionManager
+        from repro.serve.session import ServedSession
+
+        game = fetch_quest_game(n_quests=2, title="wal-recover").build()
+        persistence = PersistenceConfig(
+            directory=tmp_path, snapshot_every=8, segment_max_bytes=4096,
+        )
+        manager = SessionManager(ServeConfig(
+            n_shards=1, max_steps_per_tick=4, persistence=persistence,
+        ))
+        shard = manager._shards[0]  # ticked by hand, then "crashed"
+        shard._open_journal()
+        for k in range(4):
+            shard.enqueue(f"p{k}", lambda pid: ServedSession(
+                pid, game.new_engine(), [MouseClick(1, 1)] * 400, dt=0.25,
+            ))
+        shard._admit()
+        for _ in range(12):
+            shard._step_batch()
+        shard._close_journal()
+        shard_dir = persistence.shard_dir(0)
+        kinds = {r["t"] for r in scan_journal(shard_dir).records}
+        assert kinds == {"progress"}  # every start record compacted away
+
+        assert main(["wal", "inspect", str(tmp_path)]) == 0
+        row = _inspect_rows(capsys.readouterr().out)["shard-00"]
+        recovered = recover_shard(shard_dir, game, truncate=False,
+                                  write_snapshots=False)
+        assert int(row["live"]) == len(recovered.sessions) == 4
+        assert row["ended"] == "0"
+
     def test_wal_inspect_bad_directory(self, tmp_path, capsys):
         assert main(["wal", "inspect", str(tmp_path / "missing")]) == 2
 

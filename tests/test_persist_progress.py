@@ -17,10 +17,12 @@ from pathlib import Path
 
 import pytest
 
+from repro import obs
 from repro.faultline.chaos import reference_digest
 from repro.gateway import GatewayClient, GatewayServer, GatewayThread
 from repro.persist import (
     PersistenceConfig,
+    SessionTable,
     SnapshotStore,
     recover_shard,
     scan_journal,
@@ -28,7 +30,6 @@ from repro.persist import (
     state_digest,
 )
 from repro.persist.records import ops_from_dicts
-from repro.persist.recovery import _fold_records
 from repro.replicate import ReplicationSource, StandbyReplica
 from repro.runtime.inputs import KeyPress, MouseClick
 from repro.serve import ServeConfig, SessionManager, session_factory_for_script
@@ -46,11 +47,12 @@ def scripts(classroom_game):
 
 
 def _standby_apply(game, directory, records):
-    """Fold ``records`` through a standby shard's own apply path."""
+    """Ship ``records`` through a standby shard's own APPEND and COMMIT
+    handlers, as one committed batch."""
     standby = StandbyReplica(directory, game, 1, "127.0.0.1", 0)
     st = standby.shard_states()[0]
-    for record in records:
-        standby._apply_record(st, record)
+    standby._handle_append(st, {"shard": 0, "records": records})
+    standby._handle_commit(st, {"shard": 0, "lsn": records[-1]["n"]})
     return st
 
 
@@ -137,10 +139,10 @@ class TestFold:
         op = self._op
         a_ops = [op(f"a{i}") for i in range(5)]
         b_ops = [op(f"b{i}") for i in range(6)]
-        snapshots = {
-            "B": {"dt": 0.5, "ops": b_ops, "cursor": 2, "state": {"x": 1},
-                  "lsn": 5},
-        }
+        snapshots = [
+            {"sid": "B", "dt": 0.5, "ops": b_ops, "cursor": 2,
+             "state": {"x": 1}, "lsn": 5},
+        ]
         records = [
             {"n": 1, "t": "start", "sid": "A", "dt": 0.25, "ops": a_ops},
             {"n": 2, "t": "input", "sid": "A", "op": op("a0")},  # old form
@@ -157,15 +159,17 @@ class TestFold:
             {"n": 12, "t": "fence", "epoch": 2},
             {"n": 13, "t": "bogus", "sid": "A"},
         ]
-        table, orphans = _fold_records(records, snapshots)
-        assert orphans == 3  # D's input, E's progress, the bogus kind
+        table = SessionTable.from_log(snapshots, records)
+        assert table.orphans == 3  # D's input, E's progress, the bogus kind
+        assert table.epoch == 2
         a, b, c = table["A"], table["B"], table["C"]
         assert a.cursor == 6 and not a.ended
         assert a.replay == a_ops + [op("live")]
         assert a.ops == a_ops + [op("live")]
-        assert b.cursor == 4 and b.from_snapshot
+        assert b.cursor == 4 and b.from_snapshot and b.state == {"x": 1}
         assert b.replay == b_ops[2:4]
-        assert c.ended and c.cursor == 2
+        assert c.ended and c.cursor == 2 and c.outcome == "won"
+        assert table.touched == {"A", "B", "C"}
 
     def test_old_form_input_past_the_script_extends_it(self):
         op = self._op
@@ -175,10 +179,35 @@ class TestFold:
             {"n": 3, "t": "input", "sid": "A", "op": op("live")},
             {"n": 4, "t": "progress", "c": {"A": 2}},  # already there
         ]
-        table, orphans = _fold_records(records, {})
-        assert orphans == 0
+        table = SessionTable.from_log([], records)
+        assert table.orphans == 0
         assert table["A"].cursor == 2
         assert table["A"].replay == [op("s0"), op("live")]
+
+    def test_start_without_a_sid_is_an_orphan_for_both_consumers(
+        self, tmp_path, classroom_game
+    ):
+        """Recovery's fold and the standby's apply both count a
+        session-less start record as an orphan; neither registers it."""
+        records = [
+            {"n": 1, "t": "start", "dt": 0.25, "ops": [self._op("k")]},
+            {"n": 2, "t": "start", "sid": "A", "dt": 0.25, "ops": []},
+        ]
+        table = SessionTable.from_log([], records)
+        assert table.orphans == 1 and list(table) == ["A"]
+
+        was = obs.enabled()
+        obs.enable()
+        failures = obs.get_registry().get("repro_repl_apply_failures_total")
+        before = failures.value(shard="0")
+        try:
+            st = _standby_apply(classroom_game, tmp_path / "standby", records)
+            assert failures.value(shard="0") == before + 1
+        finally:
+            obs.set_enabled(was)
+        assert list(st.sessions) == ["A"] and st.applied_lsn == 2
+        assert st.sessions["A"].engine is not None
+        assert st.sessions["A"].state is None and st.sessions["A"].replay == []
 
 
 class TestWriter:

@@ -14,9 +14,11 @@ from repro.persist import (
     encode_frame,
     list_segments,
     read_segment,
+    scan_journal,
     segment_first_lsn,
 )
 from repro.persist.records import PersistError
+from repro.replicate.source import _Tailer
 
 
 def _rec(i, sid="s"):
@@ -104,6 +106,80 @@ class TestFrameCodec:
         path.write_bytes(struct.pack("<II", 2**31, 0) + b"xx")
         _parsed, valid, torn = read_segment(path)
         assert valid == 0 and torn
+
+
+def _stamped(i):
+    return dict(_rec(i), n=i + 1)
+
+
+#: what can follow the valid prefix of a segment; every reader stops there
+TORN_TAILS = {
+    "partial_tail": encode_frame(_stamped(2))[:-3],
+    "crc_mismatch": encode_frame(_stamped(2))[:-1] + b"\x00",  # was "}"
+    "absurd_length": struct.pack("<II", 2**31, 0) + b"xx",
+}
+
+
+def _one_segment_journal(directory, tail=b""):
+    """A journal dir holding one segment: header, two records, ``tail``."""
+    records = [_stamped(0), _stamped(1)]
+    frames = [encode_frame({"t": "h", "seg": 1, "first": 1})]
+    frames += [encode_frame(r) for r in records]
+    (directory / "wal-00000001.log").write_bytes(b"".join(frames) + tail)
+    return records
+
+
+def _scan(directory):
+    return scan_journal(directory).records
+
+
+def _tail(directory):
+    return _Tailer(directory, 1).read_batch(1000)
+
+
+class TestReadersAgree:
+    """Recovery's scan and the replication tailer decode frames with the
+    one decoder, so they keep the same records."""
+
+    @pytest.mark.parametrize("reader", [_scan, _tail],
+                             ids=["scan_journal", "tailer"])
+    @pytest.mark.parametrize("tail", sorted(TORN_TAILS))
+    def test_torn_tail_keeps_the_valid_prefix(self, tmp_path, reader, tail):
+        kept = _one_segment_journal(tmp_path, TORN_TAILS[tail])
+        assert reader(tmp_path) == kept
+
+    def test_tailer_picks_up_a_partial_frame_once_it_lands(self, tmp_path):
+        third = encode_frame(_stamped(2))
+        records = _one_segment_journal(tmp_path, third[:-3])
+        tailer = _Tailer(tmp_path, 1)
+        assert tailer.read_batch(100) == records
+        assert tailer.read_batch(100) == []  # waits, does not skip
+        with open(tmp_path / "wal-00000001.log", "ab") as fh:
+            fh.write(third[-3:])
+        assert tailer.read_batch(100) == [_stamped(2)]
+        assert _scan(tmp_path) == records + [_stamped(2)]
+
+    def test_tailer_follows_rotation_but_not_past_a_torn_segment(
+        self, tmp_path
+    ):
+        config = PersistenceConfig(
+            directory=tmp_path, segment_max_bytes=4096, sync_each=True
+        )
+        j = Journal(tmp_path, config)
+        for i in range(200):
+            j.append(_rec(i))
+        j.close()
+        segments = list_segments(tmp_path)
+        assert len(segments) > 2
+        assert _tail(tmp_path) == _scan(tmp_path)
+        assert [r["n"] for r in _tail(tmp_path)] == list(range(1, 201))
+        # a tear in a sealed segment ends the log for both readers
+        with open(segments[0][1], "ab") as fh:
+            fh.write(TORN_TAILS["partial_tail"])
+        kept = _scan(tmp_path)
+        assert kept == [r for r in read_segment(segments[0][1])[0]
+                        if r.get("t") != "h"]
+        assert _tail(tmp_path) == kept
 
 
 class TestJournal:

@@ -1,17 +1,21 @@
 """Loopback tests for WAL-shipping replication (source → standby)."""
 
+import json
 import socket
 import time
 
 import pytest
 
 from repro import obs
+from repro.cli import main
 from repro.faultline.chaos import reference_digest
 from repro.gateway.protocol import HELLO, ProtocolError
 from repro.gateway.protocol import encode_frame as gateway_encode_frame
 from repro.persist import (
+    Journal,
     PersistenceConfig,
     scan_journal,
+    start_record,
     state_digest,
 )
 from repro.persist.records import ops_from_dicts
@@ -572,3 +576,77 @@ class TestSnapshotOnlyDirectory:
             path.unlink()
         assert ReplicationSource._first_available_lsn(shard_dir) == 1
         assert ReplicationSource._tip_hint(shard_dir) == 0
+
+
+def _journal_root(root, shards, records=3):
+    """A persistence root whose ``shard-NN`` journals hold ``records``
+    start records each."""
+    for shard in shards:
+        journal = Journal(root / f"shard-{shard:02d}",
+                          PersistenceConfig(directory=root))
+        for k in range(records):
+            journal.append(start_record(f"p{shard}-{k}", 0.25, []))
+        journal.close()
+
+
+class TestCli:
+    """``repro repl`` through ``main([...])``."""
+
+    @pytest.fixture(autouse=True)
+    def keep_obs_setting(self):
+        was = obs.enabled()  # serve turns metrics on
+        yield
+        obs.set_enabled(was)
+
+    def test_serve_with_duration(self, tmp_path, capsys):
+        _journal_root(tmp_path, [0, 1])
+        assert main(["repl", "serve", str(tmp_path), "--duration", "0.1"]) == 0
+        assert "shipping 2 shard(s)" in capsys.readouterr().out
+
+    def test_status_table_and_json(self, tmp_path, capsys):
+        _journal_root(tmp_path, [0, 1])
+        assert main(["repl", "status", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "Replication status" in out and "shard-01" in out
+
+        assert main(["repl", "status", str(tmp_path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["root"] == str(tmp_path)
+        assert [(row["shard"], row["dir"], row["epoch"], row["tip_lsn"],
+                 row["torn"]) for row in doc["shards"]] == [
+            (0, "shard-00", 1, 3, 0), (1, "shard-01", 1, 3, 0),
+        ]
+
+    def test_promote_json_bumps_epoch_and_fences_past_the_tip(
+        self, tmp_path, capsys
+    ):
+        _journal_root(tmp_path, [0, 1])
+        write_epoch(tmp_path / "shard-01", 4)
+        assert main(["repl", "promote", str(tmp_path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["shard"], row["epoch"], row["fence_lsn"])
+                for row in doc["shards"]] == [(0, 2, 4), (1, 5, 4)]
+        records = scan_journal(tmp_path / "shard-01").records
+        assert records[-1] == {"t": "fence", "epoch": 5, "n": 4}
+
+    @pytest.mark.parametrize("action", ["serve", "status", "promote"])
+    def test_root_without_shard_dirs_exits_2(self, tmp_path, capsys, action):
+        (tmp_path / "notes.txt").write_text("not a journal")
+        assert main(["repl", action, str(tmp_path)]) == 2
+        assert "no shard-* journals" in capsys.readouterr().err
+
+    def test_subset_root_is_numbered_by_directory_name(self, tmp_path, capsys):
+        """A standby subscribed to shards 1 and 2 holds only those."""
+        _journal_root(tmp_path, [1, 2])
+        assert main(["repl", "status", str(tmp_path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["shard"], row["dir"]) for row in doc["shards"]] == [
+            (1, "shard-01"), (2, "shard-02"),
+        ]
+        assert main(["repl", "serve", str(tmp_path), "--duration", "0.1"]) == 0
+        assert "shipping 3 shard(s)" in capsys.readouterr().out
+        assert main(["repl", "promote", str(tmp_path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [(row["shard"], row["epoch"]) for row in doc["shards"]] == [
+            (1, 2), (2, 2),
+        ]
