@@ -26,9 +26,10 @@ Frame types (client → server unless noted):
     A full scripted session: player id, pacing ``dt`` and the op list.
     Acknowledged with STATE (admitted) or ERROR (rejected).
 ``INPUT``
-    One extra scripted op appended to a live session (best effort: ops
-    racing the session's completion are dropped and the client simply
-    sees END).
+    One extra scripted op appended to a live session, submitted or
+    recovered from the WAL after a restart or failover (best effort:
+    ops racing the session's completion are dropped and the client
+    simply sees END).
 ``STATE`` (server → client)
     Acknowledgement / session status, echoing the request ``seq``.
 ``END`` (server → client)

@@ -10,11 +10,14 @@ thread-safe seams:
   so the event loop calls it directly when a SUBMIT frame arrives.
 * **completion** — each gateway-built session carries an ``on_done``
   callback; the owning shard fires it once the session's end record
-  is durable (on the thread that saw it become durable: the journal
-  flusher, the replication ack reader or the shard itself), and the
-  callback queues the END and hops back onto the event loop with
+  is durable (on the shard's ``DurableGate`` release thread, or on the
+  shard thread itself when persistence is off), and the callback
+  queues the END and hops back onto the event loop with
   ``loop.call_soon_threadsafe`` — once per batch of ENDs, not once per
   END — to push the END frames.
+
+INPUT frames need no seam of their own: the loop appends each op to
+the session's ``live`` deque, which the shard thread drains.
 
 Backpressure is explicit on both sides of a connection:
 
@@ -159,59 +162,29 @@ class GatewayConfig:
             raise ValueError("telemetry_sample_interval_s must be positive")
 
 
-class _LiveSession(ServedSession):
-    """A served session that also drains gateway INPUT frames.
-
-    ``extra`` is a deque shared with the event loop: the gateway
-    appends ops from INPUT frames, the shard thread absorbs them into
-    the script whenever it checks ``done``.  ``deque.popleft`` /
-    ``list.append`` are atomic under the GIL, so no lock is needed; an
-    op racing the session's completion is simply never absorbed (the
-    client has already been sent END by then).
-    """
-
-    __slots__ = ("extra",)
-
-    def __init__(
-        self, *args: Any, extra: Optional[Deque[Any]] = None, **kwargs: Any
-    ) -> None:
-        super().__init__(*args, **kwargs)
-        #: may be shared with the gateway's player entry, so ops that
-        #: arrived before the factory ran are already queued here
-        self.extra: Deque[Any] = deque() if extra is None else extra
-
-    def _absorb_extra(self) -> None:
-        while True:
-            try:
-                op = self.extra.popleft()
-            except IndexError:
-                return
-            self.ops.append(op)
-
-    @property
-    def done(self) -> bool:
-        self._absorb_extra()
-        return ServedSession.done.fget(self)  # type: ignore[attr-defined]
-
-
 class _PlayerEntry:
     """Gateway-side bookkeeping for one submitted/resumed player."""
 
-    __slots__ = ("player_id", "session", "conn", "done_payload", "extra",
+    __slots__ = ("player_id", "session", "conn", "done_payload", "live",
                  "trace_id")
 
-    def __init__(self, player_id: str) -> None:
+    def __init__(
+        self,
+        player_id: str,
+        live: Deque[Any],
+        session: Optional[ServedSession] = None,
+    ) -> None:
         self.player_id = player_id
         #: set by the factory on the shard thread once the engine exists
-        self.session: Optional[ServedSession] = None
+        #: (a recovered session has one from the start)
+        self.session = session
         #: the connection owed STATE/END frames for this player
         self.conn: Optional["_Connection"] = None
         self.done_payload: Optional[Dict[str, Any]] = None
-        #: INPUT-frame op queue shared with the (future) _LiveSession —
-        #: allocated at SUBMIT time so ops arriving before the shard
-        #: thread has even built the engine are not lost; None for
-        #: recovered sessions, which replay a fixed script
-        self.extra: Optional[Deque[Any]] = None
+        #: the session's live-op queue (``ServedSession.live``); a
+        #: SUBMIT hands it to the factory, so INPUT ops that arrive
+        #: before the shard thread has built the engine are kept
+        self.live = live
         #: request-trace id for this player's session (sampled requests
         #: only) — survives disconnects alongside the session itself
         self.trace_id: Optional[str] = None
@@ -404,6 +377,15 @@ class _Connection:
         self.version = negotiate_version(
             self.decoder.last_version or PROTOCOL_VERSION
         )
+        self._hello(payload)
+        _M_HANDSHAKE.observe(perf_counter() - t_accept)
+        for ftype, payload in frames[1:]:
+            self._dispatch(ftype, payload)
+        return True
+
+    def _hello(self, payload: Dict[str, Any]) -> None:
+        """Attach the resumed players, reply with HELLO, then push the
+        END frames owed to resumed players that already finished."""
         resumed = self.server._attach_players(
             self, payload.get("resume") or [],
             traces=payload.get("traces") if self.version >= 2 else None,
@@ -415,14 +397,9 @@ class _Connection:
             "resumed": resumed,
             "seq": payload.get("seq"),
         })
-        _M_HANDSHAKE.observe(perf_counter() - t_accept)
-        # END frames owed to already-finished resumed players
         for pid, status in resumed.items():
             if status == "done":
                 self.server._push_end(self, pid)
-        for ftype, payload in frames[1:]:
-            self._dispatch(ftype, payload)
-        return True
 
     def _live_trace_ids(self) -> List[str]:
         """Trace ids of the in-flight sessions riding this connection."""
@@ -471,20 +448,7 @@ class _Connection:
         elif ftype == QUERY:
             self.server._handle_query(self, payload)
         elif ftype == HELLO:
-            resumed = self.server._attach_players(
-                self, payload.get("resume") or [],
-                traces=payload.get("traces") if self.version >= 2 else None,
-            )
-            self.send(HELLO, {
-                "server": "repro-gateway",
-                "version": self.version,
-                "shards": self.server.manager.config.n_shards,
-                "resumed": resumed,
-                "seq": seq,
-            })
-            for pid, status in resumed.items():
-                if status == "done":
-                    self.server._push_end(self, pid)
+            self._hello(payload)
         else:
             self.send_error(
                 "unexpected_frame",
@@ -577,9 +541,9 @@ class GatewayServer:
         )
 
     def _adopt_recovered(self, session: ServedSession) -> None:
-        entry = _PlayerEntry(session.player_id)
-        entry.session = session
-        self._players[session.player_id] = entry
+        self._players[session.player_id] = _PlayerEntry(
+            session.player_id, session.live, session
+        )
         session.on_done = self._on_session_done
 
     async def start(self) -> "GatewayServer":
@@ -778,11 +742,10 @@ class GatewayServer:
             store.finish(trace_id, status="invalid")
             conn.send_error("bad_op", str(exc), seq=seq)
             return
-        entry = _PlayerEntry(pid)
+        live: Deque[Any] = deque()
+        entry = _PlayerEntry(pid, live)
         entry.conn = conn
-        entry.extra = deque()
         entry.trace_id = trace_id
-        extra = entry.extra
         game, with_video, on_done = self.game, self.with_video, self._on_session_done
         finish = self._finish_session_threadsafe
 
@@ -791,8 +754,8 @@ class GatewayServer:
             # sharded, exactly like in-process submissions.
             try:
                 engine = game.new_engine(with_video=with_video)
-                session = _LiveSession(player_id, engine, ops, dt=dt,
-                                       extra=extra)
+                session = ServedSession(player_id, engine, ops, dt=dt,
+                                        live=live)
             except Exception as exc:
                 fail_payload: Dict[str, Any] = {
                     "player": player_id, "failed": True, "outcome": None,
@@ -816,6 +779,8 @@ class GatewayServer:
         # admission accepted: everything since frame receipt was accept
         store.mark(trace_id, "accept")
         self._players[pid] = entry
+        # the id is live again: the finished-cache must not evict it
+        self._finished.pop(pid, None)
         conn.players[pid] = None
         ack: Dict[str, Any] = {
             "player": pid, "status": "admitted",
@@ -843,19 +808,11 @@ class GatewayServer:
         except (PersistError, KeyError, TypeError) as exc:
             conn.send_error("bad_op", str(exc), seq=seq)
             return
-        if entry.extra is not None:
-            # shared with the _LiveSession (which may not be built yet:
-            # the factory runs on the shard thread, and an INPUT racing
-            # it must not be lost)
-            entry.extra.append(op)
-            if entry.trace_id is not None:
-                _tracing.get_tracer().increment(entry.trace_id, "live_inputs")
-        else:
-            # recovered sessions replay a fixed script; late ops
-            # cannot be spliced in deterministically
-            conn.send_error("not_interactive", f"session {pid!r} "
-                            "does not accept live input", seq=seq)
-            return
+        # the shard thread moves it into the session's ops at its next
+        # done check (the session may not be built yet)
+        entry.live.append(op)
+        if entry.trace_id is not None:
+            _tracing.get_tracer().increment(entry.trace_id, "live_inputs")
         conn.send(STATE, {"player": pid, "status": "queued", "seq": seq})
 
     def _handle_query(self, conn: _Connection, payload: Dict[str, Any]) -> None:
@@ -963,9 +920,7 @@ class GatewayServer:
         _M_SESSIONS.inc(
             outcome="failed" if payload.get("failed") else "completed"
         )
-        entry = self._players.get(pid)
-        if entry is None:  # recovered session nobody resumed yet
-            entry = self._players[pid] = _PlayerEntry(pid)
+        entry = self._players[pid]
         entry.done_payload = payload
         entry.session = None
         tid = payload.get("trace")

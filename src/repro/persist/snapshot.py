@@ -73,11 +73,12 @@ class SnapshotStore:
     a previous process) — so retiring a session that never snapshotted,
     the common case, costs no hash, no path and no syscall.  A store
     does not see files that another store writes after it was opened.
+    Only :meth:`write` creates the directory, so a store opened by a
+    read-only scan leaves the journal untouched.
     """
 
     def __init__(self, directory: Union[str, Path]) -> None:
         self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
         #: player ids this store has written a snapshot for
         self._ids: Set[str] = set()
         #: file names found at construction and not yet rewritten/removed
@@ -125,6 +126,7 @@ class SnapshotStore:
         }
         name = self._name(player_id)
         path = self.directory / name
+        self.directory.mkdir(parents=True, exist_ok=True)
         _atomic_write_bytes(path, json.dumps(doc, sort_keys=True).encode("utf-8"))
         self._ids.add(player_id)
         self._inherited.discard(name)

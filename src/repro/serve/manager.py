@@ -207,7 +207,9 @@ class _Shard:
         self._journal: Optional[Journal] = None
         self._snapshots: Optional[SnapshotStore] = None
         #: player id -> newest LSN a snapshot covers (start_lsn - 1
-        #: before the first snapshot); drives the compaction watermark
+        #: before the first snapshot); drives the compaction watermark.
+        #: A session already here at admission was recovered from the
+        #: WAL, so its start record is not logged again
         self._covered: Dict[str, int] = {}
         #: player id -> cursor at its last snapshot (or admission);
         #: the snapshot cadence counts applied ops from here
@@ -218,9 +220,6 @@ class _Shard:
         #: sessions that advanced this tick and are still running: the
         #: tick's progress record carries their cursors
         self._advanced: Dict[str, ServedSession] = {}
-        #: sessions recovered from the WAL whose start record must not
-        #: be re-logged (seeded by SessionManager.recover)
-        self._recovered_ids: set = set()
         #: holds each finished session's END until its end record is
         #: covered (None when persistence is off or the journal never
         #: opened)
@@ -247,10 +246,11 @@ class _Shard:
 
         The session's history is already durable: its start record (or
         a snapshot at ``covered_lsn``) is on disk, so admission must
-        not journal it again.
+        not journal it again.  Its ``_covered`` entry, set here and not
+        at admission, says so, and pins the compaction watermark while
+        the session still waits in the inbox.
         """
         sid = session.player_id
-        self._recovered_ids.add(sid)
         self._covered[sid] = covered_lsn
         self._snapshot_cursor[sid] = session.cursor
         self._logged[sid] = len(session.ops)
@@ -415,7 +415,6 @@ class _Shard:
         self._snapshot_cursor.pop(sid, None)
         self._logged.pop(sid, None)
         self._advanced.pop(sid, None)
-        self._recovered_ids.discard(sid)
         if self._snapshots is not None:
             self._snapshots.remove(sid)
         if lsn is None:
@@ -449,7 +448,7 @@ class _Shard:
                              player=player_id, at="admit")
                 self._manager._session_closed()
                 continue
-            if self._journal is not None and player_id not in self._recovered_ids:
+            if self._journal is not None and player_id not in self._covered:
                 lsn = self._journal_append(
                     start_record(player_id, session.dt, session.ops)
                 )

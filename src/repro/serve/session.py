@@ -10,7 +10,8 @@ two calls (``start`` / ``step``) plus the ``done`` flag.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from collections import deque
+from typing import Callable, Deque, Optional, Sequence
 
 from ..core.project import CompiledGame
 from ..core.solver import Move
@@ -30,11 +31,21 @@ __all__ = [
 
 
 class ServedSession:
-    """A scripted engine run advanced one op per ``step()`` call."""
+    """A scripted engine run advanced one op per ``step()`` call.
+
+    ``live`` is the session's live-op queue: another thread (the
+    network gateway's event loop, for INPUT frames) appends ops to it,
+    and every ``done`` check on the shard thread moves them onto the
+    end of ``ops``.  Only the shard thread pops and ``deque.append`` /
+    ``popleft`` are atomic under the GIL, so no lock is needed.  An op
+    that arrives after the session finished is never applied.
+    Submitted and WAL-recovered sessions both take live ops: one past
+    the logged script is journalled as an input record.
+    """
 
     __slots__ = (
         "player_id", "engine", "ops", "dt", "steps", "failed", "_cursor",
-        "_started", "on_done", "trace_id",
+        "_started", "on_done", "trace_id", "live",
     )
 
     def __init__(
@@ -43,6 +54,7 @@ class ServedSession:
         engine,
         ops: Sequence[ScriptOp],
         dt: float = 0.25,
+        live: Optional[Deque[ScriptOp]] = None,
     ) -> None:
         if dt <= 0:
             raise ValueError("dt must be positive")
@@ -67,6 +79,9 @@ class ServedSession:
         #: None for unsampled sessions, which must stay the common case
         #: — every trace hook in the shard loop is gated on it
         self.trace_id: Optional[str] = None
+        #: live ops not yet moved into ``ops``; a caller may pass its
+        #: own queue so ops sent before the session was built are kept
+        self.live: Deque[ScriptOp] = deque() if live is None else live
 
     @classmethod
     def resume(
@@ -98,7 +113,11 @@ class ServedSession:
 
     @property
     def done(self) -> bool:
-        """Finished: script exhausted, game over, or the session failed."""
+        """Finished: script (queued live ops first join it) exhausted,
+        game over, or the session failed."""
+        live = self.live
+        while live:
+            self.ops.append(live.popleft())
         return (
             self.failed
             or self._cursor >= len(self.ops)

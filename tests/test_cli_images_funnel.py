@@ -221,6 +221,28 @@ class TestCli:
         assert int(row["live"]) == len(recovered.sessions) == 4
         assert row["ended"] == "0"
 
+    def test_read_only_scans_create_no_snapshot_directory(
+        self, tmp_path, capsys, classroom_game
+    ):
+        """``wal inspect`` and a read-only recovery (the promotion
+        digest audit) leave the journal they read as they found it."""
+        import shutil
+        from pathlib import Path
+
+        from repro.persist import recover_shard
+
+        shard_dir = tmp_path / "shard-00"
+        shard_dir.mkdir()
+        shutil.copy(Path(__file__).parent / "data" / "wal_v1" / "shard-00"
+                    / "wal-00000001.log", shard_dir)
+        assert main(["wal", "inspect", str(tmp_path)]) == 0
+        assert _inspect_rows(capsys.readouterr().out)["shard-00"]["live"] == "3"
+        recover_shard(shard_dir, classroom_game, truncate=False,
+                      write_snapshots=False)
+        assert sorted(p.name for p in shard_dir.iterdir()) == [
+            "wal-00000001.log"
+        ]
+
     def test_wal_inspect_bad_directory(self, tmp_path, capsys):
         assert main(["wal", "inspect", str(tmp_path / "missing")]) == 2
 

@@ -14,9 +14,12 @@ import time
 
 import pytest
 
+from repro.faultline.chaos import reference_digest
 from repro.gateway import GatewayClient, GatewayServer, GatewayThread
-from repro.persist import PersistenceConfig, state_digest
-from repro.persist.records import apply_scripted_op
+from repro.persist import PersistenceConfig, scan_journal, state_digest
+from repro.persist.records import apply_scripted_op, op_from_dict
+from repro.replicate import promote_directory
+from repro.runtime.inputs import KeyPress, MouseClick
 from repro.serve import ServeConfig, SessionManager
 from repro.students import cohort_scripts
 
@@ -200,45 +203,67 @@ def test_trace_id_survives_kill_and_reconnect(
         obs.set_enabled(was)
 
 
-def test_recovered_session_rejects_live_input(
-    tmp_path, classroom_game, scripts
+@pytest.mark.parametrize("promoted", [False, True],
+                         ids=["recovered", "promoted"])
+def test_recovered_session_accepts_live_input(
+    tmp_path, classroom_game, promoted
 ):
-    """Recovered sessions replay a fixed script: INPUT gets a clean error."""
-    from repro.gateway import GatewayError
-
+    """After a crash, and after an offline failover too, a recovered
+    session takes INPUT like a submitted one: the ack is ``queued``,
+    the op is journalled as an input record, and the END digest equals
+    the uninterrupted run of the script plus the op."""
     config = _config(tmp_path)
-    script = scripts[0]
+    # clicks on nothing: the game cannot end before the live op lands
+    ops, dt, live_op = [MouseClick(1, 1)] * 80, 0.25, KeyPress("x")
     server1 = GatewayServer(SessionManager(config), classroom_game)
     handle1 = GatewayThread(server1).start()
     try:
         async def submit_one():
             async with GatewayClient(handle1.host, handle1.port) as client:
-                await client.submit("fixed-1", script.ops, dt=script.dt)
+                await client.submit("clicks", ops, dt=dt)
 
         asyncio.run(submit_one())
-        time.sleep(0.1)
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline:
+            session = server1._players["clicks"].session
+            if session is not None and session.cursor >= 3:
+                break
+            time.sleep(0.005)
     finally:
         handle1.stop(drain=False)
+    if promoted:
+        promote_directory(tmp_path, game=classroom_game)
 
     server2 = GatewayServer(SessionManager(config), classroom_game)
-    reports = server2.recover()
-    if not any(r.sessions for r in reports):
-        pytest.skip("session finished before the kill; nothing recovered")
+    recovered = {s.player_id: s for r in server2.recover() for s in r.sessions}
+    assert 3 <= recovered["clicks"].cursor < len(ops)
+    assert recovered["clicks"].ops == ops
+    shard_dir = config.persistence.shard_dir(server2.manager.shard_for("clicks"))
+
+    def inputs():
+        return [r for r in scan_journal(shard_dir).records
+                if r["t"] == "input" and r["sid"] == "clicks"]
+
+    assert inputs() == []
     handle2 = GatewayThread(server2).start()
     try:
         async def drive():
             async with GatewayClient(handle2.host, handle2.port) as client:
-                status = await client.resume("fixed-1")
-                if status != "live":
-                    return None
-                try:
-                    await client.send_input("fixed-1", script.ops[0])
-                except GatewayError as exc:
-                    return exc.code
-                return "accepted"
+                assert await client.resume("clicks") == "live"
+                ack = await client.send_input("clicks", live_op)
+                return ack, await client.wait_end("clicks", timeout=30.0)
 
-        code = asyncio.run(drive())
+        ack, end = asyncio.run(drive())
     finally:
         handle2.stop(drain=True)
-    # None: the session ended between resume and input (benign race)
-    assert code in (None, "not_interactive", "finished")
+    assert ack["status"] == "queued"
+    [record] = inputs()
+    assert op_from_dict(record["op"]) == live_op
+    assert record["c"] == len(ops) + 1
+    assert not end["failed"]
+    played = ops + [live_op]
+    assert end["digest"] == reference_digest(
+        classroom_game, played, dt, len(played)
+    )
+    # the op changed the outcome: the script alone digests differently
+    assert end["digest"] != reference_digest(classroom_game, ops, dt, len(ops))

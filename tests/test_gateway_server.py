@@ -22,6 +22,7 @@ from repro.gateway.protocol import END, HELLO, PING, STATE, encode_frame
 from repro.gateway.server import _Connection
 from repro.persist import PersistenceConfig, scan_journal, state_digest
 from repro.persist.records import apply_scripted_op
+from repro.runtime.inputs import MouseClick
 from repro.serve import ServeConfig, SessionManager, SocketLoadGenerator
 from repro.students import cohort_scripts
 
@@ -179,6 +180,33 @@ class TestAdmission:
                     await client.wait_end("dup-1", timeout=30.0)
 
             asyncio.run(drive())
+
+    def test_resubmitted_player_survives_finished_cache_eviction(
+        self, classroom_game, live
+    ):
+        # A finished id submitted again is live: sessions finishing
+        # after it must not age it out of the one-slot finished cache.
+        manager = SessionManager(ServeConfig(
+            n_shards=2, tick_interval_s=0.005, max_steps_per_tick=1,
+        ))
+        gw = GatewayServer(manager, classroom_game,
+                           GatewayConfig(finished_cache=1))
+        short, long_ops = [MouseClick(1, 1)] * 2, [MouseClick(1, 1)] * 200
+        with GatewayThread(gw) as handle:
+            async def drive():
+                async with GatewayClient(handle.host, handle.port) as client:
+                    await client.submit("A", short)
+                    await client.wait_end("A", timeout=10.0)
+                    await client.submit("A", long_ops)
+                    for pid in ("B", "C"):
+                        await client.submit(pid, short)
+                        await client.wait_end(pid, timeout=10.0)
+                    assert "A" in handle.server._players
+                    return await client.wait_end("A", timeout=30.0)
+
+            end = asyncio.run(drive())
+        assert not end["failed"]
+        assert end["steps"] == len(long_ops)
 
 
 class TestRobustness:
