@@ -16,6 +16,8 @@ accidentally turn this into an enabled-path measurement.  The one
 exception is the request-tracing overhead test at the bottom, which
 deliberately re-enables obs: its promise is about the *enabled* path —
 head-sampling 1% of gateway submissions must not raise CPU per session.
+So does the engine overhead gate, which bounds what obs on costs an
+untraced engine session in thread CPU.
 """
 
 import gc
@@ -43,6 +45,12 @@ REPS = 20_000
 TRACE_OVERHEAD_BOUND = 1.05
 PAIRS = 31
 SESSIONS_PER_RUN = 200
+
+#: engine thread-CPU ceiling, obs on over obs off, for untraced sessions
+#: (median of 1.09 measured with trace-scoped engine detail, 1.45 before
+#: it), and the cohort scripts one chunk of the engine loop plays
+ENGINE_OVERHEAD_BOUND = 1.25
+ENGINE_SCRIPTS = 64
 
 
 @pytest.fixture(autouse=True)
@@ -210,4 +218,66 @@ def test_tracing_overhead_under_five_percent(results_dir):
         f"1% trace sampling raised CPU per session to {ratio:.3f}x "
         f"(per-pair ratios {[round(r, 3) for r in ratios]}) - over the "
         "5% budget"
+    )
+
+
+def test_engine_obs_overhead_is_bounded(results_dir):
+    """Obs on costs an untraced engine session at most 25% more CPU.
+
+    One chunk plays 64 cohort scripts of the serving benchmark's game the
+    way a shard does: ``new_engine``, every op through
+    ``apply_scripted_op``, then ``state_digest``.  Chunks with obs on and
+    off alternate in one thread, and each is timed in that thread's CPU
+    clock, so the host's speed drift and other processes cancel within a
+    pair.  The median per-pair ratio must stay within the bound: metrics
+    count every session, but per-op spans and records belong to traces.
+    """
+    from repro.core import fetch_quest_game
+    from repro.persist.records import apply_scripted_op, state_digest
+    from repro.students import cohort_scripts
+
+    game = fetch_quest_game(n_quests=2, title="gateway").build()
+    scripts = cohort_scripts(game, ENGINE_SCRIPTS, seed=1)
+
+    def chunk_cpu(on: bool) -> float:
+        obs.set_enabled(on)  # the autouse fixture restores this afterwards
+        gc.collect()  # the previous chunk's garbage is not this chunk's cost
+        cpu0 = time.thread_time()
+        for script in scripts:
+            engine = game.new_engine(with_video=False)
+            engine.start()
+            for op in script.ops:
+                apply_scripted_op(engine, op, script.dt)
+            state_digest(engine.state)
+        return time.thread_time() - cpu0
+
+    chunk_cpu(True), chunk_cpu(False)  # warm caches and metric series
+    pairs = []
+    for i in range(PAIRS):
+        if i % 2:
+            on, off = chunk_cpu(True), chunk_cpu(False)
+        else:
+            off, on = chunk_cpu(False), chunk_cpu(True)
+        pairs.append((off, on))
+    ratios = sorted(on / off for off, on in pairs)
+    ratio = ratios[len(ratios) // 2]
+    per_session = 1e6 / ENGINE_SCRIPTS
+    save_result(
+        "obs_engine_overhead.txt",
+        format_table(
+            [
+                {"pair": i, "obs_off_us_per_session": f"{off * per_session:.1f}",
+                 "obs_on_us_per_session": f"{on * per_session:.1f}",
+                 "ratio": f"{on / off:.3f}"}
+                for i, (off, on) in enumerate(pairs)
+            ],
+            title=f"Engine thread CPU per untraced session, obs off vs on "
+                  f"({ENGINE_SCRIPTS} scripts per chunk)",
+        )
+        + f"\nmedian ratio: {ratio:.3f} (bound {ENGINE_OVERHEAD_BOUND})",
+    )
+    assert ratio <= ENGINE_OVERHEAD_BOUND, (
+        f"obs on raised engine CPU per untraced session to {ratio:.3f}x "
+        f"(per-pair ratios {[round(r, 3) for r in ratios]}) - over the "
+        f"{ENGINE_OVERHEAD_BOUND} bound"
     )

@@ -28,6 +28,14 @@ journal waits.
 ``repl.ship``) is its own root, kept in a bounded ring for the flight
 recorder, ``repro top`` and log correlation.
 
+**Trace-scoped detail.**  Per-op work that runs thousands of times a
+second (the engine's ``engine.dispatch`` span and its structured
+records) is recorded only where :func:`in_trace` holds: obs is on and
+a span is current, so the detail has a trace to join.  An untraced
+session opens no span and writes no record for it, which keeps the
+free-root ring and the flight recorder for the roots and warnings they
+exist for; its metrics still count.
+
 Retention is bounded per span as well as per root: a span keeps its
 first :data:`MAX_CHILDREN` children and counts the rest as
 ``dropped_children``, so a long session's request root (one
@@ -55,8 +63,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional
 
 from . import metrics as _metrics
 
-__all__ = ["MAX_CHILDREN", "PHASES", "Sampler", "Span", "Tracer", "get_tracer", "new_id",
-           "span", "trace"]
+__all__ = ["MAX_CHILDREN", "PHASES", "Sampler", "Span", "Tracer", "get_tracer", "in_trace",
+           "new_id", "span", "trace"]
 
 #: canonical request phases, in pipeline order
 PHASES = ("accept", "queue_wait", "shard_step", "fsync_wait", "flush")
@@ -450,6 +458,12 @@ def get_tracer() -> Tracer:
 def span(name: str, **attributes: Any) -> "Span | _NullSpan":
     """Open a span on the global tracer."""
     return TRACER.span(name, **attributes)
+
+
+def in_trace() -> bool:
+    """True when obs is on and a span is current in this thread: per-op
+    detail recorded now joins a trace instead of starting its own."""
+    return _metrics._ENABLED and TRACER._current.get() is not None
 
 
 def trace(name: Optional[str] = None):

@@ -209,8 +209,8 @@ class GameEngine:
             {"scenario_id": self.state.current_scenario, "via": "start"},
             time=self.clock.now(),
         )
-        if _obs.enabled():
-            _LOG.info("session.start", scenario=self.state.current_scenario)
+        if _obstrace.in_trace():
+            _LOG.debug("session.start", scenario=self.state.current_scenario)
         self._fire(Trigger.ENTER, object_id=None, item_id=None)
 
     @property
@@ -225,42 +225,22 @@ class GameEngine:
     # Input handling
     # ------------------------------------------------------------------
     def handle_input(self, event: InputEvent) -> Gesture:
-        """Interpret and act on one raw input event; returns the gesture."""
+        """Interpret and act on one raw input event; returns the gesture.
+
+        Metrics count every dispatch; the ``engine.dispatch`` span and
+        its record are opened only inside a trace (see
+        :func:`repro.obs.tracing.in_trace`).
+        """
         if not self._started:
             raise EngineError("call start() before handling input")
         if self.state.finished:
             return Gesture(kind=GestureKind.NONE)
-        t0 = perf_counter() if _obs.enabled() else None
-        with _obstrace.span("engine.dispatch") as sp:
-            gesture = interpret(event, self.current_scenario, self.state, self.layout)
-            self.interactions_handled += 1
-            payload = {
-                "gesture": gesture.kind,
-                "object_id": gesture.object_id,
-                "item_id": gesture.item_id,
-                "scenario_id": self.state.current_scenario,
-            }
-            # Coordinates (clicks and drag origins) feed the interaction
-            # heatmaps in repro.learning.heatmap.
-            if isinstance(event, MouseClick):
-                payload["x"], payload["y"] = event.x, event.y
-            elif isinstance(event, MouseDrag):
-                payload["x"], payload["y"] = event.x0, event.y0
-            self.bus.publish("interaction", payload, time=self.clock.now())
-            handler = {
-                GestureKind.CLICK: self._on_click,
-                GestureKind.EXAMINE: self._on_examine,
-                GestureKind.TALK: self._on_talk,
-                GestureKind.USE_ITEM: self._on_use_item,
-                GestureKind.TAKE: self._on_take,
-                GestureKind.MOVE: self._on_move,
-                GestureKind.SELECT_SLOT: self._on_select_slot,
-                GestureKind.DISMISS: self._on_dismiss,
-                GestureKind.AVATAR: self._on_avatar,
-                GestureKind.NONE: lambda g: None,
-            }[gesture.kind]
-            handler(gesture)
-            if t0 is not None:
+        if not _obs.enabled():
+            return self._dispatch(event)
+        t0 = perf_counter()
+        if _obstrace.in_trace():
+            with _obstrace.span("engine.dispatch") as sp:
+                gesture = self._dispatch(event)
                 sp.set_attribute("gesture", gesture.kind)
                 sp.set_attribute("scenario", self.state.current_scenario)
                 _LOG.debug(
@@ -270,9 +250,42 @@ class GameEngine:
                     item_id=gesture.item_id,
                     scenario=self.state.current_scenario,
                 )
-        if t0 is not None:
-            _M_DISPATCH.observe(perf_counter() - t0)
-            _M_INTERACTIONS.inc(gesture=gesture.kind)
+        else:
+            gesture = self._dispatch(event)
+        _M_DISPATCH.observe(perf_counter() - t0)
+        _M_INTERACTIONS.inc(gesture=gesture.kind)
+        return gesture
+
+    def _dispatch(self, event: InputEvent) -> Gesture:
+        """Interpret, publish and handle one event (no instrumentation)."""
+        gesture = interpret(event, self.current_scenario, self.state, self.layout)
+        self.interactions_handled += 1
+        payload = {
+            "gesture": gesture.kind,
+            "object_id": gesture.object_id,
+            "item_id": gesture.item_id,
+            "scenario_id": self.state.current_scenario,
+        }
+        # Coordinates (clicks and drag origins) feed the interaction
+        # heatmaps in repro.learning.heatmap.
+        if isinstance(event, MouseClick):
+            payload["x"], payload["y"] = event.x, event.y
+        elif isinstance(event, MouseDrag):
+            payload["x"], payload["y"] = event.x0, event.y0
+        self.bus.publish("interaction", payload, time=self.clock.now())
+        handler = {
+            GestureKind.CLICK: self._on_click,
+            GestureKind.EXAMINE: self._on_examine,
+            GestureKind.TALK: self._on_talk,
+            GestureKind.USE_ITEM: self._on_use_item,
+            GestureKind.TAKE: self._on_take,
+            GestureKind.MOVE: self._on_move,
+            GestureKind.SELECT_SLOT: self._on_select_slot,
+            GestureKind.DISMISS: self._on_dismiss,
+            GestureKind.AVATAR: self._on_avatar,
+            GestureKind.NONE: lambda g: None,
+        }[gesture.kind]
+        handler(gesture)
         return gesture
 
     def _on_click(self, g: Gesture) -> None:
@@ -448,7 +461,7 @@ class GameEngine:
             if binding.once:
                 self.state.fired_once.add(binding.binding_id)
             _M_BINDINGS_FIRED.inc(trigger=trigger)
-            if _obs.enabled():
+            if _obstrace.in_trace():
                 _LOG.debug(
                     "binding.fired",
                     binding_id=binding.binding_id,
@@ -483,8 +496,8 @@ class GameEngine:
                     f"{action.target!r}"
                 )
             _M_TRANSITIONS.inc()
-            if _obs.enabled():
-                _LOG.info(
+            if _obstrace.in_trace():
+                _LOG.debug(
                     "scenario.switch",
                     src=self.state.current_scenario,
                     dst=action.target,
@@ -543,8 +556,8 @@ class GameEngine:
             self._open_dialogue(action.dialogue_id)
         elif isinstance(action, EndGame):
             self.state.end(action.outcome)
-            if _obs.enabled():
-                _LOG.info(
+            if _obstrace.in_trace():
+                _LOG.debug(
                     "game.end",
                     outcome=action.outcome,
                     score=self.state.score,

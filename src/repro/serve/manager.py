@@ -60,7 +60,7 @@ from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from time import monotonic, perf_counter, sleep
-from typing import Callable, Deque, Dict, List, Optional, Tuple
+from typing import Callable, Deque, Dict, List, Optional, Set, Tuple
 
 from .. import faultline as _fl
 from ..obs import logging as _obslog
@@ -316,8 +316,8 @@ class _Shard:
                  durable: bool = True) -> None:
         """The END goes out (on the gate's thread when it was parked):
         close the trace's fsync_wait phase, count the session out of
-        flight and fire ``on_done``.  A non-durable END is counted and
-        logged as a durability timeout."""
+        flight (its player id is free again) and fire ``on_done``.  A
+        non-durable END is counted and logged as a durability timeout."""
         trace_id = session.trace_id
         if not durable:
             _M_DURABILITY_TIMEOUT.inc(shard=self.label)
@@ -327,7 +327,7 @@ class _Shard:
                 _tracer().annotate(trace_id, durable=False)
         if trace_id is not None:
             _tracer().mark(trace_id, "fsync_wait")
-        self._manager._session_closed()
+        self._manager._session_closed(session.player_id)
         callback = session.on_done
         if callback is not None:
             # The session has left the shard: a completion bridge (e.g.
@@ -446,7 +446,7 @@ class _Shard:
                 _M_FAILURES.inc(shard=self.label)
                 _LOG.warning("serve.session_failed", shard=self.index,
                              player=player_id, at="admit")
-                self._manager._session_closed()
+                self._manager._session_closed(player_id)
                 continue
             if self._journal is not None and player_id not in self._covered:
                 lsn = self._journal_append(
@@ -602,6 +602,9 @@ class SessionManager:
         #: instead of polling
         self._idle = threading.Condition(self._lock)
         self._inflight = 0
+        #: player ids submitted or recovered whose END is not released
+        #: yet; submit() refuses a second session under any of them
+        self._live: Set[str] = set()
         self._rejected = 0
         self._accepting = False
         self._started = False
@@ -717,6 +720,7 @@ class SessionManager:
                 shard.seed_recovered(session, covered_lsn=report.tip_lsn)
                 with self._lock:
                     self._inflight += 1
+                    self._live.add(session.player_id)
             reports.append(report)
         if _obs.enabled():
             _LOG.info(
@@ -733,24 +737,33 @@ class SessionManager:
         return shard_for(player_id, self.config.n_shards)
 
     def submit(self, player_id: str, factory: SessionFactory) -> bool:
-        """Admit one session; returns False when backpressure rejects it.
+        """Admit one session; returns False when backpressure rejects it
+        or ``player_id`` is still in flight here (submitted or recovered,
+        and its END not yet released): two live sessions under one id
+        would share one journal history.
 
         The factory runs later, on the owning shard's thread — submit
         itself is cheap enough to call from a tight arrival loop.
         """
         with self._lock:
+            if player_id in self._live:
+                return False
             if not self._accepting or self._inflight >= self.config.max_sessions:
                 self._rejected += 1
                 _M_REJECTED.inc()
                 return False
             self._inflight += 1
+            self._live.add(player_id)
         _M_ADMITTED.inc()
         self._shards[self.shard_for(player_id)].enqueue(player_id, factory)
         return True
 
-    def _session_closed(self) -> None:
+    def _session_closed(self, player_id: Optional[str] = None) -> None:
+        """One session left flight; a discarded backlog passes no id (the
+        manager is stopping for good, so its ids are never free again)."""
         with self._lock:
             self._inflight -= 1
+            self._live.discard(player_id)
             if self._inflight <= 0:
                 self._idle.notify_all()
 

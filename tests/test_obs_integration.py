@@ -112,6 +112,89 @@ class TestEngineInstrumentation:
         )
 
 
+def _engine_counts():
+    """``{(metric, labels): count}`` over every ``repro_engine_*`` series:
+    counter values and histogram observation counts."""
+    counts = {}
+    for metric in obs.snapshot()["metrics"]:
+        if not metric["name"].startswith("repro_engine_"):
+            continue
+        for series in metric["series"]:
+            key = (metric["name"], tuple(sorted(series["labels"].items())))
+            counts[key] = series["count" if "count" in series else "value"]
+    return counts
+
+
+class TestTraceScopedEngine:
+    """Per-op engine detail (the ``engine.dispatch`` span and the engine's
+    records) is recorded only inside a trace; metrics count every op."""
+
+    @pytest.fixture
+    def script(self, classroom_game):
+        from repro.students import cohort_scripts
+
+        return cohort_scripts(classroom_game, 1, seed=41)[0]
+
+    @staticmethod
+    def _run(game, script):
+        """Play ``script`` on a fresh engine; the ``repro_engine_*``
+        deltas, the new free roots and the new engine records."""
+        from repro.persist.records import apply_scripted_op
+
+        tracer, recorder = obs.get_tracer(), obs.get_flight_recorder()
+        counts0, roots0 = _engine_counts(), len(tracer.roots)
+        recorded0 = recorder.total_recorded
+        engine = game.new_engine(with_video=False)
+        engine.start()
+        for op in script.ops:
+            apply_scripted_op(engine, op, script.dt)
+        assert engine.state.finished  # every record site fired
+        counts = _engine_counts()
+        delta = {k: v - counts0.get(k, 0) for k, v in counts.items()
+                 if v != counts0.get(k, 0)}
+        new = recorder.total_recorded - recorded0
+        records = recorder.events()[-new:] if new else []
+        engine_records = [e for e in records if e["logger"] == "engine"]
+        return delta, tracer.roots[roots0:], engine_records
+
+    def test_untraced_run_counts_metrics_but_records_no_detail(
+        self, live, classroom_game, script
+    ):
+        obs.reset()
+        self._run(classroom_game, script)  # warm the event table's memo
+        untraced, roots, records = self._run(classroom_game, script)
+        assert roots == []
+        assert records == []
+        with obs.span("run"):
+            traced, _roots, traced_records = self._run(classroom_game, script)
+        assert untraced == traced
+        names = {name for name, _labels in untraced}
+        assert {"repro_engine_dispatch_seconds",
+                "repro_engine_interactions_total",
+                "repro_engine_bindings_fired_total",
+                "repro_engine_transitions_total"} <= names
+        assert traced_records
+
+    def test_traced_run_nests_dispatch_and_correlates_records(
+        self, live, classroom_game, script
+    ):
+        obs.reset()
+        with obs.span("run") as run:
+            delta, roots, records = self._run(classroom_game, script)
+        assert roots == []  # "run" itself closes after the helper returns
+        assert obs.get_tracer().roots[-1] is run
+        dispatches = [c for c in run.children if c.name == "engine.dispatch"]
+        assert dispatches
+        assert len(dispatches) == delta[("repro_engine_dispatch_seconds", ())]
+        assert all(c.parent_id == run.span_id and c.trace_id == run.trace_id
+                   for c in dispatches)
+        assert {r["event"] for r in records} == {
+            "session.start", "input.dispatch", "binding.fired",
+            "scenario.switch", "game.end"}
+        assert {r["level"] for r in records} == {"debug"}
+        assert {r["trace_id"] for r in records} == {run.trace_id}
+
+
 class TestSessionInstrumentation:
     def test_lifecycle_counters(self, live, classroom_game):
         engine = classroom_game.new_engine(with_video=False)

@@ -135,8 +135,11 @@ class TestCrashCorrelation:
 
         engine = classroom_game.new_engine()
         engine.start()
-        engine.handle_input(MouseClick(10.0, 15.0))
-        engine.handle_input(KeyPress("right"))
+        # engine records and dispatch spans are trace-scoped: drive the
+        # engine inside a span, as a traced request's shard step does
+        with obs.span("session"):
+            engine.handle_input(MouseClick(10.0, 15.0))
+            engine.handle_input(KeyPress("right"))
 
         monkeypatch.setenv("REPRO_FLIGHT_DIR", str(tmp_path))
         monkeypatch.setattr(sys, "excepthook", lambda *a: None)

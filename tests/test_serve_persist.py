@@ -5,7 +5,7 @@ import time
 import pytest
 
 from repro.persist import PersistenceConfig, scan_journal, state_digest
-from repro.persist.records import apply_scripted_op
+from repro.persist.records import REC_END, REC_START, apply_scripted_op
 from repro.serve import ServeConfig, SessionManager, session_factory_for_script
 from repro.students import cohort_scripts
 from repro.video.player import SimulatedClock
@@ -135,6 +135,55 @@ class TestKillAndRecover:
             if shard_dir.is_dir():
                 # ... but the journal was flushed and closed, not torn.
                 assert scan_journal(shard_dir).torn_records == 0
+
+    def test_one_live_session_per_player_id(
+        self, tmp_path, classroom_game, scripts
+    ):
+        """A second submit under an id still in flight is refused, so the
+        journal holds one start and one end for it; once the END is
+        released the id is free again."""
+        persistence = PersistenceConfig(directory=tmp_path)
+        config = ServeConfig(
+            n_shards=1, tick_interval_s=0.002, max_steps_per_tick=50,
+            persistence=persistence,
+        )
+        factory = session_factory_for_script(classroom_game, scripts[0])
+        with SessionManager(config) as manager:
+            assert manager.submit("p", factory)
+            assert not manager.submit("p", factory)
+            assert manager.rejected_sessions == 0  # not backpressure
+            deadline = time.monotonic() + 30.0
+            while manager.in_flight and time.monotonic() < deadline:
+                time.sleep(0.002)
+            assert manager.in_flight == 0
+            assert manager.submit("p", factory)  # END released: free again
+            assert manager.drain(timeout=30.0)
+        kinds = [r["t"] for r in scan_journal(persistence.shard_dir(0)).records
+                 if r.get("sid") == "p" and r["t"] in (REC_START, REC_END)]
+        assert kinds == [REC_START, REC_END, REC_START, REC_END]
+
+    def test_a_recovered_player_id_is_live(self, tmp_path, classroom_game, scripts):
+        persistence = PersistenceConfig(directory=tmp_path)
+        config = ServeConfig(
+            n_shards=1, tick_interval_s=0.05, max_steps_per_tick=1,
+            persistence=persistence,
+        )
+        factory = session_factory_for_script(classroom_game, scripts[0])
+        manager = SessionManager(config).start()
+        assert manager.submit("p", factory)
+        time.sleep(0.1)  # started and journalled, far from finished
+        manager.shutdown(drain=False)
+
+        manager2 = SessionManager(config)
+        reports = manager2.recover(classroom_game)
+        assert [s.player_id for r in reports for s in r.sessions] == ["p"]
+        manager2.start()
+        assert not manager2.submit("p", factory)
+        assert manager2.drain(timeout=60.0)
+        manager2.shutdown()
+        kinds = [r["t"] for r in scan_journal(persistence.shard_dir(0)).records
+                 if r.get("sid") == "p" and r["t"] in (REC_START, REC_END)]
+        assert kinds == [REC_START, REC_END]
 
     def test_recover_guards(self, tmp_path, classroom_game):
         with pytest.raises(RuntimeError):
