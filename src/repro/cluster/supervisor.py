@@ -99,19 +99,8 @@ class ClusterSupervisor:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
-        self.persistence = PersistenceConfig(
-            directory=self.root / PRIMARY_ID,
-            snapshot_every=0,
-            compact=False,
-            quorum_standbys=self.quorum,
-        )
-        self.manager = SessionManager(ServeConfig(
-            n_shards=self.n_shards,
-            tick_interval_s=TICK_INTERVAL_S,
-            max_steps_per_tick=MAX_STEPS_PER_TICK,
-            persistence=self.persistence,
-            durable_wait_s=self.durable_wait_s,
-        ))
+        self.manager = self._new_manager(self.root / PRIMARY_ID, self.quorum)
+        self.persistence = self.manager.config.persistence
         self.source = ReplicationSource(
             self.persistence, self.n_shards,
             batch_max_records=self.batch_max_records,
@@ -199,31 +188,21 @@ class ClusterSupervisor:
         _LOG.warning("cluster.primary_killed")
 
     # -- failover --------------------------------------------------------
-    def promote(
-        self,
-        node_id: str,
-        *,
-        heartbeat_timeout_s: float = 0.3,
-        wait_for_failure: bool = True,
-        recover: bool = False,
-    ) -> PromotionReport:
-        """Promote one standby and advance the placement map to match.
+    def promote(self, node_id: str, *, recover: bool = False) -> PromotionReport:
+        """Promote one standby now and advance the placement map to match.
 
-        Every shard the standby subscribed fails over to ``node_id`` at
-        the promotion's fenced epoch; the map's version bumps, so the
-        very next :meth:`submit` through the gateway routes to the new
-        primary — no manual reconfiguration.  With ``recover=True`` a
-        fresh recovered :class:`SessionManager` over the promoted
-        directory is registered as the node's write surface.
+        The caller decides when the primary is gone (a kill lever here,
+        or :meth:`Promoter.wait_for_failure`).  Every shard the standby
+        subscribed fails over to ``node_id`` at the promotion's fenced
+        epoch; the map's version bumps, so the very next :meth:`submit`
+        through the gateway routes to the new primary — no manual
+        reconfiguration.  With ``recover=True`` a fresh recovered
+        :class:`SessionManager` over the promoted directory is
+        registered as the node's write surface.
         """
         assert self.placement is not None and self.gateway is not None
         replica = self.standbys[node_id]
-        promoter = Promoter(replica, heartbeat_timeout_s=heartbeat_timeout_s)
-        if wait_for_failure:
-            promoter.wait_for_failure(
-                timeout_s=max(1.0, heartbeat_timeout_s * 20)
-            )
-        report = promoter.promote(game=self.game)
+        report = Promoter(replica).promote(game=self.game)
         for row in report.shards:
             try:
                 self.placement.advance(row["shard"], node_id, row["epoch"])
@@ -231,23 +210,29 @@ class ClusterSupervisor:
                 continue  # shard never assigned: nothing to fail over
         self.placement.save(self.root)
         if recover:
-            new_manager = SessionManager(ServeConfig(
-                n_shards=self.n_shards,
-                tick_interval_s=TICK_INTERVAL_S,
-                max_steps_per_tick=MAX_STEPS_PER_TICK,
-                persistence=PersistenceConfig(
-                    directory=replica.directory,
-                    snapshot_every=0,
-                    compact=False,
-                ),
-                durable_wait_s=self.durable_wait_s,
-            ))
+            new_manager = self._new_manager(replica.directory)
             reports = new_manager.recover(self.game)
             self.recovered_live = sum(len(r.sessions) for r in reports)
             new_manager.start()
             self.manager = new_manager
             self.gateway.register(node_id, new_manager)
         return report
+
+    def _new_manager(self, directory: Path, quorum: int = 0) -> SessionManager:
+        """A manager with the cluster's pacing over ``directory``: the
+        primary at start, a promoted standby's write surface later."""
+        return SessionManager(ServeConfig(
+            n_shards=self.n_shards,
+            tick_interval_s=TICK_INTERVAL_S,
+            max_steps_per_tick=MAX_STEPS_PER_TICK,
+            persistence=PersistenceConfig(
+                directory=directory,
+                snapshot_every=0,
+                compact=False,
+                quorum_standbys=quorum,
+            ),
+            durable_wait_s=self.durable_wait_s,
+        ))
 
     # -- introspection ---------------------------------------------------
     def primary_tips(self) -> Dict[int, int]:

@@ -505,8 +505,7 @@ def _replicated(report: ChaosReport, root: Path, game: Any, soak: _Soak,
             sup.standbys[report.promoted],
             heartbeat_timeout_s=HEARTBEAT_TIMEOUT_S,
         ).wait_for_failure(timeout_s=HEARTBEAT_TIMEOUT_S * 20)
-        promotion = sup.promote(report.promoted, wait_for_failure=False,
-                                recover=True)
+        promotion = sup.promote(report.promoted, recover=True)
         uninstall()
         report.promoted_epochs = promotion.epochs
         report.truncated_bytes = sum(

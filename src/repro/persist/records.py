@@ -219,11 +219,12 @@ class SessionTable(Dict[str, SessionEntry]):
 
     Keyed by player id.  :meth:`load_snapshot` seeds a session from a
     snapshot; :meth:`fold` takes the log in LSN order: ``start``
-    registers a session (unless a snapshot already carries it),
-    ``progress``, ``input`` and ``end`` advance its cursor past its
-    covered LSN and queue the ops in between on ``replay``, ``end``
-    retires it.  Old journals' one-``input``-per-step form folds the
-    same way.  An epoch ``fence`` is shard-wide and only raises
+    registers a session (unless a snapshot already carries it; past an
+    ended session's covered LSN it begins that id's next session),
+    ``progress``, ``input`` and ``end`` past its covered LSN advance
+    its cursor and queue the ops in between on ``replay``, ``end``
+    retires it.  Records at or below the covered LSN are skipped.  Old
+    journals' one-``input``-per-step form folds the same way.  An epoch ``fence`` is shard-wide and only raises
     :attr:`epoch`.  A record naming no known session (or no session
     at all) and a record of unknown kind count as orphans.  Building
     engines is the caller's: recovery builds each live one once,
@@ -278,7 +279,9 @@ class SessionTable(Dict[str, SessionEntry]):
             sid = record.get("sid")
             if sid is None:
                 return self._orphans(1)
-            if sid not in self:
+            entry = self.get(sid)
+            # a later start of an ended id is that id's next session
+            if entry is None or (entry.ended and lsn > entry.covered_lsn):
                 self[sid] = SessionEntry(
                     dt=float(record.get("dt", 0.25)),
                     ops=list(record.get("ops", [])),
@@ -302,14 +305,17 @@ class SessionTable(Dict[str, SessionEntry]):
             if entry is None:
                 orphans += 1
                 continue
+            if lsn <= entry.covered_lsn:
+                # already in the snapshot state, or the end of an
+                # earlier session under this id
+                continue
             if kind == REC_END:
                 entry.ended = True
                 entry.outcome = record.get("out")
-            if lsn > entry.covered_lsn:
-                steps = _steps_to(entry.ops, entry.cursor, target, op)
-                entry.replay.extend(steps)
-                entry.cursor += len(steps)
-                self.touched.add(sid)
+            steps = _steps_to(entry.ops, entry.cursor, target, op)
+            entry.replay.extend(steps)
+            entry.cursor += len(steps)
+            self.touched.add(sid)
         return self._orphans(orphans)
 
     def _orphans(self, n: int) -> int:

@@ -7,22 +7,23 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   primary's :class:`~repro.serve.manager.SessionManager`, tails each
   shard journal with the same CRC32 frame scan recovery uses, and
   ships records over a length-prefixed TCP stream (HANDSHAKE /
-  APPEND / COMMIT / HEARTBEAT / ACK —
-  :mod:`repro.replicate.protocol`), keeping a per-shard ack ledger of
-  each standby's durable watermark so quorum commit
-  (``PersistenceConfig.quorum_standbys``) can hold back each END until
-  enough standbys mirror its end record;
-* :class:`~repro.replicate.replica.StandbyReplica` mirrors the log
-  durably and applies committed records through the shared
+  APPEND / HEARTBEAT / ACK — :mod:`repro.replicate.protocol`), keeping
+  a per-shard ack ledger of each standby's durable watermark so quorum
+  commit (``PersistenceConfig.quorum_standbys``) can hold back each END
+  until enough standbys mirror its end record;
+* :class:`~repro.replicate.replica.StandbyReplica` mirrors each
+  shipped batch durably, then applies it through the shared
   :func:`~repro.persist.records.apply_scripted_op` semantics, so its
   session states are bit-identical to the primary's (SHA-256 state
   digests), its lag is measurable (``repro_repl_lag_records``), and it
   answers read-only queries while lag stays under a configured bound
   (:class:`~repro.replicate.replica.ReplicaLagging` otherwise);
 * :class:`~repro.replicate.promote.Promoter` is failover: detect the
-  silent primary by missed heartbeats, fence the epoch, truncate the
-  un-committed tail and hand the directory to the ordinary recovery
-  path — a promoted standby is just a persistence root.
+  silent primary by missed heartbeats, cut the un-fsynced tail, fence
+  the epoch and hand the directory to the ordinary recovery path — a
+  promoted standby is just a persistence root.
+  :func:`~repro.replicate.promote.promote_directory` runs the same
+  fence over a directory offline.
 
 The whole story is soaked under fault injection by
 :func:`run_repl_chaos` (the ``repl-kill-primary`` plan; it is the
@@ -41,7 +42,6 @@ from .promote import (
 from .protocol import (
     R_ACK,
     R_APPEND,
-    R_COMMIT,
     R_ERROR,
     R_HANDSHAKE,
     R_HEARTBEAT,
@@ -56,7 +56,6 @@ __all__ = [
     "PromotionReport",
     "R_ACK",
     "R_APPEND",
-    "R_COMMIT",
     "R_ERROR",
     "R_HANDSHAKE",
     "R_HEARTBEAT",

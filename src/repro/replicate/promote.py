@@ -1,4 +1,4 @@
-"""Failover: fence the old epoch, truncate the tail, adopt the log.
+"""Failover: cut the tail, fence the old epoch, adopt the log.
 
 Promotion turns a warm standby's replicated log into a primary WAL the
 ordinary recovery path can serve from.  The steps are deliberately
@@ -6,10 +6,11 @@ boring — each one is a thing the persist layer already knows how to do:
 
 1. **Stop replicating.**  The standby's shipping connections close and
    its logs flush; nothing moves underneath the promotion.
-2. **Truncate the un-committed tail.**  Records received but never
-   covered by a COMMIT watermark are cut off byte-exactly — they were
-   not durable on the primary's terms, so the new primary must not
-   invent them.
+2. **Cut the tail.**  A live standby truncates whatever its mirror log
+   holds past the last fsync (a batch handler that died between its
+   write and its fsync); offline, the journal scan's torn-tail
+   truncation is the cut.  Either way the new primary must not invent
+   records nobody made durable.
 3. **Fence the epoch.**  The shard's epoch is bumped in its ``EPOCH``
    sidecar and an epoch-fence record is appended (durably) to the log
    itself, so both the filesystem and the log agree history changed
@@ -20,6 +21,10 @@ boring — each one is a thing the persist layer already knows how to do:
    ``GatewayServer.recover()`` rebuild every committed session
    bit-identically and clients reconnect-resume exactly as they do
    after a crash of the original primary.
+
+Only step 2 differs between :meth:`Promoter.promote` (a live standby)
+and :func:`promote_directory` (a directory, offline); both hand their
+cut shards to the one fence routine, :func:`_fence`.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 from time import monotonic, perf_counter, sleep
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -131,64 +136,24 @@ class Promoter:
 
     # -- the takeover --------------------------------------------------
     def promote(self, game: Any = None) -> PromotionReport:
-        """Fence, truncate, adopt; returns the per-shard report.
+        """Stop, cut, fence, adopt; returns the per-shard report.
 
         With ``game`` given, every shard is additionally put through a
         read-only :func:`recover_shard` pass and the rebuilt live
         sessions' digests land in the report — the bit-identity handle
         the failover audit compares against an independent replay.
         """
-        t0 = perf_counter()
         replica = self.replica
         replica.stop()
-        report = PromotionReport(root=str(replica.directory))
-        for shard_state in replica.shard_states():
-            directory = shard_state.directory
-            truncated = shard_state.truncate_uncommitted()
-            epoch = max(read_epoch(directory), shard_state.epoch) + 1
-            write_epoch(directory, epoch)
-            fence_lsn = self._append_fence(directory, epoch)
-            shard_state.epoch = epoch
-            report.shards.append({
-                "shard": shard_state.index,
-                "epoch": epoch,
-                "fence_lsn": fence_lsn,
-                "truncated_bytes": truncated,
-                "applied_lsn": shard_state.applied_lsn,
-                "commit_lsn": shard_state.commit_lsn,
-            })
-            _M_PROMOTIONS.inc()
-            _LOG.info("repl.promoted", shard=shard_state.index, epoch=epoch,
-                      fence_lsn=fence_lsn, truncated_bytes=truncated)
-        if game is not None:
-            for shard_state in replica.shard_states():
-                if not shard_state.directory.is_dir():
-                    continue
-                recovery = recover_shard(
-                    shard_state.directory, game,
-                    truncate=False, write_snapshots=False,
-                )
-                report.digests.update(recovery.digests())
-        report.duration_s = perf_counter() - t0
+        states = replica.shard_states()
+        report = _fence(replica.directory, (
+            (st.index, st.directory, st.epoch, st.truncate_uncommitted(),
+             st.applied_lsn, st.commit_lsn)
+            for st in states
+        ), game)
+        for st in states:
+            st.epoch = report.epochs[st.index]
         return report
-
-    @staticmethod
-    def _append_fence(directory: Path, epoch: int) -> int:
-        """Durably append the epoch fence via a short-lived journal.
-
-        ``sync_each`` mode: the fence is fsynced before this returns,
-        and :class:`Journal`'s tip-attach resumes the standby's log
-        in place (assigning the fence the next LSN).
-        """
-        journal = Journal(
-            directory,
-            PersistenceConfig(directory=directory, sync_each=True),
-            label=f"promote-{directory.name}",
-        )
-        try:
-            return journal.append(fence_record(epoch))
-        finally:
-            journal.close()
 
 
 def promote_directory(
@@ -196,37 +161,78 @@ def promote_directory(
 ) -> PromotionReport:
     """Offline promotion: fence every shard journal under ``root``.
 
-    The ``repro repl promote`` path — no live replica, so the commit
-    watermark is gone with the process; the torn-tail truncation the
-    journal scan already performs is the cut.  Each ``shard-NN``
-    directory (reported as shard ``NN``) gets its epoch bumped, the
-    ``EPOCH`` sidecar rewritten and a fence record appended; with
-    ``game`` given the promoted log is recovered read-only and the live
-    sessions' digests reported.
+    The ``repro repl promote`` path — no live replica, so the torn-tail
+    truncation the journal scan already performs is the cut.  Each
+    ``shard-NN`` directory is reported as shard ``NN``.
+    """
+
+    def cuts() -> Iterable[_Cut]:
+        for index, directory in list_shard_dirs(Path(root)):
+            scan = scan_journal(directory, truncate=True)
+            yield (index, directory, 1, scan.discarded_bytes,
+                   scan.tip_lsn, scan.tip_lsn)
+
+    return _fence(root, cuts(), game)
+
+
+#: one cut shard: ``(shard, directory, epoch known besides the EPOCH
+#: sidecar, truncated bytes, applied LSN, commit LSN)``
+_Cut = Tuple[int, Path, int, int, int, int]
+
+
+def _fence(
+    root: Union[str, Path], cuts: Iterable[_Cut], game: Any
+) -> PromotionReport:
+    """The fence routine online and offline promotion share.
+
+    For each cut shard: bump its epoch past both the ``EPOCH`` sidecar
+    and the epoch the caller knows of, write the sidecar, append the
+    fence record, count and log it and add its report row.  With
+    ``game`` given, every promoted log is then recovered read-only and
+    its live sessions' digests reported.
     """
     t0 = perf_counter()
-    root = Path(root)
     report = PromotionReport(root=str(root))
-    for index, directory in list_shard_dirs(root):
-        scan = scan_journal(directory, truncate=True)
-        epoch = read_epoch(directory) + 1
+    directories = []
+    for shard, directory, known, truncated, applied_lsn, commit_lsn in cuts:
+        epoch = max(read_epoch(directory), known) + 1
         write_epoch(directory, epoch)
-        fence_lsn = Promoter._append_fence(directory, epoch)
+        fence_lsn = _append_fence(directory, epoch)
         report.shards.append({
-            "shard": index,
+            "shard": shard,
             "epoch": epoch,
             "fence_lsn": fence_lsn,
-            "truncated_bytes": scan.discarded_bytes,
-            "applied_lsn": scan.tip_lsn,
-            "commit_lsn": scan.tip_lsn,
+            "truncated_bytes": truncated,
+            "applied_lsn": applied_lsn,
+            "commit_lsn": commit_lsn,
         })
+        directories.append(directory)
         _M_PROMOTIONS.inc()
-        _LOG.info("repl.promoted_offline", dir=str(directory), epoch=epoch,
-                  fence_lsn=fence_lsn)
-        if game is not None:
+        _LOG.info("repl.promoted", shard=shard, dir=str(directory),
+                  epoch=epoch, fence_lsn=fence_lsn, truncated_bytes=truncated)
+    if game is not None:
+        for directory in directories:
             recovery = recover_shard(
                 directory, game, truncate=False, write_snapshots=False,
             )
             report.digests.update(recovery.digests())
     report.duration_s = perf_counter() - t0
     return report
+
+
+def _append_fence(directory: Path, epoch: int) -> int:
+    """Durably append the epoch fence via a short-lived journal.
+
+    ``sync_each`` mode: the fence is fsynced before this returns, and
+    :class:`Journal`'s tip-attach resumes the shard's log in place
+    (assigning the fence the next LSN).
+    """
+    journal = Journal(
+        directory,
+        PersistenceConfig(directory=directory, sync_each=True),
+        label=f"promote-{directory.name}",
+    )
+    try:
+        return journal.append(fence_record(epoch))
+    finally:
+        journal.close()

@@ -15,12 +15,11 @@ class, parametrized; the conversation is different:
 ``APPEND``
     Source → standby: a batch of WAL records in LSN order, exactly as
     the primary journalled them (the ``n`` stamps travel unchanged —
-    LSNs are the replication cursor *and* the idempotence key).
-``COMMIT``
-    Source → standby: the durability watermark.  A standby fsyncs its
-    copy and applies records only up to the last COMMIT, so a link
-    that dies mid-batch leaves an un-committed tail the promotion path
-    truncates instead of a half-applied state.
+    LSNs are the replication cursor *and* the idempotence key).  The
+    source's tailer ships records as soon as the primary's segment
+    files show them (the journal's flusher writes a batch just before
+    it fsyncs it).  Each APPEND is its own commit: the standby logs,
+    fsyncs and applies the whole batch, then acks its last LSN.
 ``HEARTBEAT``
     Source → standby while idle: epoch + tip.  Standbys measure link
     liveness (promotion triggers on missed heartbeats) and lag from
@@ -29,9 +28,9 @@ class, parametrized; the conversation is different:
     Either direction; ``code="fenced"`` means the peer's epoch proves
     this primary has been deposed and must stop shipping.
 ``ACK``
-    Standby → source: the COMMIT watermark the standby has durably
-    mirrored (fsynced into its own log).  The source folds acks into
-    its per-shard quorum ledger; with quorum commit enabled
+    Standby → source: the highest LSN the standby has durably mirrored
+    (fsynced into its own log).  The source folds acks into its
+    per-shard quorum ledger; with quorum commit enabled
     (``PersistenceConfig.quorum_standbys``) a finished session's END
     goes out only once enough standbys have acked its end record's
     LSN.
@@ -58,7 +57,6 @@ __all__ = [
     "REPL_VERSIONS",
     "R_ACK",
     "R_APPEND",
-    "R_COMMIT",
     "R_ERROR",
     "R_FRAME_NAMES",
     "R_FRAME_TYPES",
@@ -77,7 +75,7 @@ REPL_VERSIONS = frozenset({REPL_VERSION})
 
 R_HANDSHAKE = 1
 R_APPEND = 2
-R_COMMIT = 3
+#: 3 stays unassigned: an older peer's COMMIT frame must fail to decode
 R_HEARTBEAT = 4
 R_ERROR = 5
 R_ACK = 6
@@ -85,7 +83,6 @@ R_ACK = 6
 R_FRAME_NAMES: Dict[int, str] = {
     R_HANDSHAKE: "handshake",
     R_APPEND: "append",
-    R_COMMIT: "commit",
     R_HEARTBEAT: "heartbeat",
     R_ERROR: "error",
     R_ACK: "ack",

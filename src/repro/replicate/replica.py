@@ -7,13 +7,13 @@ things in lockstep:
 * **A durable copy of the log.**  Every shipped record is re-framed
   with the *same* CRC32 framing and the *same* LSN stamp the primary
   used, appended to ``wal-00000001.log`` under the standby's own
-  ``shard-NN/`` directory, and fsynced at each COMMIT watermark — so
+  ``shard-NN/`` directory, and fsynced once per shipped batch — so
   the standby's directory is, byte-for-byte in record content, a WAL
   the ordinary recovery path can adopt at promotion.
-* **A warm in-memory mirror.**  Committed records are folded into a
+* **A warm in-memory mirror.**  Each fsynced batch is folded into a
   :class:`~repro.persist.records.SessionTable`, the same fold crash
-  recovery runs, and each committed batch then steps the sessions it
-  touched through the shared
+  recovery runs, and then steps the sessions it touched through the
+  shared
   :func:`~repro.persist.records.apply_scripted_op` on engines built by
   recovery's :func:`~repro.persist.recovery.rebuild_engine` — the
   replica's session states are therefore bit-identical to the
@@ -22,13 +22,15 @@ things in lockstep:
   involvement, as long as the shard's lag is inside the configured
   bound.
 
-Apply is *commit-gated*: APPEND batches are buffered (and logged) but
-only records at or below the last COMMIT watermark reach an engine.  A
-link that dies between APPEND and COMMIT leaves an un-applied,
-un-committed tail that promotion truncates — state never runs ahead of
-what the primary had made durable.  Duplicate delivery after a
-reconnect is harmless by construction: LSNs at or below the applied
-watermark are counted and dropped.
+One APPEND frame is one commit.  Its handler, under the shard lock,
+drops the LSNs it already applied, writes the rest to the mirror log,
+fsyncs it, folds and applies them, and only then acks the batch's last
+LSN — so the ack a quorum waits on never covers a record the standby
+could lose, and state never runs ahead of the mirror log.  A handler
+that dies between its write and its fsync leaves an un-fsynced tail
+that promotion truncates (:meth:`_ReplicaLog.truncate_uncommitted`).
+Duplicate delivery after a reconnect is harmless by construction:
+LSNs at or below the applied watermark are counted and dropped.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from .promote import read_epoch
 from .protocol import (
     R_ACK,
     R_APPEND,
-    R_COMMIT,
     R_ERROR,
     R_HANDSHAKE,
     R_HEARTBEAT,
@@ -71,6 +72,9 @@ from .protocol import (
 )
 
 __all__ = ["ReplicaLagging", "StandbyReplica"]
+
+#: how long one connection attempt to the source may take
+CONNECT_TIMEOUT_S = 2.0
 
 _M_APPLIED = _obs.counter(
     "repro_repl_applied_records_total",
@@ -99,7 +103,7 @@ _M_RECONNECTS = _obs.counter(
 )
 _M_APPLY = _obs.histogram(
     "repro_repl_apply_seconds",
-    "Wall time to apply one committed batch on the standby",
+    "Wall time to apply one shipped batch on the standby",
 )
 _M_QUERIES = _obs.counter(
     "repro_repl_queries_total",
@@ -131,8 +135,8 @@ class _ReplicaLog:
     """The standby's durable copy of one shard's stream.
 
     Single segment, journal-compatible framing, original LSNs.  Tracks
-    the byte offset of the last COMMIT so promotion can cut the
-    un-committed tail byte-exactly.
+    the byte offset of the last fsync so promotion can cut an
+    un-fsynced tail byte-exactly.
     """
 
     def __init__(self, directory: Path, first_lsn: int) -> None:
@@ -164,7 +168,7 @@ class _ReplicaLog:
         self.committed_bytes = self.size
 
     def truncate_uncommitted(self) -> int:
-        """Cut everything past the commit watermark; bytes removed."""
+        """Cut everything past the last fsync; bytes removed."""
         self.close()
         cut = self.size - self.committed_bytes
         if cut > 0:
@@ -191,7 +195,9 @@ class _StandbyShard:
         self.label = str(index)
         self.directory = directory
         self.epoch = read_epoch(directory)
+        #: highest LSN folded into ``sessions``
         self.applied_lsn = 0
+        #: highest LSN fsynced into the mirror log (what an ACK reports)
         self.commit_lsn = 0
         self.tip = 0
         self.last_heartbeat: Optional[float] = None
@@ -200,7 +206,6 @@ class _StandbyShard:
         #: the shared session fold; every entry has an engine between
         #: batches
         self.sessions = SessionTable()
-        self.pending: List[Dict[str, Any]] = []
         self.log: Optional[_ReplicaLog] = None
         self.lock = threading.Lock()
         self.lag_samples: Deque[int] = deque(maxlen=4096)
@@ -244,7 +249,6 @@ class StandbyReplica:
         shards: Optional[List[int]] = None,
         max_read_lag_records: int = 64,
         reconnect_backoff_s: float = 0.05,
-        connect_timeout_s: float = 2.0,
         client_name: str = "standby",
     ) -> None:
         self.directory = Path(directory)
@@ -263,7 +267,6 @@ class StandbyReplica:
                 raise ValueError("subscription set must not be empty")
         self.max_read_lag_records = max_read_lag_records
         self.reconnect_backoff_s = reconnect_backoff_s
-        self.connect_timeout_s = connect_timeout_s
         self.client_name = client_name
         self._stop = threading.Event()
         self._shards = {
@@ -438,7 +441,7 @@ class StandbyReplica:
             first = False
             try:
                 sock = socket.create_connection(
-                    (self.host, self.port), timeout=self.connect_timeout_s
+                    (self.host, self.port), timeout=CONNECT_TIMEOUT_S
                 )
             except OSError:
                 _M_LINK_ERR.inc(shard=st.label)
@@ -467,10 +470,6 @@ class StandbyReplica:
 
     def _follow(self, st: _StandbyShard, sock: socket.socket) -> None:
         decoder = make_decoder()
-        with st.lock:
-            # anything buffered but never committed on the old link
-            # will be re-shipped: the handshake asks from applied+1
-            st.pending.clear()
         sock.sendall(encode(R_HANDSHAKE, {
             "shard": st.index,
             "epoch": st.epoch,
@@ -492,8 +491,6 @@ class StandbyReplica:
             self._handle_handshake(st, payload)
         elif ftype == R_APPEND:
             self._handle_append(st, payload)
-        elif ftype == R_COMMIT:
-            self._handle_commit(st, payload)
         elif ftype == R_HEARTBEAT:
             st.tip = max(st.tip, int(payload.get("tip", 0)))
             st.last_heartbeat = monotonic()
@@ -537,8 +534,8 @@ class StandbyReplica:
                 # the stream
                 st.applied_lsn = start - 1
                 st.commit_lsn = max(st.commit_lsn, st.applied_lsn)
-        # baseline ack: everything up to the commit watermark is
-        # already durable here (mirrored before the link last died)
+        # baseline ack: everything up to commit_lsn is already
+        # durable here (mirrored before the link last died)
         self._send_ack(st)
 
     def _send_ack(self, st: _StandbyShard) -> None:
@@ -575,10 +572,12 @@ class StandbyReplica:
     def _handle_append(
         self, st: _StandbyShard, payload: Dict[str, Any]
     ) -> None:
+        """Commit one shipped batch: drop duplicate LSNs, log and fsync
+        the rest, fold them, step the sessions they touched, ack."""
         require(payload, "shard", "records")
-        records = payload["records"]
         with st.lock:
-            for record in records:
+            batch = []
+            for record in payload["records"]:
                 try:
                     lsn = int(record["n"])
                 except (KeyError, TypeError, ValueError):
@@ -587,40 +586,34 @@ class StandbyReplica:
                 if lsn <= st.applied_lsn:
                     _M_DUP.inc(shard=st.label)
                     continue
-                if st.log is not None and lsn > st.log.logged_lsn:
-                    st.log.append(record)
-                st.pending.append(record)
-
-    def _handle_commit(
-        self, st: _StandbyShard, payload: Dict[str, Any]
-    ) -> None:
-        require(payload, "shard", "lsn")
-        commit = int(payload["lsn"])
-        with st.lock:
-            st.commit_lsn = max(st.commit_lsn, commit)
-            st.tip = max(st.tip, commit)
-            if st.log is not None:
-                st.log.commit()
-            ready = [r for r in st.pending if int(r["n"]) <= commit]
-            st.pending = [r for r in st.pending if int(r["n"]) > commit]
-            if ready:
+                batch.append(record)
+            if batch:
+                last = int(batch[-1]["n"])
+                if st.log is not None:
+                    for record in batch:
+                        # skip what a handler that died before its fold logged
+                        if int(record["n"]) > st.log.logged_lsn:
+                            st.log.append(record)
+                    st.log.commit()
+                st.commit_lsn = max(st.commit_lsn, last)
+                st.tip = max(st.tip, last)
                 t0 = perf_counter()
-                with _span("repl.apply", shard=st.label, batch=len(ready)):
-                    for record in ready:
+                with _span("repl.apply", shard=st.label, batch=len(batch)):
+                    for record in batch:
                         orphans = st.sessions.fold(record)
                         if orphans:
                             _M_APPLY_FAIL.inc(orphans, shard=st.label)
                             _LOG.warning("repl.orphan_record", shard=st.index,
                                          lsn=record["n"], kind=record.get("t"))
-                    st.applied_lsn = int(ready[-1]["n"])
+                    st.applied_lsn = last
                     st.epoch = max(st.epoch, st.sessions.epoch)
                     self._catch_up(st)
                 if _obs.enabled():
                     _M_APPLY.observe(perf_counter() - t0)
-                    _M_APPLIED.inc(len(ready), shard=st.label)
+                    _M_APPLIED.inc(len(batch), shard=st.label)
             st.sample_lag()
-        # the mirror is fsynced up to the watermark: tell the source,
-        # so quorum-gated primaries can release the ENDs it covers
+        # the mirror is fsynced through the batch: tell the source, so
+        # quorum-gated primaries can release the ENDs it covers
         self._send_ack(st)
 
     def _catch_up(self, st: _StandbyShard) -> None:

@@ -7,15 +7,16 @@ per shard; the source answers the handshake (bootstrapping from
 snapshots when compaction has already eaten the requested prefix) and
 then streams every new WAL record as it becomes file-visible.
 
-**Tailing.**  The journal's group-commit flusher makes records
-file-visible in the same breath it fsyncs them (buffered writes are
-flushed immediately before the fsync), so a tailer reading complete
-CRC-valid frames from the segment files observes, to within one
-group commit, exactly the durable log — through the same frame
-decoder recovery's scan uses, incrementally.  A partial frame at EOF
-is a batch still being flushed: wait, never guess.  The serve layer's
-replication hook (:meth:`attach`) wakes a shard's tailer right after
-each group commit is durable; ``poll_interval_s`` is only the
+**Tailing.**  The journal's group-commit flusher writes each batch to
+its segment file just before it fsyncs it, and the tailer ships
+records as soon as the file shows them: complete CRC-valid frames,
+read through the same frame decoder recovery's scan uses,
+incrementally.  A shipped record may therefore still be in the
+primary's fsync.  A partial frame at EOF is a batch still being
+written: wait, never guess.  Each batch goes out as one APPEND frame,
+which the standby logs, fsyncs and applies before it acks.  The serve
+layer's replication hook (:meth:`attach`) wakes a shard's tailer right
+after each group commit is durable; ``poll_interval_s`` is only the
 fallback/heartbeat cadence.
 
 **Fencing.**  Every handshake carries the standby's epoch.  A standby
@@ -49,7 +50,6 @@ from .protocol import (
     ProtocolError,
     R_ACK,
     R_APPEND,
-    R_COMMIT,
     R_ERROR,
     R_HANDSHAKE,
     R_HEARTBEAT,
@@ -320,7 +320,7 @@ class ReplicationSource:
                 conn, _addr = self._sock.accept()
             except OSError:
                 return  # listener closed
-            # the link interleaves big APPENDs with tiny COMMIT/ACK
+            # the link interleaves big APPENDs with tiny HEARTBEAT/ACK
             # frames; Nagle would hold the small ones behind the
             # peer's delayed ACK (~40ms), which quorum commit eats
             # on every END
@@ -397,7 +397,7 @@ class ReplicationSource:
         """Drain standby ACK frames off a shipping connection.
 
         Runs on its own thread so the ship loop never blocks on reads:
-        the moment a standby fsyncs a COMMIT its ack lands in the
+        the moment a standby fsyncs a batch its ack lands in the
         ledger and wakes every :meth:`wait_quorum` it satisfies.
         """
         try:
@@ -477,9 +477,6 @@ class ReplicationSource:
                     conn.sendall(encode(R_APPEND, {
                         "shard": shard, "records": records,
                     }))
-                    conn.sendall(encode(R_COMMIT, {
-                        "shard": shard, "lsn": records[-1]["n"],
-                    }))
                 if _obs.enabled():
                     _M_SHIPPED.inc(len(records), shard=label)
                     _M_BATCHES.inc(shard=label)
@@ -522,7 +519,7 @@ class ReplicationSource:
 
     @staticmethod
     def _tip_hint(directory: Path) -> int:
-        """Cheap tip estimate for the handshake (exact tips ride COMMITs)."""
+        """Cheap tip estimate for the handshake (exact tips ride APPENDs)."""
         segments = list_segments(directory)
         if not segments:
             return 0

@@ -437,8 +437,13 @@ class _Shard:
                 player_id, factory = self._inbox.popleft()
             try:
                 session = factory(player_id)
-                session.start()
-                if session.trace_id is not None:
+                if session.trace_id is None:
+                    session.start()
+                else:
+                    # the engine's start (its ENTER bindings) nests
+                    # under the request root, with its records
+                    with _tracer().child(session.trace_id, "shard.admit"):
+                        session.start()
                     # inbox residency ends here: admission -> first run
                     _tracer().mark(session.trace_id, "queue_wait")
             except Exception:

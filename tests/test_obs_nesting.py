@@ -1,11 +1,12 @@
 """One trace model end to end: in-thread spans nest under request roots.
 
 A traced SUBMIT through a persisted gateway must come back from
-``/trace/<id>`` with the shard thread's ``shard.step`` spans as
-children and the engine's ``engine.dispatch`` spans under those, each
-with wall and thread-CPU time inside the request's window; an untraced
-session on the same server must attach nothing to any request trace
-and open no ``engine.dispatch`` span of its own.
+``/trace/<id>`` with the shard thread's ``shard.admit`` and
+``shard.step`` spans as children and the engine's ``engine.dispatch``
+spans under the steps, each with wall and thread-CPU time inside the
+request's window; an untraced session on the same server must attach
+nothing to any request trace and open no ``engine.dispatch`` span of
+its own.
 """
 
 import asyncio
@@ -19,7 +20,7 @@ from repro.gateway import GatewayClient, GatewayConfig, GatewayServer, GatewayTh
 from repro.obs.tracing import MAX_CHILDREN
 from repro.persist import PersistenceConfig
 from repro.runtime.inputs import MouseClick
-from repro.serve import ServeConfig, SessionManager
+from repro.serve import ServeConfig, SessionManager, session_factory_for_script
 from repro.students import cohort_scripts
 from repro.students.scripts import PlayerScript
 
@@ -78,7 +79,9 @@ def test_traced_submit_nests_shard_steps_and_engine_dispatch(
 
     assert timeline["status"] == "ok"
     steps = [c for c in timeline["children"] if c["name"] == "shard.step"]
-    assert len(steps) == len(script.ops) == children_before
+    names = [c["name"] for c in timeline["children"]]
+    assert names == ["shard.admit"] + ["shard.step"] * len(script.ops)
+    assert len(names) == children_before
     assert any(g["name"] == "engine.dispatch" for s in steps for g in s["children"])
     total = timeline["total_s"]
     for child in _walk(timeline["children"]):
@@ -97,9 +100,42 @@ def test_traced_submit_nests_shard_steps_and_engine_dispatch(
     assert _dispatch_roots() == dispatch_before
 
 
+def test_traced_manager_session_starts_inside_shard_admit(live, classroom_game):
+    """A traced session's engine start runs in a ``shard.admit`` span
+    under its request root, so its ``session.start`` record is written
+    with the trace id."""
+    script = cohort_scripts(classroom_game, 1, seed=41)[0]
+    base = session_factory_for_script(classroom_game, script)
+    trace_id = obs.new_id()
+
+    def traced(player_id):
+        session = base(player_id)
+        session.trace_id = trace_id
+        return session
+
+    tracer, recorder = obs.get_tracer(), obs.get_flight_recorder()
+    recorded0 = recorder.total_recorded
+    assert tracer.start(trace_id, player="admit")
+    with SessionManager(ServeConfig(
+        n_shards=1, tick_interval_s=0.002, max_steps_per_tick=50,
+    )) as manager:
+        assert manager.submit("admit", traced)
+        assert manager.drain(timeout=30.0)
+    tracer.finish(trace_id)
+
+    children = tracer.get(trace_id)["children"]
+    assert children[0]["name"] == "shard.admit"
+    assert children[0]["trace_id"] == trace_id
+    new = recorder.total_recorded - recorded0
+    starts = [e for e in recorder.events()[-new:] if e["event"] == "session.start"]
+    assert [e["trace_id"] for e in starts] == [trace_id]
+    assert starts[0]["span_id"] == children[0]["span_id"]
+
+
 def test_long_traced_session_retains_a_bounded_number_of_spans(live, classroom_game):
-    """A 500-step traced session keeps at most MAX_CHILDREN step spans
-    under its root; ``/trace/<id>`` reports how many it dropped."""
+    """A 500-step traced session keeps at most MAX_CHILDREN spans (its
+    admit, then steps) under its root; ``/trace/<id>`` reports how many
+    it dropped."""
     manager = SessionManager(ServeConfig(
         n_shards=1, tick_interval_s=0.002, max_steps_per_tick=50,
     ))
@@ -114,8 +150,8 @@ def test_long_traced_session_retains_a_bounded_number_of_spans(live, classroom_g
         with urllib.request.urlopen(url, timeout=10) as resp:
             timeline = json.loads(resp.read())
 
-    steps = [c for c in timeline["children"] if c["name"] == "shard.step"]
-    assert len(timeline["children"]) == len(steps) == MAX_CHILDREN
-    assert timeline["dropped_children"] == 500 - MAX_CHILDREN
+    names = [c["name"] for c in timeline["children"]]
+    assert names == ["shard.admit"] + ["shard.step"] * (MAX_CHILDREN - 1)
+    assert timeline["dropped_children"] == 500 - (MAX_CHILDREN - 1)
     retained = sum(1 for _ in _walk(timeline["children"]))
     assert retained <= 2 * MAX_CHILDREN < 500 * 2

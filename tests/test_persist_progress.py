@@ -47,12 +47,11 @@ def scripts(classroom_game):
 
 
 def _standby_apply(game, directory, records):
-    """Ship ``records`` through a standby shard's own APPEND and COMMIT
-    handlers, as one committed batch."""
+    """Ship ``records`` through a standby shard's own APPEND handler,
+    as one batch."""
     standby = StandbyReplica(directory, game, 1, "127.0.0.1", 0)
     st = standby.shard_states()[0]
     standby._handle_append(st, {"shard": 0, "records": records})
-    standby._handle_commit(st, {"shard": 0, "lsn": records[-1]["n"]})
     return st
 
 
@@ -335,3 +334,60 @@ def test_live_ops_and_multi_tick_sessions_survive_crash_and_replica(
         ), sid
         assert (session.digest, session.cursor, False) == mirror[sid]
     manager.shutdown()
+
+
+@pytest.mark.parametrize("snapshot_every,compact", [(0, False), (4, False), (4, True)])
+def test_resubmitted_id_second_session_survives_crash(
+    tmp_path, classroom_game, capsys, snapshot_every, compact
+):
+    """A player id whose first session ended and whose second is live
+    at the crash: the journal holds start, end, start under one id.
+    Recovery, a standby fed the same records and ``repro wal inspect``
+    must all see the second session live."""
+    from repro.cli import main
+    from repro.students.scripts import PlayerScript
+
+    persistence = PersistenceConfig(directory=tmp_path / "primary",
+                                    snapshot_every=snapshot_every, compact=compact)
+    config = ServeConfig(n_shards=1, tick_interval_s=0.01,
+                         max_steps_per_tick=1, persistence=persistence)
+    second = PlayerScript("p", [MouseClick(1, 1)] * 400, dt=0.25)
+    manager = SessionManager(config).start()
+    assert manager.submit("p", session_factory_for_script(
+        classroom_game, PlayerScript("p", [MouseClick(1, 1)] * 30, dt=0.25)))
+    deadline = time.monotonic() + 30
+    while manager.in_flight and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert manager.in_flight == 0
+    assert manager.submit("p", session_factory_for_script(classroom_game, second))
+    time.sleep(0.5)  # the second session is far from its 400th op
+    manager.shutdown(drain=False)
+
+    shard_dir = persistence.shard_dir(0)
+    records = scan_journal(shard_dir, truncate=False).records
+    assert [r["t"] for r in records if r.get("sid") == "p"][:3] == [
+        "start", "end", "start"]
+    report = recover_shard(shard_dir, classroom_game, truncate=False,
+                           write_snapshots=False)
+    assert [s.player_id for s in report.sessions] == ["p"]
+    live = report.sessions[0]
+    assert 0 < live.cursor < len(second.ops)
+    assert live.digest == reference_digest(classroom_game, second.ops,
+                                           second.dt, live.cursor)
+
+    standby = StandbyReplica(tmp_path / "standby", classroom_game, 1,
+                             "127.0.0.1", 0)
+    st = standby.shard_states()[0]
+    snapshots, _rejected = SnapshotStore(snapshot_dir_for(shard_dir)).load_all()
+    standby._handle_handshake(st, {"shard": 0, "epoch": 1,
+                                   "start": records[0]["n"],
+                                   "snapshots": list(snapshots.values())})
+    standby._handle_append(st, {"shard": 0, "records": records})
+    assert not st.sessions["p"].ended
+    assert standby.digests() == {"p": live.digest}
+
+    assert main(["wal", "inspect", str(tmp_path / "primary")]) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if "|" in line]
+    header = [cell.strip() for cell in lines[0].split("|")]
+    row = dict(zip(header, (cell.strip() for cell in lines[1].split("|"))))
+    assert (row["live"], row["ended"]) == ("1", "0")

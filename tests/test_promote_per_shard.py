@@ -103,7 +103,7 @@ def test_failover_keeps_every_quorum_acked_end(
         promoted = max(sup.standbys, key=lambda nid: sum(
             st.commit_lsn for st in sup.standbys[nid].shard_states()
         ))
-        sup.promote(promoted, wait_for_failure=False)
+        sup.promote(promoted)
         for shard in range(N_SHARDS):
             owner = sup.placement.assignment(shard).primary
             mirrored = _ended(

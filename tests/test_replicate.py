@@ -20,6 +20,7 @@ from repro.persist import (
 )
 from repro.persist.records import ops_from_dicts
 from repro.replicate import (
+    R_ACK,
     R_ERROR,
     R_HANDSHAKE,
     ReplicaLagging,
@@ -190,6 +191,36 @@ class TestShipping:
                             )
                         )
 
+    def test_one_append_is_one_commit(self, tmp_path, classroom_game, scripts):
+        # the APPEND handler alone logs, fsyncs, applies and acks a batch
+        script = scripts[0]
+        standby = StandbyReplica(tmp_path, classroom_game, 1, "127.0.0.1", 0)
+        st = standby.shard_states()[0]
+        standby._handle_handshake(st, {"shard": 0, "epoch": 1, "start": 1})
+
+        from repro.persist.records import input_record, start_record
+
+        records = [dict(start_record("p#0", script.dt, script.ops), n=1)]
+        for i, op in enumerate(script.ops[:3]):
+            records.append(dict(input_record("p#0", op), n=2 + i))
+        ours, theirs = socket.socketpair()
+        st.sock = ours
+        try:
+            standby._handle_append(st, {"shard": 0, "records": records})
+            assert st.applied_lsn == st.commit_lsn == records[-1]["n"]
+            assert st.log.committed_bytes == st.log.size
+            assert st.sessions["p#0"].cursor == 3
+            theirs.settimeout(5)
+            decoder = make_decoder()
+            frames = []
+            while not frames:
+                frames = decoder.feed(theirs.recv(65536))
+        finally:
+            ours.close()
+            theirs.close()
+        assert frames == [(R_ACK, {"shard": 0, "lsn": records[-1]["n"],
+                                   "client": "standby"})]
+
     def test_duplicate_append_and_commit_are_idempotent(
         self, tmp_path, classroom_game, scripts
     ):
@@ -212,10 +243,8 @@ class TestShipping:
         for i, op in enumerate(script.ops[:4]):
             records.append(dict(input_record("p#0", op), n=2 + i))
         batch = {"shard": 0, "records": records}
-        commit = {"shard": 0, "lsn": records[-1]["n"]}
 
         standby._handle_append(st, batch)
-        standby._handle_commit(st, commit)
         digest_once = state_digest(st.sessions["p#0"].engine.state)
         cursor_once = st.sessions["p#0"].cursor
         assert cursor_once == 4
@@ -225,7 +254,6 @@ class TestShipping:
 
         # the duplicate delivery: already-applied LSNs are dropped
         standby._handle_append(st, batch)
-        standby._handle_commit(st, commit)
         assert st.sessions["p#0"].cursor == cursor_once
         assert state_digest(st.sessions["p#0"].engine.state) == digest_once
         assert st.applied_lsn == records[-1]["n"]

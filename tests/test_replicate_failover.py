@@ -170,8 +170,8 @@ class TestPromotion:
     ):
         # promote the standby while the primary is still appending and
         # its clients still wait on durability: the standby must cut a
-        # consistent (commit-gated) state, and the deposed primary's
-        # source must be fenced by the new epoch
+        # consistent state (no batch applied before its fsync), and the
+        # deposed primary's source must be fenced by the new epoch
         persistence = PersistenceConfig(
             directory=tmp_path / "primary", snapshot_every=0,
             compact=False,
@@ -222,9 +222,9 @@ class TestPromotion:
 
     def test_truncates_uncommitted_tail(self, tmp_path, classroom_game,
                                         scripts):
-        # records shipped but never covered by a COMMIT must not
-        # survive promotion — they were not durable on the primary's
-        # terms
+        # records a batch handler wrote to the mirror log but died
+        # before fsyncing must not survive promotion — no ack covered
+        # them
         from repro.persist.records import input_record, start_record
 
         script = scripts[0]
@@ -236,12 +236,11 @@ class TestPromotion:
         for i, op in enumerate(script.ops[:3]):
             records.append(dict(input_record("p#0", op), n=2 + i))
         standby._handle_append(st, {"shard": 0, "records": records})
-        standby._handle_commit(st, {"shard": 0, "lsn": 4})
-        # two more records arrive... and the link dies before COMMIT
-        tail = [dict(input_record("p#0", op), n=5 + i)
-                for i, op in enumerate(script.ops[3:5])]
-        standby._handle_append(st, {"shard": 0, "records": tail})
-        assert st.sessions["p#0"].cursor == 3  # commit-gated: not applied
+        # two more records reach the mirror... and the handler dies
+        # before its fsync
+        for i, op in enumerate(script.ops[3:5]):
+            st.log.append(dict(input_record("p#0", op), n=5 + i))
+        assert st.sessions["p#0"].cursor == 3  # never folded either
 
         report = Promoter(standby).promote()
         assert report.shards[0]["truncated_bytes"] > 0
