@@ -13,6 +13,8 @@ A project gathers everything a course designer produces (§4):
 are encoded into an RVID container and the runtime pieces are bundled so
 ``new_engine()`` can mint independent play sessions — the separation
 between the authoring tool and the gaming platform that §4 describes.
+What every session reads of the game is computed once per compiled
+game (its :class:`~repro.runtime.engine.GameTable`), not per session.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..events import EventTable
 from ..graph import Scenario, ScenarioGraph, build_graph
 from ..runtime import Dialogue, GameEngine
+from ..runtime.engine import GameTable, build_game_table
 from ..video import Frame, FrameSize, VideoReader, VideoSegment, VideoWriter
 from ..video.player import Clock
 
@@ -218,6 +221,10 @@ class CompiledGame:
     _frame_size: Optional[FrameSize] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: the engines' shared read-only table, built by the first engine
+    _table: Optional[GameTable] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def new_engine(
         self,
@@ -229,7 +236,8 @@ class CompiledGame:
 
         ``with_video=False`` skips container decode for logic-only runs
         (cohort simulations) — the engine behaves identically except for
-        rendering.
+        rendering.  The game's scenarios must not be edited once engines
+        play it: the first engine's table is every later engine's.
         """
         reader = size = None
         if with_video:
@@ -238,6 +246,9 @@ class CompiledGame:
             size = self._frame_size
             if size is None:
                 size = self._frame_size = VideoReader(self.container).size
+        table = self._table
+        if table is None:
+            table = self._table = build_game_table(self.scenarios)
         return GameEngine(
             scenarios=self.scenarios,
             events=self.events,
@@ -247,6 +258,7 @@ class CompiledGame:
             clock=clock,
             frame_size=size,
             inventory_capacity=inventory_capacity,
+            table=table,
         )
 
     @property

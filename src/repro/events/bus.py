@@ -9,6 +9,11 @@ engine, which keeps the engine testable in isolation.
 Delivery is synchronous and in subscription order; a subscriber that
 raises is unsubscribed after ``max_errors`` consecutive failures instead
 of poisoning the engine loop (failure-injection tests rely on this).
+
+Delivery happens only when someone subscribes.  A notice on a topic
+with no subscriber (and none on ``"*"``) is counted and dropped before
+any :class:`Notice` is built, so a bus nobody listens to, as on a
+served session, costs one counter increment per publish.
 """
 
 from __future__ import annotations
@@ -84,10 +89,19 @@ class EventBus:
         self._errors.pop(token, None)
         return found
 
-    def publish(self, topic: str, payload: Optional[Dict[str, Any]] = None, time: float = 0.0) -> Notice:
-        """Publish a notice; delivers to topic and "*" subscribers."""
-        notice = Notice(topic=topic, payload=dict(payload or {}), time=time)
+    def publish(
+        self, topic: str, payload: Optional[Dict[str, Any]] = None, time: float = 0.0
+    ) -> Optional[Notice]:
+        """Publish a notice; delivers to topic and "*" subscribers.
+
+        Returns the delivered notice, or None when nobody subscribes to
+        ``topic`` or ``"*"`` (the notice is counted but never built).
+        """
         self.published_count += 1
+        subs = self._subs
+        if not subs.get(topic) and not subs.get("*"):
+            return None
+        notice = Notice(topic=topic, payload=dict(payload or {}), time=time)
         for sub_topic in (topic, "*"):
             # Copy: subscribers may unsubscribe during delivery.
             for token, fn in list(self._subs.get(sub_topic, ())):

@@ -24,7 +24,7 @@ with disjoint guards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..obs import metrics as _obs
 from .actions import Action, action_from_dict
@@ -35,11 +35,11 @@ __all__ = ["EventBinding", "EventError", "EventTable", "Trigger"]
 _M_MATCH_CACHE_HITS = _obs.counter(
     "repro_engine_condition_cache_hits_total",
     "Interaction dispatches served from the structural match cache",
-)
+).labels()
 _M_MATCH_CACHE_MISSES = _obs.counter(
     "repro_engine_condition_cache_misses_total",
     "Interaction dispatches that had to scan and sort the binding table",
-)
+).labels()
 
 GLOBAL_SCOPE = "*"
 
@@ -162,9 +162,10 @@ class EventTable:
         self._bindings: List[EventBinding] = []
         self._ids: Set[str] = set()
         #: structural-match memo: (scenario, trigger, object, item) →
-        #: pre-sorted candidate bindings.  Guards and once-exclusion are
-        #: per-session state and stay outside the cache.
-        self._match_cache: Dict[tuple, List[EventBinding]] = {}
+        #: pre-sorted candidate bindings, and (scenario,) → its timer
+        #: bindings.  Guards and once-exclusion are per-session state
+        #: and stay outside the cache.
+        self._match_cache: Dict[tuple, Sequence[EventBinding]] = {}
         for b in bindings or []:
             self.add(b)
 
@@ -221,14 +222,20 @@ class EventTable:
             if b.scenario_id in (GLOBAL_SCOPE, scenario_id)
         ]
 
-    def timers_for(self, scenario_id: str) -> List[EventBinding]:
-        """Timer bindings applicable to a scenario, ascending deadline."""
-        timers = [
-            b
-            for b in self.for_scenario(scenario_id)
-            if b.trigger == Trigger.TIMER
-        ]
-        return sorted(timers, key=lambda b: b.timer_seconds)
+    def timers_for(self, scenario_id: str) -> Tuple[EventBinding, ...]:
+        """Timer bindings applicable to a scenario, ascending deadline.
+
+        Memoised with the match cache: the engine asks on every tick.
+        """
+        key = (scenario_id,)
+        timers = self._match_cache.get(key)
+        if timers is None:
+            timers = self._match_cache[key] = tuple(sorted(
+                (b for b in self.for_scenario(scenario_id)
+                 if b.trigger == Trigger.TIMER),
+                key=lambda b: b.timer_seconds,
+            ))
+        return timers
 
     def match(
         self,

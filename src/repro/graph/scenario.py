@@ -18,6 +18,7 @@ Scenarios do not know about transitions; those are authored as
 
 from __future__ import annotations
 
+import copy
 import re
 from typing import Any, Dict, Iterator, List, Optional
 
@@ -116,6 +117,14 @@ class Scenario:
     def objects(self) -> List[InteractiveObject]:
         """Mounted objects in ascending z-order (stable for equal z)."""
         return sorted(self._objects.values(), key=lambda o: o.z_order)
+
+    def copy(self) -> "Scenario":
+        """This scenario holding shallow copies of its objects, so an
+        object moved on the copy stays put on the original."""
+        sc = Scenario(self.scenario_id, self.title, self.segment_ref,
+                      self.loop, self.on_finish)
+        sc._objects = {oid: copy.copy(obj) for oid, obj in self._objects.items()}
+        return sc
 
     def __iter__(self) -> Iterator[InteractiveObject]:
         return iter(self.objects)

@@ -15,7 +15,9 @@ through this module.  Design constraints, in priority order:
 3. **Labeled series.**  Every metric holds one series per label set
    (``counter.inc(policy="lru")``), keyed by the sorted label items, so
    exports carry the same dimensional structure real collectors expect.
-   The sorted key is cached per call-site ``tuple(labels.items())``.
+   The sorted key is cached per call-site ``tuple(labels.items())``; a
+   per-op call site binds its label child once instead
+   (``counter.labels(trigger="click").inc()``) and skips the key.
 4. **No shared lock on the recording path.**  Serve shard threads and
    the gateway loop bump the same counters dozens of times per session.
    ``Counter.inc`` and ``Histogram.observe`` therefore write, unlocked,
@@ -40,6 +42,7 @@ from bisect import bisect_left
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 __all__ = [
+    "BoundCounter",
     "Counter",
     "DEFAULT_BUCKETS",
     "Gauge",
@@ -264,14 +267,20 @@ class Counter(_CellMetric):
         """Add ``amount`` (must be >= 0) to the labeled series."""
         if not _ENABLED:
             return
+        self._add(self._key(labels) if labels else (), amount)
+
+    def _add(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise MetricError(f"counter {self.name} cannot decrease")
-        key = self._key(labels) if labels else ()
         try:
             cell = self._local.cell
         except AttributeError:
             cell = self._new_cell()
         cell[key] = cell.get(key, 0.0) + amount
+
+    def labels(self, **labels: Any) -> "BoundCounter":
+        """The series for ``labels``, bound once for a per-op call site."""
+        return BoundCounter(self, _label_key(labels))
 
     def _fold(self, into: Dict[LabelKey, Any], cell: Dict[LabelKey, Any]) -> None:
         for key, value in cell.items():
@@ -284,6 +293,20 @@ class Counter(_CellMetric):
     def total(self) -> float:
         """Sum over all labeled series."""
         return sum(self._merged().values())
+
+
+class BoundCounter:
+    """One labeled series of a :class:`Counter`, its key computed once."""
+
+    __slots__ = ("_counter", "_key")
+
+    def __init__(self, counter: Counter, key: LabelKey) -> None:
+        self._counter = counter
+        self._key = key
+
+    def inc(self, amount: float = 1.0) -> None:
+        if _ENABLED:
+            self._counter._add(self._key, amount)
 
 
 class Gauge(_Metric):

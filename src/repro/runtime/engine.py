@@ -17,6 +17,12 @@ The engine wires everything together:
   recorder / analytics / TUI;
 * :meth:`render` composites the current output frame.
 
+What an engine reads of its game but never writes (item and reward
+names, base properties, each scenario's objects in z-order) is one
+:class:`GameTable`, built once per game and shared by all its engines.
+An engine that moves an object first copies that object's scenario, so
+a compiled game stays as authored while its sessions play it.
+
 The engine is deliberately headless and clock-driven: a human UI, a
 simulated student (:mod:`repro.students`) and the benchmarks all drive it
 through the same three calls — ``handle_input``, ``tick``, ``render``.
@@ -24,8 +30,9 @@ through the same three calls — ``handle_input``, ``tick``, ``render``.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Dict, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -49,6 +56,7 @@ from ..events import (
     Trigger,
 )
 from ..graph import Scenario
+from ..objects import InteractiveObject
 from ..video.container import VideoReader
 from ..video.frame import Frame, FrameSize
 from ..video.player import Clock, SegmentPlayer, SimulatedClock
@@ -61,13 +69,14 @@ from .inputs import (
     MouseClick,
     MouseDrag,
     UiLayout,
+    hit_order,
     interpret,
 )
 from .inventory import InventoryError
 from .rewards import RewardManager
 from .state import GameState
 
-__all__ = ["EngineError", "GameEngine"]
+__all__ = ["EngineError", "GameEngine", "GameTable", "build_game_table"]
 
 _M_DISPATCH = _obs.histogram(
     "repro_engine_dispatch_seconds",
@@ -80,17 +89,55 @@ _M_INTERACTIONS = _obs.counter(
 _M_TRANSITIONS = _obs.counter(
     "repro_engine_transitions_total",
     "Scenario switches executed (the paper's segment changes)",
-)
+).labels()
 _M_BINDINGS_FIRED = _obs.counter(
     "repro_engine_bindings_fired_total",
     "Event bindings whose actions ran, by trigger kind",
 )
+#: per-op label children, bound once
+_M_INTERACTIONS_BY = {k: _M_INTERACTIONS.labels(gesture=k) for k in GestureKind.ALL}
+_M_BINDINGS_FIRED_BY = {t: _M_BINDINGS_FIRED.labels(trigger=t) for t in Trigger.ALL}
 
 _LOG = _obslog.get_logger("engine")
 
 
 class EngineError(RuntimeError):
     """Raised on invalid engine operations."""
+
+
+@dataclass(frozen=True)
+class GameTable:
+    """What every engine of a game reads of its scenarios, built once.
+
+    Engines share one table and never write to it (nor to the scenarios
+    it was built from: see :meth:`GameEngine._own_scenario`).
+    """
+
+    item_names: Dict[str, str]
+    reward_names: Dict[str, str]
+    reward_bonuses: Dict[str, int]
+    #: authored object properties, injected into each state at start
+    base_props: Dict[Tuple[str, str], Any]
+    #: per scenario id: its objects in ascending z-order (paint order)
+    objects: Dict[str, Tuple[InteractiveObject, ...]]
+    #: per scenario id: its objects in hit-test order (:func:`hit_order`)
+    hits: Dict[str, Tuple[InteractiveObject, ...]]
+
+
+def build_game_table(scenarios: Dict[str, Scenario]) -> GameTable:
+    """The :class:`GameTable` of a game's scenarios."""
+    table = GameTable({}, {}, {}, {}, {}, {})
+    for sid, sc in scenarios.items():
+        objects = table.objects[sid] = tuple(sc.objects)
+        table.hits[sid] = hit_order(sc)
+        for obj in objects:
+            table.item_names[obj.object_id] = obj.name
+            if obj.kind == "reward":
+                table.reward_names[obj.object_id] = obj.name
+                table.reward_bonuses[obj.object_id] = getattr(obj, "bonus", 0)
+            for key, value in obj.properties.items():
+                table.base_props[(obj.object_id, key)] = value
+    return table
 
 
 class GameEngine:
@@ -115,6 +162,9 @@ class GameEngine:
     frame_size:
         Output frame size; defaults to the container's size, or 320x240
         when running video-less.
+    table:
+        The game's :class:`GameTable`; built from ``scenarios`` when
+        omitted (``CompiledGame.new_engine`` passes its own, built once).
     """
 
     def __init__(
@@ -127,10 +177,19 @@ class GameEngine:
         clock: Optional[Clock] = None,
         frame_size: Optional[FrameSize] = None,
         inventory_capacity: int = 12,
+        table: Optional[GameTable] = None,
     ) -> None:
         if start not in scenarios:
             raise EngineError(f"start scenario {start!r} not defined")
+        if table is None:
+            table = build_game_table(scenarios)
+        self._table = table
+        #: the game's scenarios, except that each scenario this engine
+        #: moved an object on is this engine's own copy
         self.scenarios = scenarios
+        self._objects = table.objects
+        self._hits = table.hits
+        self._copied: Set[str] = set()
         self.events = events
         self.dialogues = dict(dialogues or {})
         self.clock: Clock = clock or SimulatedClock()
@@ -143,14 +202,13 @@ class GameEngine:
         self.compositor = Compositor(self.layout)
         self.state = GameState(start, inventory_capacity=inventory_capacity)
         self.rewards = RewardManager(
-            reward_names=self._collect_reward_names(),
-            reward_bonuses=self._collect_reward_bonuses(),
+            reward_names=table.reward_names,
+            reward_bonuses=table.reward_bonuses,
         )
         self.player: Optional[SegmentPlayer] = (
             SegmentPlayer(reader, clock=self.clock) if reader is not None else None
         )
         self.dialogue_session: Optional[DialogueSession] = None
-        self._item_names = self._collect_item_names()
         self._started = False
         #: count of interactions handled (E4 latency accounting)
         self.interactions_handled = 0
@@ -158,34 +216,24 @@ class GameEngine:
     # ------------------------------------------------------------------
     # Setup helpers
     # ------------------------------------------------------------------
-    def _collect_reward_names(self) -> Dict[str, str]:
-        names: Dict[str, str] = {}
-        for sc in self.scenarios.values():
-            for obj in sc.objects:
-                if obj.kind == "reward":
-                    names[obj.object_id] = obj.name
-        return names
-
-    def _collect_reward_bonuses(self) -> Dict[str, int]:
-        bonuses: Dict[str, int] = {}
-        for sc in self.scenarios.values():
-            for obj in sc.objects:
-                if obj.kind == "reward":
-                    bonuses[obj.object_id] = getattr(obj, "bonus", 0)
-        return bonuses
-
-    def _collect_item_names(self) -> Dict[str, str]:
-        names: Dict[str, str] = {}
-        for sc in self.scenarios.values():
-            for obj in sc.objects:
-                names[obj.object_id] = obj.name
-        return names
-
     def _inject_base_props(self) -> None:
-        for sc in self.scenarios.values():
-            for obj in sc.objects:
-                for key, value in obj.properties.items():
-                    self.state.base_props[(obj.object_id, key)] = value
+        self.state.base_props.update(self._table.base_props)
+
+    def _own_scenario(self) -> Scenario:
+        """The current scenario as this engine's own copy, made on first
+        use: the game's scenarios are shared by every engine playing it,
+        so one session's move must not move the object for the others."""
+        sid = self.state.current_scenario
+        if sid not in self._copied:
+            if not self._copied:
+                self.scenarios = dict(self.scenarios)
+                self._objects = dict(self._objects)
+                self._hits = dict(self._hits)
+            sc = self.scenarios[sid] = self.scenarios[sid].copy()
+            self._objects[sid] = tuple(sc.objects)
+            self._hits[sid] = hit_order(sc)
+            self._copied.add(sid)
+        return self.scenarios[sid]
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -253,12 +301,15 @@ class GameEngine:
         else:
             gesture = self._dispatch(event)
         _M_DISPATCH.observe(perf_counter() - t0)
-        _M_INTERACTIONS.inc(gesture=gesture.kind)
+        _M_INTERACTIONS_BY[gesture.kind].inc()
         return gesture
 
     def _dispatch(self, event: InputEvent) -> Gesture:
         """Interpret, publish and handle one event (no instrumentation)."""
-        gesture = interpret(event, self.current_scenario, self.state, self.layout)
+        sid = self.state.current_scenario
+        gesture = interpret(
+            event, self.scenarios[sid], self.state, self.layout, self._hits[sid]
+        )
         self.interactions_handled += 1
         payload = {
             "gesture": gesture.kind,
@@ -334,7 +385,7 @@ class GameEngine:
         self._fire(Trigger.TAKE, g.object_id, None)
 
     def _on_move(self, g: Gesture) -> None:
-        obj = self.current_scenario.get_object(g.object_id)
+        obj = self._own_scenario().get_object(g.object_id)
         assert g.move_to is not None
         obj.move_to(*g.move_to)
         self.compositor.invalidate()
@@ -380,7 +431,7 @@ class GameEngine:
         Fires once per object per scenario visit (leaving and re-entering
         the scenario re-arms it); invisible objects are not approachable.
         """
-        for obj in self.current_scenario.objects:
+        for obj in self._objects[self.state.current_scenario]:
             if obj.object_id in self.state.approached:
                 continue
             if not self.state.object_visible(obj.object_id, obj.visible):
@@ -460,7 +511,7 @@ class GameEngine:
         for binding in matched:
             if binding.once:
                 self.state.fired_once.add(binding.binding_id)
-            _M_BINDINGS_FIRED.inc(trigger=trigger)
+            _M_BINDINGS_FIRED_BY[trigger].inc()
             if _obstrace.in_trace():
                 _LOG.debug(
                     "binding.fired",
@@ -524,7 +575,8 @@ class GameEngine:
         elif isinstance(action, GiveItem):
             try:
                 self.state.inventory.add(
-                    action.item_id, name=self._item_names.get(action.item_id, action.item_id)
+                    action.item_id,
+                    name=self._table.item_names.get(action.item_id, action.item_id),
                 )
             except InventoryError:
                 self._popup("text", "The backpack is full.")
@@ -602,7 +654,7 @@ class GameEngine:
                     continue
                 if binding.once:
                     self.state.fired_once.add(binding.binding_id)
-                _M_BINDINGS_FIRED.inc(trigger=Trigger.TIMER)
+                _M_BINDINGS_FIRED_BY[Trigger.TIMER].inc()
                 self.bus.publish(
                     "binding",
                     {"binding_id": binding.binding_id, "trigger": Trigger.TIMER},

@@ -23,15 +23,17 @@ arrow keys             move the avatar
 The interpreter is a pure function from (event, scenario, state, layout)
 to a :class:`Gesture`; the engine then resolves the gesture into event-
 table triggers.  Keeping interpretation pure makes the gesture rules
-property-testable in isolation.
+property-testable in isolation.  Hit-testing probes the scenario's
+objects in :func:`hit_order`, which the engine computes once per game.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..graph import Scenario
+from ..objects import InteractiveObject
 from .state import GameState
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
     "MouseClick",
     "MouseDrag",
     "UiLayout",
+    "hit_order",
     "interpret",
 ]
 
@@ -153,6 +156,9 @@ class GestureKind:
     AVATAR = "avatar"            #: move the avatar
     NONE = "none"                #: event hit nothing actionable
 
+    ALL = (CLICK, EXAMINE, TALK, USE_ITEM, TAKE, MOVE, SELECT_SLOT,
+           DISMISS, AVATAR, NONE)
+
 
 @dataclass(frozen=True, slots=True)
 class Gesture:
@@ -174,13 +180,23 @@ _ARROWS = {
 }
 
 
+def hit_order(scenario: Scenario) -> Tuple[InteractiveObject, ...]:
+    """The scenario's objects in the order a hit-test probes them:
+    descending z, and mount order among equal z."""
+    return tuple(sorted(scenario.objects, key=lambda o: o.z_order, reverse=True))
+
+
 def interpret(
     event: InputEvent,
     scenario: Scenario,
     state: GameState,
     layout: UiLayout,
+    hits: Optional[Sequence[InteractiveObject]] = None,
 ) -> Gesture:
     """Map a raw input event to a gesture. Pure; no state mutation.
+
+    ``hits`` is ``hit_order(scenario)`` when the caller already holds
+    it; otherwise it is computed here.
 
     Popup modality: while any popup is open, every click dismisses it and
     nothing else happens — matching the runtime's "click to continue".
@@ -190,13 +206,15 @@ def interpret(
             return Gesture(kind=GestureKind.AVATAR, avatar_delta=_ARROWS[event.key])
         return Gesture(kind=GestureKind.NONE)
 
+    if hits is None:
+        hits = hit_order(scenario)
     if isinstance(event, MouseClick):
         if state.modal_active:
             return Gesture(kind=GestureKind.DISMISS)
         slot = layout.slot_at(event.x, event.y)
         if slot is not None:
             return Gesture(kind=GestureKind.SELECT_SLOT, slot_index=slot)
-        obj = _visible_object_at(scenario, state, event.x, event.y)
+        obj = _visible_object_at(hits, state, event.x, event.y)
         if obj is None:
             return Gesture(kind=GestureKind.NONE)
         if event.button == "right":
@@ -214,7 +232,7 @@ def interpret(
     if isinstance(event, MouseDrag):
         if state.modal_active:
             return Gesture(kind=GestureKind.DISMISS)
-        obj = _visible_object_at(scenario, state, event.x0, event.y0)
+        obj = _visible_object_at(hits, state, event.x0, event.y0)
         if obj is None:
             return Gesture(kind=GestureKind.NONE)
         if layout.in_inventory(event.x1, event.y1):
@@ -232,9 +250,11 @@ def interpret(
     raise InputError(f"unknown input event type {type(event).__name__}")
 
 
-def _visible_object_at(scenario: Scenario, state: GameState, x: float, y: float):
+def _visible_object_at(
+    hits: Sequence[InteractiveObject], state: GameState, x: float, y: float
+) -> Optional[InteractiveObject]:
     """Topmost object at (x, y) honouring per-session visibility."""
-    for obj in sorted(scenario.objects, key=lambda o: o.z_order, reverse=True):
+    for obj in hits:
         if state.object_visible(obj.object_id, obj.visible) and obj.hotspot.contains(x, y):
             return obj
     return None

@@ -317,8 +317,16 @@ class _Shard:
         """The END goes out (on the gate's thread when it was parked):
         close the trace's fsync_wait phase, count the session out of
         flight (its player id is free again) and fire ``on_done``.  A
-        non-durable END is counted and logged as a durability timeout."""
+        non-durable END is counted and logged as a durability timeout.
+
+        The session's snapshot is deleted only here, once its end record
+        is durable: until then a crash must still find the snapshot, as
+        compaction may have removed the start record it covers.  That is
+        done before the player id is freed, so a re-submitted session
+        cannot write a snapshot that this removal would delete."""
         trace_id = session.trace_id
+        if durable and self._snapshots is not None:
+            self._snapshots.remove(session.player_id)
         if not durable:
             _M_DURABILITY_TIMEOUT.inc(shard=self.label)
             _LOG.warning("persist.durability_timeout", shard=self.index,
@@ -415,8 +423,6 @@ class _Shard:
         self._snapshot_cursor.pop(sid, None)
         self._logged.pop(sid, None)
         self._advanced.pop(sid, None)
-        if self._snapshots is not None:
-            self._snapshots.remove(sid)
         if lsn is None:
             self._release(session, durable=self.config.persistence is None)
         else:

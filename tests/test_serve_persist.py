@@ -1,12 +1,21 @@
 """Kill-and-recover tests for the durable serving layer."""
 
+import shutil
+import threading
 import time
 
 import pytest
 
-from repro.persist import PersistenceConfig, scan_journal, state_digest
+from repro.persist import PersistenceConfig, recover_shard, scan_journal, state_digest
 from repro.persist.records import REC_END, REC_START, apply_scripted_op
-from repro.serve import ServeConfig, SessionManager, session_factory_for_script
+from repro.persist.wal import Journal
+from repro.runtime import MouseClick
+from repro.serve import (
+    ServeConfig,
+    ServedSession,
+    SessionManager,
+    session_factory_for_script,
+)
 from repro.students import cohort_scripts
 from repro.video.player import SimulatedClock
 
@@ -206,3 +215,54 @@ class TestKillAndRecover:
             _submit_cohort(manager, classroom_game, scripts, copies=1)
             assert manager.drain(timeout=60.0)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestEndWindow:
+    """A crash after a session's last op, before its end record is
+    durable: its END was never sent, so it must come back live."""
+
+    @pytest.mark.parametrize("snapshot_every", [4, 64])
+    def test_session_survives_a_crash_before_its_end_is_durable(
+        self, tmp_path, classroom_game, monkeypatch, snapshot_every
+    ):
+        stalled, resume = threading.Event(), threading.Event()
+        write_batch = Journal._write_batch
+
+        def stall_end_records(journal, batch):
+            if any(b'"t":"end"' in frame for _, frame in batch):
+                stalled.set()
+                resume.wait(30.0)
+            write_batch(journal, batch)
+
+        monkeypatch.setattr(Journal, "_write_batch", stall_end_records)
+        # small segments, so compaction drops the segment that holds
+        # the start record long before the session ends
+        persistence = PersistenceConfig(
+            directory=tmp_path / "live", segment_max_bytes=4096,
+            snapshot_every=snapshot_every,
+        )
+        config = ServeConfig(n_shards=1, tick_interval_s=0.001,
+                             max_steps_per_tick=1, persistence=persistence)
+        ops = [MouseClick(1, 1)] * 300
+        image = tmp_path / "image"
+        manager = SessionManager(config).start()
+        try:
+            assert manager.submit("X", lambda pid: ServedSession(
+                pid, classroom_game.new_engine(with_video=False), ops))
+            assert stalled.wait(60.0)
+            time.sleep(0.2)  # the END window: everything else has run
+            shutil.copytree(persistence.shard_dir(0), image)
+        finally:
+            resume.set()
+            manager.shutdown(drain=False)
+
+        report = recover_shard(image, classroom_game, truncate=False,
+                               write_snapshots=False)
+        assert [s.player_id for s in report.sessions] == ["X"]
+        session = report.sessions[0]
+        engine = classroom_game.new_engine(clock=SimulatedClock(0.0),
+                                           with_video=False)
+        engine.start()
+        for op in ops[:session.cursor]:
+            apply_scripted_op(engine, op, 0.25)
+        assert session.digest == state_digest(engine.state)
