@@ -42,8 +42,9 @@ import pytest
 
 from conftest import save_json, save_result
 from repro import obs
-from repro.cluster import ClusterSupervisor, run_cluster_chaos
+from repro.cluster import ClusterSupervisor
 from repro.core import fetch_quest_game
+from repro.faultline.chaos import run_chaos
 from repro.reporting import format_table
 from repro.serve import session_factory_for_script
 from repro.students import cohort_scripts
@@ -98,8 +99,8 @@ def cluster_runs():
     obs.enable()  # quorum wait histogram / placement counters feed SLOs
     local = _submit_latencies(0)
     quorum = _submit_latencies(QUORUM)
-    chaos = run_cluster_chaos(
-        seed=SEED, sessions=SESSIONS, n_shards=SHARDS,
+    chaos = run_chaos(
+        "repl-quorum-partition", seed=SEED, sessions=SESSIONS, n_shards=SHARDS,
         n_standbys=STANDBYS, quorum=QUORUM,
     )
     return local, quorum, chaos

@@ -18,14 +18,19 @@ Subcommands::
     python -m repro wal recover DIR           # rebuild committed sessions
     python -m repro wal compact DIR           # drop snapshot-covered segments
     python -m repro chaos --plan ci-smoke     # fault-injection soak + audit
+    python -m repro repl serve DIR            # ship a journal to standbys
+    python -m repro repl status|promote DIR   # epochs and tips; offline failover
+    python -m repro cluster serve DIR         # primary + standby set, one process
+    python -m repro cluster status DIR        # print a cluster's placement map
 
 ``validate`` exits non-zero when the project has errors, so it slots
 into a course-content CI pipeline unchanged.  ``obs`` runs a small
-instrumented workload (engine + streaming + cache + parallel encode) by
-default so a fresh process still exports a representative snapshot;
-``--no-demo`` exports whatever the current process has collected.
-``obs check`` evaluates declarative SLO rules (examples/slo.toml) and
-exits 1 on any breach, making it a drop-in CI health gate.
+instrumented workload (engine, streaming, cache, parallel encode and
+one traced, persisted burst through a loopback gateway) by default so
+a fresh process still exports a representative snapshot; ``--no-demo``
+exports whatever the current process has collected.  ``obs check``
+evaluates declarative SLO rules (examples/slo.toml) and exits 1 on any
+breach, making it a drop-in CI health gate.
 """
 
 from __future__ import annotations
@@ -33,9 +38,29 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 __all__ = ["build_parser", "main"]
+
+
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             what: str) -> Callable[[str], Any]:
+    """An argparse ``type=``: ``convert`` the text, reject unless ``ok``."""
+    def parse(text: str) -> Any:
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_natural = _checked(int, lambda v: v >= 0, "an integer >= 0")
+_positive_float = _checked(float, lambda v: v > 0, "a number > 0")
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a fraction in [0, 1]")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,9 +71,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("demo", help="author the classroom example, prove it, play it")
+    # options that several subcommands share, each defined once
+    shards = argparse.ArgumentParser(add_help=False)
+    shards.add_argument("--shards", type=_positive_int, default=2,
+                        help="shard count (default 2)")
+    listen = argparse.ArgumentParser(add_help=False)
+    listen.add_argument("--host", default="127.0.0.1",
+                        help="listen address (default 127.0.0.1)")
+    listen.add_argument(
+        "--port", type=int, default=0,
+        help="TCP port; 0 binds an ephemeral port and prints it (default 0)",
+    )
+    node = argparse.ArgumentParser(add_help=False)  # repl and cluster
+    node.add_argument(
+        "--duration", type=float, default=None,
+        help="for 'serve': stop after this many seconds "
+             "(default: run until Ctrl-C)",
+    )
+    node.add_argument(
+        "--json", action="store_true",
+        help="print machine-readable JSON instead of tables",
+    )
+
+    sub.add_parser(
+        "demo", help="author the classroom example, prove it, play it"
+    ).set_defaults(func=_cmd_demo)
 
     p_validate = sub.add_parser("validate", help="validate a saved project")
+    p_validate.set_defaults(func=_cmd_validate)
     p_validate.add_argument("project_dir", type=Path)
     p_validate.add_argument(
         "--no-solver", action="store_true",
@@ -56,27 +106,28 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_solve = sub.add_parser("solve", help="print the shortest walkthrough")
+    p_solve.set_defaults(func=_cmd_solve)
     p_solve.add_argument("project_dir", type=Path)
     p_solve.add_argument("--max-states", type=int, default=20000)
 
     p_fig = sub.add_parser("figures", help="render Fig. 1 and a storyboard")
+    p_fig.set_defaults(func=_cmd_figures)
     p_fig.add_argument("project_dir", type=Path)
     p_fig.add_argument("out_dir", type=Path)
 
     p_cmp = sub.add_parser("compare", help="run a small platform comparison")
+    p_cmp.set_defaults(func=_cmd_compare)
     p_cmp.add_argument("--students", type=int, default=20)
     p_cmp.add_argument("--seed", type=int, default=2007)
 
     p_obs = sub.add_parser(
         "obs",
-        help="observability: dump/reset/export metrics, tail logs, "
-             "check SLOs, dump the flight recorder, render "
-             "request-trace waterfalls",
+        help="observability: export metrics, tail logs, check SLOs, dump "
+             "the flight recorder, render request-trace waterfalls",
     )
+    p_obs.set_defaults(func=_cmd_obs)
     p_obs.add_argument(
-        "action",
-        choices=("dump", "reset", "export", "tail", "check", "flight",
-                 "trace"),
+        "action", choices=("export", "tail", "check", "flight", "trace"),
     )
     p_obs.add_argument(
         "trace_id", nargs="?", default=None,
@@ -86,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_obs.add_argument(
         "--format", dest="fmt", choices=("prometheus", "table", "json"),
         default="prometheus",
-        help="export format (default: prometheus; dump defaults to table)",
+        help="export format (default: prometheus)",
     )
     p_obs.add_argument("--output", "-o", type=Path, default=None,
                        help="write to a file instead of stdout")
@@ -119,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_obs.add_argument(
         "--level", default=None,
-        help="for 'tail': minimum level to show (debug/info/warning/error)",
+        choices=("debug", "info", "warning", "error"),
+        help="for 'tail': minimum level to show",
     )
     p_obs.add_argument(
         "--url", default=None,
@@ -131,12 +183,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_top = sub.add_parser(
         "top", help="live dashboard: metrics, span aggregates, flight tail"
     )
-    p_top.add_argument("--interval", type=float, default=1.0,
+    p_top.set_defaults(func=_cmd_top)
+    p_top.add_argument("--interval", type=_positive_float, default=1.0,
                        help="seconds between refreshes (default 1.0)")
-    p_top.add_argument("--iterations", type=int, default=3,
-                       help="frames to render before exiting (default 3)")
-    p_top.add_argument("--once", action="store_true",
-                       help="render a single frame and exit")
+    p_top.add_argument(
+        "--iterations", type=_positive_int, default=3,
+        help="frames to render before exiting (default 3); a single "
+             "frame waits for the demo workload to finish",
+    )
     p_top.add_argument(
         "--no-demo", action="store_true",
         help="observe the current process only; do not run the demo "
@@ -146,22 +200,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="dashboard width in columns (default 100)")
 
     p_gw = sub.add_parser(
-        "gateway",
+        "gateway", parents=[listen, shards],
         help="network gateway: serve the sharded session server over TCP",
     )
+    p_gw.set_defaults(func=_cmd_gateway)
     p_gw.add_argument(
         "action", choices=("serve",),
         help="serve: run the asyncio TCP front-end until interrupted",
     )
-    p_gw.add_argument("--host", default="127.0.0.1",
-                      help="bind address (default 127.0.0.1)")
-    p_gw.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port; 0 binds an ephemeral port and prints it (default 0)",
-    )
-    p_gw.add_argument("--shards", type=int, default=2,
-                      help="shard count (default 2)")
-    p_gw.add_argument("--tick-hz", type=float, default=100.0,
+    p_gw.add_argument("--tick-hz", type=_positive_float, default=100.0,
                       help="shard tick frequency (default 100)")
     p_gw.add_argument("--steps-per-tick", type=int, default=20,
                       help="session-step budget per shard tick (default 20)")
@@ -185,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
              "0 picks an ephemeral port (default: disabled)",
     )
     p_gw.add_argument(
-        "--trace-sample", type=float, default=0.0,
+        "--trace-sample", type=_fraction, default=0.0,
         help="fraction of submissions stamped with a request-trace id "
              "for phase attribution (default 0.0)",
     )
@@ -194,6 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         "wal",
         help="inspect, recover or compact durable session journals",
     )
+    p_wal.set_defaults(func=_cmd_wal)
     p_wal.add_argument(
         "action", choices=("inspect", "recover", "compact"),
         help="inspect: read-only scan; recover: rebuild committed "
@@ -202,7 +250,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_wal.add_argument(
         "directory", type=Path,
-        help="persistence root (contains shard-*/) or a single shard dir",
+        help="persistence root (contains shard-*/) or a single shard dir "
+             "(contains wal-*.log)",
     )
     p_wal.add_argument(
         "--project", type=Path, default=None,
@@ -216,9 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_chaos = sub.add_parser(
-        "chaos",
+        "chaos", parents=[shards],
         help="seeded fault-injection soak with bit-identical recovery audit",
     )
+    p_chaos.set_defaults(func=_cmd_chaos)
     p_chaos.add_argument(
         "--plan", default="ci-smoke",
         help="built-in fault plan to run (default ci-smoke; see --list)",
@@ -232,17 +282,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="override the plan's seed (hit schedule is derived from it)",
     )
     p_chaos.add_argument(
-        "--sessions", type=int, default=24,
+        "--sessions", type=_positive_int, default=24,
         help="scripted sessions to offer during the soak (default 24)",
     )
     p_chaos.add_argument(
-        "--wait", type=int, default=None,
+        "--wait", type=_positive_int, default=None,
         help="ENDs to await before the first kill (default: half the "
              "sessions, a quarter for repl-quorum-partition)",
-    )
-    p_chaos.add_argument(
-        "--shards", type=int, default=2,
-        help="shard threads backing the soak server (default 2)",
     )
     p_chaos.add_argument(
         "--persist-dir", type=Path, default=None,
@@ -256,10 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p_repl = sub.add_parser(
-        "repl",
+        "repl", parents=[node, listen],
         help="WAL-shipping replication: ship a journal, inspect it, "
              "promote a standby",
     )
+    p_repl.set_defaults(func=_cmd_repl)
     p_repl.add_argument(
         "action", choices=("serve", "status", "promote"),
         help="serve: ship this persistence root to standbys over TCP; "
@@ -275,33 +322,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="shard count (default: inferred from the shard-* dirs)",
     )
     p_repl.add_argument(
-        "--host", default="127.0.0.1",
-        help="for 'serve': listen address (default 127.0.0.1)",
-    )
-    p_repl.add_argument(
-        "--port", type=int, default=0,
-        help="for 'serve': listen port (default: ephemeral, printed)",
-    )
-    p_repl.add_argument(
-        "--duration", type=float, default=None,
-        help="for 'serve': stop after this many seconds "
-             "(default: run until Ctrl-C)",
-    )
-    p_repl.add_argument(
         "--project", type=Path, default=None,
         help="for 'promote': the game project the sessions were playing "
              "— enables the post-promotion digest audit",
     )
-    p_repl.add_argument(
-        "--json", action="store_true",
-        help="print machine-readable JSON instead of tables",
-    )
 
     p_cluster = sub.add_parser(
-        "cluster",
+        "cluster", parents=[node, shards],
         help="placement-aware cluster: supervise a node set or inspect "
              "its placement map",
     )
+    p_cluster.set_defaults(func=_cmd_cluster)
     p_cluster.add_argument(
         "action", choices=("serve", "status"),
         help="serve: run a primary plus standby set in this process; "
@@ -313,11 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
              "persistence directories)",
     )
     p_cluster.add_argument(
-        "--shards", type=int, default=2,
-        help="for 'serve': shard count of the new cluster (default 2)",
-    )
-    p_cluster.add_argument(
-        "--standbys", type=int, default=3,
+        "--standbys", type=_positive_int, default=3,
         help="for 'serve': standby node count (default 3)",
     )
     p_cluster.add_argument(
@@ -326,27 +353,65 @@ def build_parser() -> argparse.ArgumentParser:
              "(default: every standby)",
     )
     p_cluster.add_argument(
-        "--quorum", type=int, default=0,
+        "--quorum", type=_natural, default=0,
         help="for 'serve': standby acks an end record must collect "
-             "before its END goes out (default 0: local-only)",
-    )
-    p_cluster.add_argument(
-        "--duration", type=float, default=None,
-        help="for 'serve': stop after this many seconds "
-             "(default: run until Ctrl-C)",
-    )
-    p_cluster.add_argument(
-        "--json", action="store_true",
-        help="print machine-readable JSON instead of tables",
+             "before its END goes out, at most --standbys "
+             "(default 0: local-only)",
     )
     return parser
+
+
+def _fail(msg: str, code: int = 2) -> int:
+    """Report ``error: msg`` on stderr; return the exit ``code``."""
+    print(f"error: {msg}", file=sys.stderr)
+    return code
+
+
+def _write_or_print(text: str, output: Optional[Path], what: str) -> int:
+    """Print ``text``, or write it to ``output`` and say so."""
+    if output is None:
+        print(text)
+        return 0
+    try:
+        output.write_text(text if text.endswith("\n") else text + "\n")
+    except OSError as exc:
+        return _fail(f"cannot write {output}: {exc}", 1)
+    print(f"wrote {what} to {output}")
+    return 0
+
+
+def _load_game(project: Optional[Path], quests: int, title: str) -> Any:
+    """``project`` compiled, or else the built-in ``quests``-quest game."""
+    if project is not None:
+        from .core import load_project
+
+        return load_project(project).compile()
+    from .core import fetch_quest_game
+
+    return fetch_quest_game(n_quests=quests, title=title).build()
+
+
+def _run_until(duration: Optional[float], stop: Callable[[], Any]) -> int:
+    """Serve for ``duration`` seconds (None: until ^C), then ``stop()``."""
+    import time
+
+    try:
+        if duration is None:  # pragma: no cover - interactive
+            while True:
+                time.sleep(3600)
+        time.sleep(duration)
+    except KeyboardInterrupt:  # pragma: no cover - interactive
+        pass
+    finally:
+        stop()
+    return 0
 
 
 # ----------------------------------------------------------------------
 # Subcommand implementations (imports deferred: fast --help)
 # ----------------------------------------------------------------------
 
-def _cmd_demo() -> int:
+def _cmd_demo(args: argparse.Namespace) -> int:
     from .core import fetch_quest_game, solve
     from .reporting import render_runtime_screenshot
 
@@ -371,11 +436,11 @@ def _cmd_demo() -> int:
     return 0
 
 
-def _cmd_validate(project_dir: Path, no_solver: bool) -> int:
+def _cmd_validate(args: argparse.Namespace) -> int:
     from .core import load_project, validate
 
-    project = load_project(project_dir)
-    report = validate(project, check_winnable=not no_solver)
+    project = load_project(args.project_dir)
+    report = validate(project, check_winnable=not args.no_solver)
     for issue in report.issues:
         print(issue)
     if report.winnable is not None:
@@ -386,11 +451,11 @@ def _cmd_validate(project_dir: Path, no_solver: bool) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_solve(project_dir: Path, max_states: int) -> int:
+def _cmd_solve(args: argparse.Namespace) -> int:
     from .core import load_project, solve
 
-    game = load_project(project_dir).compile()
-    result = solve(game, max_states=max_states)
+    game = load_project(args.project_dir).compile()
+    result = solve(game, max_states=args.max_states)
     if result.winnable is None:
         print(f"inconclusive: search bound hit after {result.states_explored} states")
         return 2
@@ -405,13 +470,14 @@ def _cmd_solve(project_dir: Path, max_states: int) -> int:
     return 0
 
 
-def _cmd_figures(project_dir: Path, out_dir: Path) -> int:
+def _cmd_figures(args: argparse.Namespace) -> int:
     from .core import load_project
     from .reporting import render_authoring_screenshot
     from .reporting.images import write_ppm
     from .video import storyboard
 
-    project = load_project(project_dir)
+    project = load_project(args.project_dir)
+    out_dir: Path = args.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     fig1 = render_authoring_screenshot(project)
     (out_dir / "fig1_authoring_tool.txt").write_text(fig1 + "\n")
@@ -422,7 +488,7 @@ def _cmd_figures(project_dir: Path, out_dir: Path) -> int:
     return 0
 
 
-def _cmd_compare(students: int, seed: int) -> int:
+def _cmd_compare(args: argparse.Namespace) -> int:
     from .baselines import run_comparison
     from .core import exploration_game
     from .events import Trigger
@@ -439,26 +505,34 @@ def _cmd_compare(students: int, seed: int) -> int:
         kmap.add(KnowledgeItem(f"k{k}", f"artifact {k}"),
                  [DeliveryPoint(kind="binding", ref=examine),
                   DeliveryPoint(kind="enter", ref=f"exhibit-{k}")])
-    results = run_comparison(game, kmap, n_students=students, seed=seed)
+    results = run_comparison(game, kmap, n_students=args.students,
+                             seed=args.seed)
     print(format_table([s.as_row() for s in results.values()],
-                       title=f"Platform comparison (n={students})"))
+                       title=f"Platform comparison (n={args.students})"))
     return 0
 
 
 def _obs_demo_workload() -> None:
     """Exercise every instrumented subsystem once, with obs enabled.
 
-    Covers the four metric families the obs layer promises: engine
-    (solve + replay a fetch quest), streaming (three-policy path
-    replay), segment cache (bounded replay), and parallel segmentation
-    (difference signal over a short clip).
+    Covers the engine (solve + replay a fetch quest), streaming
+    (path replay under two prefetch policies), the segment cache
+    (bounded replay), parallel segmentation (difference signal over a
+    short clip) and serving: one traced burst through a loopback
+    gateway to a persisted manager, then crash recovery over its WAL.
     """
+    import tempfile
+
     from . import obs
     from .core import fetch_quest_game, solve
     from .core.solver import _apply
+    from .gateway import GatewayServer, GatewayThread
     from .graph import build_graph
     from .net import Channel, StreamSession, simulate_cached_playback
+    from .persist import PersistenceConfig, list_shard_dirs, recover_shard
     from .runtime import KeyPress, MouseClick, SessionRecorder
+    from .serve import ServeConfig, SessionManager, SocketLoadGenerator
+    from .students import cohort_scripts
     from .video import VideoReader
     from .video.parallel import parallel_difference_signal
 
@@ -504,119 +578,72 @@ def _obs_demo_workload() -> None:
     frames = reader.decode_segment(0)
     parallel_difference_signal(frames, max_workers=2)
 
-    # Serving layer: a short burst through the sharded session manager
-    # (fast ticks so the whole burst drains in well under a second).
-    from .serve import LoadGenerator, ServeConfig, SessionManager
-    from .students import cohort_scripts
-
+    # Serving: one burst through a loopback gateway to a persisted
+    # manager (fast ticks, so it drains in well under a second), every
+    # submission trace-sampled so the `repro obs trace` waterfall has a
+    # real fsync_wait phase; then crash recovery over the WAL.
     scripts = cohort_scripts(game, 4, seed=7)
-    with SessionManager(
-        ServeConfig(n_shards=2, tick_interval_s=0.002, max_steps_per_tick=50)
-    ) as manager:
-        LoadGenerator(manager, game, scripts).run(12, drain_timeout=30.0)
-
-    # Durability: a persisted burst, then crash recovery over its WAL —
-    # so repro_persist_* commit/recovery metrics have real samples.
-    import tempfile as _tempfile
-
-    from .persist import PersistenceConfig, recover_shard
-
-    with _tempfile.TemporaryDirectory(prefix="repro-obs-wal-") as wal_dir:
-        pconfig = PersistenceConfig(directory=wal_dir, snapshot_every=4)
+    with tempfile.TemporaryDirectory(prefix="repro-obs-wal-") as wal_dir:
         config = ServeConfig(
             n_shards=2, tick_interval_s=0.002, max_steps_per_tick=50,
-            persistence=pconfig,
+            persistence=PersistenceConfig(directory=wal_dir,
+                                          snapshot_every=4),
         )
-        with SessionManager(config) as manager:
-            LoadGenerator(manager, game, scripts).run(8, drain_timeout=30.0)
-        for i in range(config.n_shards):
-            shard_dir = pconfig.shard_dir(i)
-            if shard_dir.is_dir():
-                recover_shard(shard_dir, game)
+        with GatewayThread(GatewayServer(SessionManager(config), game)) as gw:
+            SocketLoadGenerator(
+                gw.host, gw.port, scripts, clients=2, trace_sample=1.0,
+            ).run(12, timeout=30.0)
+        for _index, shard_dir in list_shard_dirs(wal_dir):
+            recover_shard(shard_dir, game)
 
-    # Network gateway: the same burst through a loopback TCP socket so
-    # repro_gateway_* frame/handshake/RTT metrics have real samples.
-    # Every submission is trace-sampled so the repro_trace_* phase
-    # histograms (and the `repro obs trace` waterfall) have data too.
-    from .gateway import GatewayServer, GatewayThread
-    from .serve import SocketLoadGenerator
-
-    manager = SessionManager(
-        ServeConfig(n_shards=2, tick_interval_s=0.002, max_steps_per_tick=50)
-    )
-    with GatewayThread(GatewayServer(manager, game)) as handle:
-        SocketLoadGenerator(
-            handle.host, handle.port, scripts, clients=2,
-            trace_sample=1.0,
-        ).run(6, timeout=30.0)
-    from .obs import metrics as _obs_metrics
-
-    _obs_metrics.get_ring().sample()  # one history point per workload run
+    obs.get_ring().sample()  # one history point per workload run
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
     from . import obs
 
     action = args.action
-    if action == "reset":
-        obs.reset()
-        print("metrics, tracer and flight recorder reset")
-        return 0
-    if action == "check":
-        return _cmd_obs_check(args)
-    if action == "tail":
-        return _cmd_obs_tail(args)
-    if action == "trace":
-        return _cmd_obs_trace(args)
-    if not args.no_demo:
+    if action == "check" and args.slo is None:
+        return _fail("obs check requires --slo FILE")
+    if action == "tail" and args.follow and args.file is None:
+        return _fail("--follow requires --file")
+    # every action reads the in-process registry unless given a source
+    source = {"check": args.snapshot, "tail": args.file, "trace": args.url}
+    if source.get(action) is None and not args.no_demo:
         obs.enable()
         _obs_demo_workload()
+    if action == "check":
+        return _obs_check(args)
+    if action == "tail":
+        return _obs_tail(args)
+    if action == "trace":
+        return _obs_trace(args)
     if action == "flight":
         path = obs.dump_flight(args.output, reason="cli")
         print(f"wrote flight dump to {path}")
         return 0
-    fmt = args.fmt
-    if action == "dump" and fmt == "prometheus":
-        fmt = "table"  # dump is for humans; export defaults to Prometheus
-    text = obs.render_snapshot(obs.snapshot(), fmt)
-    if args.output is not None:
-        try:
-            args.output.write_text(text if text.endswith("\n") else text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {fmt} snapshot to {args.output}")
-    else:
-        print(text)
-    return 0
+    text = obs.render_snapshot(obs.snapshot(), args.fmt)
+    return _write_or_print(text, args.output, f"{args.fmt} snapshot")
 
 
-def _cmd_obs_check(args: argparse.Namespace) -> int:
+def _obs_check(args: argparse.Namespace) -> int:
     """Evaluate SLO rules; exit 0 only when every rule passes."""
     import json
 
     from . import obs
     from .reporting import format_table
 
-    if args.slo is None:
-        print("error: obs check requires --slo FILE", file=sys.stderr)
-        return 2
     try:
         rules = obs.parse_slo_file(args.slo)
     except (OSError, obs.SloError) as exc:
-        print(f"error: cannot load SLO rules: {exc}", file=sys.stderr)
-        return 2
-    if args.snapshot is not None:
+        return _fail(f"cannot load SLO rules: {exc}")
+    if args.snapshot is None:
+        snap = obs.snapshot()
+    else:
         try:
             snap = json.loads(args.snapshot.read_text())
         except (OSError, ValueError) as exc:
-            print(f"error: cannot load snapshot: {exc}", file=sys.stderr)
-            return 2
-    else:
-        if not args.no_demo:
-            obs.enable()
-            _obs_demo_workload()
-        snap = obs.snapshot()
+            return _fail(f"cannot load snapshot: {exc}")
     results, all_ok = obs.evaluate_slos(rules, snap)
     print(format_table(
         [r.as_row() for r in results],
@@ -630,80 +657,58 @@ def _cmd_obs_check(args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_obs_tail(args: argparse.Namespace) -> int:
+def _obs_tail(args: argparse.Namespace) -> int:
     """Show recent structured log events, from a file or the flight ring."""
     import json
     import time
 
     from . import obs
 
-    min_level = 0
-    if args.level is not None:
-        if args.level not in obs.LEVELS:
-            print(f"error: unknown level {args.level!r}; "
-                  f"known: {', '.join(obs.LEVELS)}", file=sys.stderr)
-            return 2
-        min_level = obs.LEVELS[args.level]
+    min_level = obs.LEVELS[args.level] if args.level is not None else 0
 
-    def _passes(record: dict) -> bool:
-        return obs.LEVELS.get(record.get("level", "info"), 20) >= min_level
+    def shown(records: list) -> list:
+        return [r for r in records
+                if obs.LEVELS.get(r.get("level", "info"), 20) >= min_level]
 
-    if args.file is None:
-        if args.follow:
-            print("error: --follow requires --file", file=sys.stderr)
-            return 2
-        if not args.no_demo:
-            obs.enable()
-            _obs_demo_workload()
-        events = [e for e in obs.get_flight_recorder().events() if _passes(e)]
-        for record in events[-max(args.lines, 0):]:
-            print(obs.format_event(record))
-        return 0
-
-    def _parse(lines: list) -> list:
+    def parse(lines: list) -> list:
         records = []
         for line in lines:
-            line = line.strip()
-            if not line:
-                continue
             try:
-                record = json.loads(line)
+                records.append(json.loads(line))
             except ValueError:
-                continue  # torn write or non-JSONL noise
-            if _passes(record):
-                records.append(record)
-        return records
-
-    def _emit(lines: list) -> None:
-        for record in _parse(lines):
-            print(obs.format_event(record), flush=True)
+                continue  # torn write, blank line or non-JSONL noise
+        return shown(records)
 
     try:
-        with open(args.file, "r") as fh:
-            records = _parse(fh.readlines())
-            for record in records[-max(args.lines, 0):]:
-                print(obs.format_event(record), flush=True)
-            if not args.follow:
-                return 0
-            try:
-                while True:
-                    new = fh.readlines()
-                    if new:
-                        _emit(new)
-                    else:
-                        time.sleep(0.25)
-            except KeyboardInterrupt:
-                return 0
+        fh = None if args.file is None else open(args.file, "r")
     except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc}", file=sys.stderr)
-        return 1
+        return _fail(f"cannot read {args.file}: {exc}", 1)
+    if fh is None:
+        batch = shown(obs.get_flight_recorder().events())
+    else:
+        batch = parse(fh.readlines())
+    batch = batch[max(len(batch) - args.lines, 0):]  # none for -n 0
+    try:
+        while True:
+            for record in batch:
+                print(obs.format_event(record), flush=True)
+            if fh is None or not args.follow:
+                return 0
+            batch = parse(fh.readlines())
+            if not batch:
+                time.sleep(0.25)
+    except KeyboardInterrupt:
+        return 0
+    finally:
+        if fh is not None:
+            fh.close()
 
 
-def _cmd_obs_trace(args: argparse.Namespace) -> int:
+def _obs_trace(args: argparse.Namespace) -> int:
     """Render one request trace as a waterfall.
 
-    Local mode (default) reads the in-process trace store — running the
-    demo workload first unless ``--no-demo`` — and renders the named
+    Local mode (default) reads the in-process trace store, filled by
+    the demo workload unless ``--no-demo``, and renders the named
     trace, or the most recently finished one.  With ``--url`` it
     fetches the timeline from a live gateway's telemetry endpoint
     instead, so an operator can point it at a serving process.
@@ -713,127 +718,78 @@ def _cmd_obs_trace(args: argparse.Namespace) -> int:
     from . import obs
     from .reporting import render_waterfall
 
-    timeline = None
-    if args.url is not None:
-        import urllib.error
+    trace_id = args.trace_id
+    if args.url is None:
+        store = obs.get_tracer()
+        trace_id = trace_id or store.latest()
+        if trace_id is None:
+            return _fail("no finished traces in this process "
+                         "(run without --no-demo, or use --url)", 1)
+        timeline = store.get(trace_id)
+        if timeline is None:
+            return _fail(f"unknown trace id {trace_id!r}", 1)
+    else:
         import urllib.request
 
         base = args.url.rstrip("/")
         if "://" not in base:
             base = "http://" + base
-        trace_id = args.trace_id
         try:
             if trace_id is None:
                 with urllib.request.urlopen(base + "/traces", timeout=10) as r:
                     finished = json.loads(r.read()).get("finished") or []
                 if not finished:
-                    print("error: the gateway has no finished traces "
-                          "(is --trace-sample > 0?)", file=sys.stderr)
-                    return 1
+                    return _fail("the gateway has no finished traces "
+                                 "(is --trace-sample > 0?)", 1)
                 trace_id = finished[-1]
             with urllib.request.urlopen(
                 f"{base}/trace/{trace_id}", timeout=10
             ) as r:
                 timeline = json.loads(r.read())
-        except urllib.error.HTTPError as exc:
-            print(f"error: {base}/trace/{trace_id}: HTTP {exc.code}",
-                  file=sys.stderr)
-            return 1
-        except (urllib.error.URLError, OSError, ValueError) as exc:
-            print(f"error: cannot reach {base}: {exc}", file=sys.stderr)
-            return 1
-    else:
-        if not args.no_demo:
-            obs.enable()
-            _obs_demo_workload()
-        store = obs.get_tracer()
-        trace_id = args.trace_id or store.latest()
-        if trace_id is None:
-            print("error: no finished traces in this process "
-                  "(run without --no-demo, or use --url)", file=sys.stderr)
-            return 1
-        timeline = store.get(trace_id)
-        if timeline is None:
-            print(f"error: unknown trace id {trace_id!r}", file=sys.stderr)
-            return 1
-    text = render_waterfall(timeline)
-    if args.output is not None:
-        try:
-            args.output.write_text(text + "\n")
-        except OSError as exc:
-            print(f"error: cannot write {args.output}: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote trace waterfall to {args.output}")
-    else:
-        print(text)
-    return 0
+        except (OSError, ValueError) as exc:  # URLError is an OSError
+            return _fail(f"cannot fetch a trace from {base}: {exc}", 1)
+    return _write_or_print(render_waterfall(timeline), args.output,
+                           "trace waterfall")
 
 
 def _cmd_gateway(args: argparse.Namespace) -> int:
     """Run a gateway-fronted session server until ^C (or --duration)."""
-    import asyncio
-
     from . import obs
-    from .core import fetch_quest_game
-    from .gateway import GatewayConfig, GatewayServer
+    from .gateway import GatewayConfig, GatewayServer, GatewayThread
+    from .persist import PersistenceConfig
     from .serve import ServeConfig, SessionManager
 
-    if args.tick_hz <= 0:
-        print("error: --tick-hz must be positive", file=sys.stderr)
-        return 2
-    n_shards = args.shards
-    if n_shards < 1:
-        print("error: --shards must be >= 1", file=sys.stderr)
-        return 2
     obs.enable()
-    persistence = None
-    if args.persist_dir is not None:
-        from .persist import PersistenceConfig
-
-        persistence = PersistenceConfig(directory=args.persist_dir)
-    game = fetch_quest_game(n_quests=args.quests, title="gateway").build()
+    persistence = None if args.persist_dir is None else PersistenceConfig(
+        directory=args.persist_dir
+    )
     manager = SessionManager(ServeConfig(
-        n_shards=n_shards,
+        n_shards=args.shards,
         max_sessions=args.max_sessions,
         tick_interval_s=1.0 / args.tick_hz,
         max_steps_per_tick=args.steps_per_tick,
         persistence=persistence,
     ))
-    if not 0.0 <= args.trace_sample <= 1.0:
-        print("error: --trace-sample must be within [0, 1]", file=sys.stderr)
-        return 2
     server = GatewayServer(
-        manager, game, config=GatewayConfig(
+        manager, _load_game(None, args.quests, "gateway"),
+        config=GatewayConfig(
             host=args.host, port=args.port,
             trace_sample=args.trace_sample,
             telemetry_port=args.telemetry_port,
-        )
+        ),
     )
-
-    async def _serve() -> None:
-        if persistence is not None:
-            recovered = server.recover()
-            if recovered:
-                print(f"recovered {len(recovered)} live session(s) from WAL")
-        await server.start()
-        print(f"gateway listening on {args.host}:{server.port} "
-              f"({n_shards} shard(s); ^C to drain and exit)")
-        if server.telemetry_port is not None:
-            print(f"telemetry on http://{args.host}:{server.telemetry_port} "
-                  "(/metrics /healthz /trace/<id> /traces /history)")
-        try:
-            if args.duration > 0:
-                await asyncio.sleep(args.duration)
-            else:
-                await server.serve_forever()
-        finally:
-            await server.shutdown(drain=True)
-
-    try:
-        asyncio.run(_serve())
-    except KeyboardInterrupt:
-        print("\ndrained and stopped")
-    return 0
+    if persistence is not None:
+        recovered = server.recover()
+        if recovered:
+            print(f"recovered {len(recovered)} live session(s) from WAL")
+    handle = GatewayThread(server).start()
+    print(f"gateway listening on {args.host}:{server.port} "
+          f"({args.shards} shard(s); ^C to drain and exit)")
+    if server.telemetry_port is not None:
+        print(f"telemetry on http://{args.host}:{server.telemetry_port} "
+              "(/metrics /healthz /trace/<id> /traces /history)")
+    return _run_until(args.duration if args.duration > 0 else None,
+                      handle.stop)
 
 
 def _cmd_wal(args: argparse.Namespace) -> int:
@@ -855,23 +811,25 @@ def _cmd_wal(args: argparse.Namespace) -> int:
 
     root: Path = args.directory
     shard_dirs = [path for _index, path in list_shard_dirs(root)]
-    if not shard_dirs and root.is_dir():
+    if not shard_dirs and list_segments(root):
         shard_dirs = [root]  # a single shard's journal directory
     if not shard_dirs:
-        print(f"error: {root} is not a journal directory", file=sys.stderr)
-        return 2
+        return _fail(f"{root} is not a journal directory "
+                     "(no shard-*/ or wal-*.log in it)")
 
-    def fold(shard_dir: Path, records: list) -> SessionTable:
-        """Recovery's session fold, without building engines."""
+    def scan(shard_dir: Path) -> tuple:
+        """A read-only scan and recovery's session fold, without engines."""
+        report = scan_journal(shard_dir)
         store = SnapshotStore(snapshot_dir_for(shard_dir))
-        return SessionTable.from_log(store.load_all()[0].values(), records)
+        return report, SessionTable.from_log(
+            store.load_all()[0].values(), report.records
+        )
 
     if args.action == "inspect":
         rows = []
         for shard_dir in shard_dirs:
-            report = scan_journal(shard_dir)  # read-only: no truncation
+            report, table = scan(shard_dir)
             kinds = Counter(record.get("t") for record in report.records)
-            table = fold(shard_dir, report.records)
             ended = sum(1 for entry in table.values() if entry.ended)
             bytes_on_disk = sum(
                 p.stat().st_size for _seq, p in list_segments(shard_dir)
@@ -902,8 +860,7 @@ def _cmd_wal(args: argparse.Namespace) -> int:
     if args.action == "compact":
         total_dropped = 0
         for shard_dir in shard_dirs:
-            report = scan_journal(shard_dir)
-            table = fold(shard_dir, report.records)
+            report, table = scan(shard_dir)
             # finished sessions don't pin the watermark
             watermark = compaction_watermark(
                 (e.covered_lsn for e in table.values() if not e.ended),
@@ -918,25 +875,14 @@ def _cmd_wal(args: argparse.Namespace) -> int:
 
     # recover: needs the game the journals were recorded against.
     obs.enable()
-    if args.project is not None:
-        from .core import load_project
-
-        game = load_project(args.project).compile()
-    else:
-        from .core import fetch_quest_game
-
-        game = fetch_quest_game(
-            n_quests=args.quests, title="wal-recover"
-        ).build()
+    game = _load_game(args.project, args.quests, "wal-recover")
     rows = []
     exit_code = 0
     for shard_dir in shard_dirs:
         try:
             report = recover_shard(shard_dir, game)
         except Exception as exc:
-            print(f"error: recovery of {shard_dir} failed: {exc}",
-                  file=sys.stderr)
-            exit_code = 1
+            exit_code = _fail(f"recovery of {shard_dir} failed: {exc}", 1)
             continue
         rows.append({
             "shard": shard_dir.name,
@@ -1038,42 +984,32 @@ def _render_top_frame(width: int) -> str:
     )
 
 
-def _cmd_top(
-    interval: float, iterations: int, once: bool, no_demo: bool, width: int
-) -> int:
+def _cmd_top(args: argparse.Namespace) -> int:
     import threading
     import time
 
     from . import obs
 
-    if interval <= 0:
-        print("error: --interval must be positive", file=sys.stderr)
-        return 2
-    if iterations < 1:
-        print("error: --iterations must be >= 1", file=sys.stderr)
-        return 2
     obs.enable()
-    worker: Optional[threading.Thread] = None
-    if not no_demo:
-        worker = threading.Thread(target=_obs_demo_workload, daemon=True)
+    worker = threading.Thread(target=_obs_demo_workload, daemon=True)
+    if not args.no_demo:
         worker.start()
-    frames = 1 if once else iterations
-    if once and worker is not None:
-        # A single frame should show the finished workload, not the
-        # empty registry the thread hasn't populated yet.
-        worker.join(timeout=60.0)
+        if args.iterations == 1:
+            # A single frame should show the finished workload, not the
+            # empty registry the thread hasn't populated yet.
+            worker.join(timeout=60.0)
     try:
-        for i in range(frames):
+        for i in range(args.iterations):
             if i:
-                time.sleep(interval)
+                time.sleep(args.interval)
             # ANSI home+clear keeps successive frames in place on a tty.
             if sys.stdout.isatty() and i:
                 print("\x1b[H\x1b[2J", end="")
-            print(_render_top_frame(width))
+            print(_render_top_frame(args.width))
             sys.stdout.flush()
     except KeyboardInterrupt:
         pass
-    if worker is not None:
+    if worker.is_alive():
         worker.join(timeout=10.0)
     return 0
 
@@ -1087,25 +1023,16 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
     plans = builtin_plans()
     if args.list:
-        rows = []
-        for name, plan in sorted(plans.items()):
-            rows.append({
-                "plan": name,
-                "faults": len(plan.specs),
-                "sites": " ".join(sorted({s.site for s in plan.specs})),
-                "description": plan.description,
-            })
+        rows = [{
+            "plan": name,
+            "faults": len(plan.specs),
+            "sites": " ".join(sorted({s.site for s in plan.specs})),
+            "description": plan.description,
+        } for name, plan in sorted(plans.items())]
         print(format_table(rows, title="Built-in fault plans"))
         return 0
     if args.plan not in plans:
-        print(f"unknown plan {args.plan!r}; try --list", file=sys.stderr)
-        return 2
-    if args.sessions < 1 or args.shards < 1:
-        print("error: --sessions and --shards must be >= 1", file=sys.stderr)
-        return 2
-    if args.wait is not None and args.wait < 1:
-        print("error: --wait must be >= 1", file=sys.stderr)
-        return 2
+        return _fail(f"unknown plan {args.plan!r}; try --list")
     report = run_chaos(
         args.plan,
         seed=args.seed,
@@ -1140,7 +1067,6 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_cluster(args: argparse.Namespace) -> int:
     import json
-    from time import sleep as _sleep
 
     from . import obs
     from .reporting import format_table
@@ -1149,20 +1075,12 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
     if args.action == "serve":
         from .cluster import ClusterSupervisor
-        from .core import fetch_quest_game
 
-        if args.shards < 1 or args.standbys < 1:
-            print("error: --shards and --standbys must be >= 1",
-                  file=sys.stderr)
-            return 2
-        if not 0 <= args.quorum <= args.standbys:
-            print("error: --quorum must be within [0, --standbys]",
-                  file=sys.stderr)
-            return 2
+        if args.quorum > args.standbys:
+            return _fail("--quorum must be within [0, --standbys]")
         obs.enable()
-        game = fetch_quest_game(n_quests=2, title="Cluster Demo").build()
         supervisor = ClusterSupervisor(
-            game,
+            _load_game(None, 2, "Cluster Demo"),
             n_shards=args.shards,
             n_standbys=args.standbys,
             replicas_per_shard=args.replicas_per_shard,
@@ -1173,26 +1091,15 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
               f"shipping {args.shards} shard(s) to {args.standbys} "
               f"standby(s), "
               f"quorum={args.quorum}; placement saved under {directory}")
-        try:
-            if args.duration is not None:
-                _sleep(args.duration)
-            else:  # pragma: no cover - interactive
-                while True:
-                    _sleep(3600)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            supervisor.stop()
-        return 0
+        return _run_until(args.duration, supervisor.stop)
 
     from .cluster import PlacementMap
 
     try:
         pmap = PlacementMap.load(directory)
     except FileNotFoundError:
-        print(f"error: no PLACEMENT.json under {directory} "
-              "(run 'repro cluster serve' first)", file=sys.stderr)
-        return 2
+        return _fail(f"no PLACEMENT.json under {directory} "
+                     "(run 'repro cluster serve' first)")
 
     doc = pmap.to_dict()
     if args.json:
@@ -1218,7 +1125,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
 
 def _cmd_repl(args: argparse.Namespace) -> int:
     import json
-    from time import sleep as _sleep
 
     from . import obs
     from .persist import PersistenceConfig, list_shard_dirs, scan_journal
@@ -1232,9 +1138,8 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     # serve can ship a root the primary has not written yet
     empty = n_shards < 1 if args.action == "serve" else not shard_dirs
     if empty:
-        print(f"error: no shard-* journals under {directory} "
-              "(pass --shards to serve an empty root)", file=sys.stderr)
-        return 2
+        return _fail(f"no shard-* journals under {directory} "
+                     "(pass --shards to serve an empty root)")
 
     if args.action == "serve":
         from .replicate import ReplicationSource
@@ -1246,17 +1151,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
         ).start()
         print(f"replication source: shipping {n_shards} shard(s) of "
               f"{directory} on {source.host}:{source.port}")
-        try:
-            if args.duration is not None:
-                _sleep(args.duration)
-            else:  # pragma: no cover - interactive
-                while True:
-                    _sleep(3600)
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            pass
-        finally:
-            source.stop()
-        return 0
+        return _run_until(args.duration, source.stop)
 
     if args.action == "status":
         from .replicate import read_epoch
@@ -1280,14 +1175,10 @@ def _cmd_repl(args: argparse.Namespace) -> int:
             print(format_table(rows, title=f"Replication status: {directory}"))
         return 0
 
-    # promote
+    # promote; --project enables the digest audit
     from .replicate import promote_directory
 
-    game = None
-    if args.project is not None:
-        from .core import load_project
-
-        game = load_project(args.project).compile()
+    game = None if args.project is None else _load_game(args.project, 2, "")
     report = promote_directory(directory, game=game)
     if args.json:
         print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
@@ -1304,33 +1195,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "demo":
-        return _cmd_demo()
-    if args.command == "validate":
-        return _cmd_validate(args.project_dir, args.no_solver)
-    if args.command == "solve":
-        return _cmd_solve(args.project_dir, args.max_states)
-    if args.command == "figures":
-        return _cmd_figures(args.project_dir, args.out_dir)
-    if args.command == "compare":
-        return _cmd_compare(args.students, args.seed)
-    if args.command == "obs":
-        return _cmd_obs(args)
-    if args.command == "top":
-        return _cmd_top(
-            args.interval, args.iterations, args.once, args.no_demo, args.width
-        )
-    if args.command == "gateway":
-        return _cmd_gateway(args)
-    if args.command == "chaos":
-        return _cmd_chaos(args)
-    if args.command == "wal":
-        return _cmd_wal(args)
-    if args.command == "repl":
-        return _cmd_repl(args)
-    if args.command == "cluster":
-        return _cmd_cluster(args)
-    raise AssertionError(f"unhandled command {args.command!r}")  # pragma: no cover
+    return args.func(args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,12 +12,11 @@ This package turns the single-standby replication of
   failing writes over the moment the map's epoch advances;
 * :mod:`~repro.cluster.supervisor` — :class:`ClusterSupervisor`, the
   one-process node-set harness (tests, benches, ``repro cluster``);
-* :func:`run_cluster_chaos` — the kill-a-quorum-member audit behind
-  ``repro chaos --plan repl-quorum-partition``, the quorum topology of
-  :func:`repro.faultline.chaos.run_chaos`.
+* the kill-a-quorum-member audit is the quorum topology of
+  :func:`repro.faultline.chaos.run_chaos`
+  (``repro chaos --plan repl-quorum-partition``).
 """
 
-from ..faultline.chaos import run_cluster_chaos
 from .gateway import ClusterGateway
 from .placement import (
     NodeInfo,
@@ -34,5 +33,4 @@ __all__ = [
     "PlacementMap",
     "ShardAssignment",
     "plan_placement",
-    "run_cluster_chaos",
 ]

@@ -72,8 +72,6 @@ __all__ = [
     "ChaosReport",
     "reference_digest",
     "run_chaos",
-    "run_cluster_chaos",
-    "run_repl_chaos",
 ]
 
 SINGLE, REPLICA, QUORUM = "single", "replica", "quorum"
@@ -662,17 +660,3 @@ def run_chaos(
     report.duration_s = perf_counter() - t0
     report.failures = report.breaches()
     return report
-
-
-def run_repl_chaos(plan: Union[str, FaultPlan, CompiledPlan]
-                   = "repl-kill-primary", *, sessions: int = 16,
-                   **kwargs: Any) -> ChaosReport:
-    """Kill-the-primary audit: :func:`run_chaos` on a ``repl.*`` plan."""
-    return run_chaos(plan, sessions=sessions, **kwargs)
-
-
-def run_cluster_chaos(plan: Union[str, FaultPlan, CompiledPlan]
-                      = "repl-quorum-partition", *, sessions: int = 12,
-                      **kwargs: Any) -> ChaosReport:
-    """Kill-a-quorum-member audit: :func:`run_chaos` on the quorum plan."""
-    return run_chaos(plan, sessions=sessions, **kwargs)

@@ -7,8 +7,8 @@ module turns it into
 * the Prometheus text exposition format (``render_prometheus``) — what
   a scrape endpoint or a CI artifact would serve;
 * the repo's own table machinery (``render_table`` via
-  :func:`repro.reporting.tables.format_table`) — what ``repro obs dump``
-  prints;
+  :func:`repro.reporting.tables.format_table`) — what
+  ``repro obs export --format table`` prints;
 * JSON (``render_json``) — for programmatic diffing across runs.
 
 Histograms export the full Prometheus triple: cumulative ``_bucket``

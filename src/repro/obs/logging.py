@@ -282,7 +282,7 @@ def add_log_file(path: "Path | str") -> _FileSink:
 
 
 def reset_logging() -> None:
-    """Drop all sinks and level overrides (used by tests and ``obs reset``)."""
+    """Drop all sinks and level overrides (used by tests)."""
     _CONFIG.reset()
 
 

@@ -26,12 +26,11 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   fence over a directory offline.
 
 The whole story is soaked under fault injection by
-:func:`run_repl_chaos` (the ``repl-kill-primary`` plan; it is the
-replica topology of :func:`repro.faultline.chaos.run_chaos`) and gated
-in CI by ``benchmarks/bench_replicate.py``.
+:func:`repro.faultline.chaos.run_chaos` on the ``repl-kill-primary``
+plan (its replica topology) and gated in CI by
+``benchmarks/bench_replicate.py``.
 """
 
-from ..faultline.chaos import run_repl_chaos
 from .promote import (
     Promoter,
     PromotionReport,
@@ -66,6 +65,5 @@ __all__ = [
     "StandbyReplica",
     "promote_directory",
     "read_epoch",
-    "run_repl_chaos",
     "write_epoch",
 ]

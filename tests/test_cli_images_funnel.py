@@ -246,6 +246,17 @@ class TestCli:
     def test_wal_inspect_bad_directory(self, tmp_path, capsys):
         assert main(["wal", "inspect", str(tmp_path / "missing")]) == 2
 
+    @pytest.mark.parametrize("action", ["inspect", "compact", "recover"])
+    @pytest.mark.parametrize("entries", [[], ["notes.txt"]])
+    def test_wal_refuses_a_directory_without_journals(
+        self, tmp_path, capsys, action, entries
+    ):
+        for name in entries:
+            (tmp_path / name).write_text("not a journal\n")
+        assert main(["wal", action, str(tmp_path)]) == 2
+        assert "is not a journal directory" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == entries
+
 
 class TestScenarioFunnel:
     def _play_session(self, game, visit_market: bool):

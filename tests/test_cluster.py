@@ -22,9 +22,8 @@ from repro.cluster import (
     NodeInfo,
     PlacementMap,
     plan_placement,
-    run_cluster_chaos,
 )
-from repro.faultline.chaos import reference_digest
+from repro.faultline.chaos import reference_digest, run_chaos
 from repro.replicate import ReplicaLagging
 from repro.replicate.protocol import R_ERROR, R_HANDSHAKE, encode, make_decoder
 from repro.serve import session_factory_for_script
@@ -348,8 +347,8 @@ class TestQuorumCluster:
 
 class TestClusterChaos:
     def test_seeded_chaos_audit_passes(self, classroom_game):
-        report = run_cluster_chaos(
-            seed=4321, sessions=6, n_shards=N_SHARDS,
+        report = run_chaos(
+            "repl-quorum-partition", seed=4321, sessions=6, n_shards=N_SHARDS,
             n_standbys=3, quorum=2, game=classroom_game,
         )
         assert report.lost_records == 0
@@ -368,8 +367,8 @@ class TestClusterChaos:
 
     def test_quorum_must_leave_a_survivor(self, classroom_game):
         with pytest.raises(ValueError):
-            run_cluster_chaos(
-                sessions=2, n_shards=1, n_standbys=2, quorum=2,
+            run_chaos(
+                "repl-quorum-partition", sessions=2, n_shards=1, n_standbys=2, quorum=2,
                 game=classroom_game,
             )
 

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from repro.faultline.chaos import reference_digest
+from repro.faultline.chaos import reference_digest, run_chaos
 from repro.persist import (
     PersistenceConfig,
     scan_journal,
@@ -20,7 +20,6 @@ from repro.replicate import (
     StandbyReplica,
     promote_directory,
     read_epoch,
-    run_repl_chaos,
 )
 from repro.replicate.protocol import encode, make_decoder
 from repro.serve import ServeConfig, SessionManager, session_factory_for_script
@@ -273,8 +272,8 @@ class TestPromotion:
 class TestReplChaos:
     def test_kill_primary_chaos_cycle(self, classroom_game):
         scripts = cohort_scripts(classroom_game, 4, seed=97)
-        report = run_repl_chaos(
-            seed=1301, sessions=8, n_shards=N_SHARDS,
+        report = run_chaos(
+            "repl-kill-primary", seed=1301, sessions=8, n_shards=N_SHARDS,
             game=classroom_game, scripts=scripts,
         )
         assert report.lost_records == 0
@@ -289,4 +288,4 @@ class TestReplChaos:
 
     def test_rejects_unknown_plan(self):
         with pytest.raises(ValueError, match="unknown plan"):
-            run_repl_chaos("no-such-plan", sessions=1)
+            run_chaos("no-such-plan", sessions=1)
