@@ -670,7 +670,14 @@ def _obs_tail(args: argparse.Namespace) -> int:
         return [r for r in records
                 if obs.LEVELS.get(r.get("level", "info"), 20) >= min_level]
 
-    def parse(lines: list) -> list:
+    held = ""
+
+    def parse(text: str) -> list:
+        nonlocal held
+        lines = (held + text).split("\n")
+        # Following, a last piece with no newline yet may be a line its
+        # writer has not finished: hold it until the rest arrives.
+        held = lines.pop() if args.follow else ""
         records = []
         for line in lines:
             try:
@@ -686,7 +693,7 @@ def _obs_tail(args: argparse.Namespace) -> int:
     if fh is None:
         batch = shown(obs.get_flight_recorder().events())
     else:
-        batch = parse(fh.readlines())
+        batch = parse(fh.read())
     batch = batch[max(len(batch) - args.lines, 0):]  # none for -n 0
     try:
         while True:
@@ -694,7 +701,7 @@ def _obs_tail(args: argparse.Namespace) -> int:
                 print(obs.format_event(record), flush=True)
             if fh is None or not args.follow:
                 return 0
-            batch = parse(fh.readlines())
+            batch = parse(fh.read())
             if not batch:
                 time.sleep(0.25)
     except KeyboardInterrupt:
@@ -908,9 +915,15 @@ def _render_top_frame(width: int) -> str:
     from .reporting import format_table, render_dashboard, sparkline
 
     snap = obs.snapshot()
+    # Time-series ring: one sample per rendered frame, so successive
+    # frames grow a real history even without a telemetry sidecar.
+    ring = obs.get_ring()
+    scalars = ring.sample(snap=snap)
     rows = obs.snapshot_rows(snap)
-    # Busiest series first so a narrow terminal still shows the action.
-    rows.sort(key=lambda r: str(r.get("metric", "")))
+    # Busiest series first so a narrow terminal still shows the action:
+    # ranked by their metric's scalar (counter or gauge sum, histogram
+    # count), largest first.
+    rows.sort(key=lambda r: (-scalars.get(r["metric"], 0.0), r["metric"]))
     metric_lines = format_table(rows[:14]).splitlines() if rows else ["(no metrics)"]
 
     # one store: request roots, their nested spans and free roots
@@ -954,10 +967,6 @@ def _render_top_frame(width: int) -> str:
         f"{flight.total_recorded} total)"
     )
 
-    # Time-series ring: one sample per rendered frame, so successive
-    # frames grow a real history even without a telemetry sidecar.
-    ring = obs.get_ring()
-    ring.sample(snap=snap)
     history_lines = []
     busiest = sorted(
         ((ring.series(name)[-1][1], name) for name in ring.names()),

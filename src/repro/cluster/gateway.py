@@ -2,8 +2,7 @@
 to whoever the map says is primary *now*.
 
 A :class:`ClusterGateway` owns no sockets — it is the routing brain
-shared by the in-process supervisor, the chaos harness and (through
-``GatewayServer(placement=...)``) the TCP gateway's error details.  It
+shared by the in-process supervisor and the chaos harness.  It
 consults the :class:`~repro.cluster.placement.PlacementMap` on every
 call, so a failover that advances the map's epoch reroutes the very
 next write with no reconfiguration: the gateway holds node *ids*, the

@@ -102,6 +102,9 @@ def backoff_delays(
     return [min(base * factor**k, max_delay) for k in range(attempts)]
 
 
+#: bound on one connection attempt
+_CONNECT_TIMEOUT_S = 5.0
+
 #: (host, port) -> (reader, writer); injectable for tests
 Connector = Callable[
     [str, int], Awaitable[Tuple[asyncio.StreamReader, asyncio.StreamWriter]]
@@ -123,7 +126,6 @@ class GatewayClient:
         port: int,
         *,
         client_name: str = "repro-client",
-        connect_timeout_s: float = 5.0,
         request_timeout_s: float = 30.0,
         idle_timeout_s: float = 30.0,
         heartbeat_s: float = 0.0,
@@ -139,7 +141,6 @@ class GatewayClient:
         self.host = host
         self.port = port
         self.client_name = client_name
-        self.connect_timeout_s = connect_timeout_s
         self.request_timeout_s = request_timeout_s
         self.idle_timeout_s = idle_timeout_s
         self.heartbeat_s = heartbeat_s
@@ -214,7 +215,7 @@ class GatewayClient:
             try:
                 reader, writer = await asyncio.wait_for(
                     self._connector(self.host, self.port),
-                    timeout=self.connect_timeout_s,
+                    timeout=_CONNECT_TIMEOUT_S,
                 )
             except (ConnectionError, OSError, asyncio.TimeoutError) as exc:
                 last_exc = exc

@@ -116,6 +116,12 @@ _M_SLOW = _obs.counter(
 
 _LOG = _obslog.get_logger("gateway")
 
+#: a connection that sends nothing for this long is dropped (clients
+#: heartbeat with PING well inside it)
+IDLE_TIMEOUT_S = 60.0
+#: the HELLO frame must arrive this quickly after accept
+HANDSHAKE_TIMEOUT_S = 10.0
+
 
 @dataclass(frozen=True, slots=True)
 class GatewayConfig:
@@ -124,15 +130,8 @@ class GatewayConfig:
     host: str = "127.0.0.1"
     #: 0 binds an ephemeral port (read it back from ``server.port``)
     port: int = 0
-    #: reject any frame announcing a payload beyond this
-    max_frame_bytes: int = 1 << 20
     #: bounded outbound frame queue; overflow = slow-reader disconnect
     outbound_queue_frames: int = 256
-    #: a connection that sends nothing for this long is dropped
-    #: (clients heartbeat with PING well inside it)
-    idle_timeout_s: float = 60.0
-    #: the HELLO frame must arrive this quickly after accept
-    handshake_timeout_s: float = 10.0
     #: END payloads kept for clients that resume after completion
     finished_cache: int = 1024
     #: server-initiated request-trace sampling of SUBMITs that carry no
@@ -148,12 +147,8 @@ class GatewayConfig:
     telemetry_sample_interval_s: float = 0.5
 
     def __post_init__(self) -> None:
-        if self.max_frame_bytes < 1024:
-            raise ValueError("max_frame_bytes must be >= 1024")
         if self.outbound_queue_frames < 1:
             raise ValueError("outbound_queue_frames must be >= 1")
-        if self.idle_timeout_s <= 0 or self.handshake_timeout_s <= 0:
-            raise ValueError("timeouts must be positive")
         if self.finished_cache < 0:
             raise ValueError("finished_cache must be >= 0")
         if not 0.0 <= self.trace_sample <= 1.0:
@@ -203,7 +198,7 @@ class _Connection:
         self.reader = reader
         self.writer = writer
         self.config = server.config
-        self.decoder = FrameDecoder(self.config.max_frame_bytes)
+        self.decoder = FrameDecoder()
         #: (frame_bytes, trace_id, trace_status) — None is the flush
         #: marker; a trace id rides with its END frame so the writer
         #: can close the trace's flush phase after the actual drain
@@ -363,7 +358,7 @@ class _Connection:
         """First frame must be HELLO; reply in kind.  False on EOF."""
         frames: List[Any] = []
         while not frames:
-            frames = await self._read_frames(self.config.handshake_timeout_s)
+            frames = await self._read_frames(HANDSHAKE_TIMEOUT_S)
             if not frames and self.reader.at_eof():
                 return False
         ftype, payload = frames[0]
@@ -413,7 +408,7 @@ class _Connection:
 
     async def _serve_frames(self) -> None:
         while not self.closed:
-            frames = await self._read_frames(self.config.idle_timeout_s)
+            frames = await self._read_frames(IDLE_TIMEOUT_S)
             if not frames and self.reader.at_eof():
                 return
             for ftype, payload in frames:
@@ -457,9 +452,7 @@ class _Connection:
             )
 
 
-#: the single source of the standby-gateway write-refusal text; the
-#: placement map (when one is attached) appends the current primary's
-#: address so clients can re-route instead of guessing
+#: the single source of the standby-gateway write-refusal text
 READ_ONLY_DETAIL = (
     "this gateway serves a standby replica; writes go to the primary"
 )
@@ -483,7 +476,6 @@ class GatewayServer:
         config: Optional[GatewayConfig] = None,
         with_video: bool = False,
         read_replica: Optional[Any] = None,
-        placement: Optional[Any] = None,
     ) -> None:
         self.manager = manager
         self.game = game
@@ -495,10 +487,6 @@ class GatewayServer:
         #: ``read_only`` error and QUERY answers from the replica's
         #: lag-bounded view instead of the live player table.
         self.read_replica = read_replica
-        #: a :class:`repro.cluster.PlacementMap` (or anything with its
-        #: ``primary_address`` shape); lets read-only refusals name the
-        #: current primary so clients can re-route
-        self.placement = placement
         self._players: Dict[str, _PlayerEntry] = {}
         self._finished: "OrderedDict[str, None]" = OrderedDict()
         #: completion bridge: ENDs queued by shard threads, drained in
@@ -631,16 +619,6 @@ class GatewayServer:
         _LOG.info("gateway.shutdown", drained=drained)
         return drained
 
-    async def serve_forever(self) -> None:
-        """Run until cancelled (the CLI's ``repro gateway serve`` body)."""
-        if self._server is None:
-            await self.start()
-        assert self._server is not None
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
     # -- player table (event loop only) --------------------------------
     def _attach_players(
         self,
@@ -693,18 +671,6 @@ class GatewayServer:
             if conn.send(END, entry.done_payload):
                 conn.players.pop(pid, None)
 
-    def _read_only_detail(self) -> str:
-        """The write-refusal text, naming the primary when it's known."""
-        detail = READ_ONLY_DETAIL
-        if self.placement is not None:
-            try:
-                addr = self.placement.primary_address()
-            except Exception:
-                addr = None
-            if addr:
-                detail += f" (current primary: {addr})"
-        return detail
-
     def _handle_submit(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         seq = payload.get("seq")
         pid = payload.get("player")
@@ -712,7 +678,7 @@ class GatewayServer:
             conn.send_error("bad_submit", "missing player id", seq=seq)
             return
         if self.read_replica is not None:
-            conn.send_error("read_only", self._read_only_detail(), seq=seq)
+            conn.send_error("read_only", READ_ONLY_DETAIL, seq=seq)
             return
         if self._draining:
             conn.send_error("draining", "gateway is shutting down", seq=seq)
@@ -794,7 +760,7 @@ class GatewayServer:
         seq = payload.get("seq")
         pid = payload.get("player")
         if self.read_replica is not None:
-            conn.send_error("read_only", self._read_only_detail(), seq=seq)
+            conn.send_error("read_only", READ_ONLY_DETAIL, seq=seq)
             return
         entry = self._players.get(pid) if isinstance(pid, str) else None
         if entry is None:

@@ -56,6 +56,8 @@ _LOG = _obslog.get_logger("gateway.telemetry")
 
 #: cap on request-line + header bytes we are willing to buffer
 _MAX_REQUEST_BYTES = 8192
+#: newest time-series samples ``/history`` returns
+_HISTORY_LIMIT = 256
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed"}
 
@@ -73,7 +75,6 @@ class TelemetryServer:
         host: str = "127.0.0.1",
         port: int = 0,
         sample_interval_s: float = 0.5,
-        history_limit: int = 256,
     ) -> None:
         if sample_interval_s <= 0:
             raise ValueError("sample_interval_s must be positive")
@@ -81,7 +82,6 @@ class TelemetryServer:
         self.host = host
         self._port = port
         self.sample_interval_s = sample_interval_s
-        self.history_limit = history_limit
         self._server: Optional[asyncio.AbstractServer] = None
         self._sampler_task: Optional[asyncio.Task] = None
 
@@ -193,7 +193,7 @@ class TelemetryServer:
             _M_HTTP.inc(route="history")
             samples = _obs.get_ring().samples()
             return 200, "application/json", _json_body(
-                {"samples": samples[-self.history_limit:]}
+                {"samples": samples[-_HISTORY_LIMIT:]}
             )
         _M_HTTP.inc(route="other")
         return 404, "application/json", _json_body(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import threading
 from collections import deque
 from time import monotonic
-from typing import Any, Callable, Deque, Optional, Tuple
+from typing import Any, Callable, Deque, List, Optional, Tuple
 
 __all__ = ["DurableGate"]
 
@@ -56,8 +56,8 @@ class DurableGate:
             self._parked.append((lsn, monotonic(), item))
             self._cond.notify()
 
-    def close(self, discard: bool = False) -> int:
-        """Stop the gate; returns how many parked items it dropped.
+    def close(self, discard: bool = False) -> List[Any]:
+        """Stop the gate; returns the parked items it dropped.
 
         By default every parked item is still released (its journal
         should be closed first, so none waits on a commit that will not
@@ -67,8 +67,9 @@ class DurableGate:
         """
         with self._cond:
             self._closing = True
-            dropped = len(self._parked) if discard else 0
+            dropped: List[Any] = []
             if discard:
+                dropped = [item for _, _, item in self._parked]
                 self._parked.clear()
             self._cond.notify()
         if not discard:

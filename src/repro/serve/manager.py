@@ -206,20 +206,6 @@ class _Shard:
         #: durability (None when persistence is off or the journal died)
         self._journal: Optional[Journal] = None
         self._snapshots: Optional[SnapshotStore] = None
-        #: player id -> newest LSN a snapshot covers (start_lsn - 1
-        #: before the first snapshot); drives the compaction watermark.
-        #: A session already here at admission was recovered from the
-        #: WAL, so its start record is not logged again
-        self._covered: Dict[str, int] = {}
-        #: player id -> cursor at its last snapshot (or admission);
-        #: the snapshot cadence counts applied ops from here
-        self._snapshot_cursor: Dict[str, int] = {}
-        #: player id -> ops its start record (or recovery) logged; a
-        #: step past them is a live op and logs an input record
-        self._logged: Dict[str, int] = {}
-        #: sessions that advanced this tick and are still running: the
-        #: tick's progress record carries their cursors
-        self._advanced: Dict[str, ServedSession] = {}
         #: holds each finished session's END until its end record is
         #: covered (None when persistence is off or the journal never
         #: opened)
@@ -240,22 +226,6 @@ class _Shard:
         if discard:
             self._discard.set()
         self._stop.set()
-
-    def seed_recovered(self, session: ServedSession, covered_lsn: int) -> None:
-        """Queue a WAL-recovered session for resumption (pre-start only).
-
-        The session's history is already durable: its start record (or
-        a snapshot at ``covered_lsn``) is on disk, so admission must
-        not journal it again.  Its ``_covered`` entry, set here and not
-        at admission, says so, and pins the compaction watermark while
-        the session still waits in the inbox.
-        """
-        sid = session.player_id
-        self._covered[sid] = covered_lsn
-        self._snapshot_cursor[sid] = session.cursor
-        self._logged[sid] = len(session.ops)
-        with self._inbox_lock:
-            self._inbox.append((sid, lambda _pid, s=session: s))
 
     def join(self, timeout: Optional[float] = None) -> None:
         if self._thread.is_alive():
@@ -370,10 +340,9 @@ class _Shard:
             return None
         return lsn
 
-    def _log_progress(self) -> None:
+    def _log_progress(self, advanced: Dict[str, ServedSession]) -> None:
         """End of tick: one progress record for every session that
         advanced and is still running, then any snapshots it is due."""
-        advanced, self._advanced = self._advanced, {}
         lsn = self._journal_append(
             progress_record({sid: s.cursor for sid, s in advanced.items()})
         )
@@ -391,22 +360,22 @@ class _Shard:
             or persistence.snapshot_every <= 0
         ):
             return
-        sid = session.player_id
-        applied = session.cursor - self._snapshot_cursor.get(sid, 0)
-        if applied < persistence.snapshot_every:
+        if session.cursor - session.snapshot_cursor < persistence.snapshot_every:
             return
-        self._snapshot_cursor[sid] = session.cursor
+        session.snapshot_cursor = session.cursor
         try:
             self._snapshots.write(
-                sid, session.dt, session.ops, session.cursor,
+                session.player_id, session.dt, session.ops, session.cursor,
                 session.engine.state.to_dict(), lsn=lsn,
             )
         except OSError:  # pragma: no cover - disk death
             return
-        self._covered[sid] = lsn
+        session.covered_lsn = lsn
         if persistence.compact and self._journal is not None:
             watermark = compaction_watermark(
-                self._covered.values(), self._journal.durable_lsn
+                (s.covered_lsn for s in self._active
+                 if s.covered_lsn is not None),
+                self._journal.durable_lsn,
             )
             compact_segments(self._journal.directory, watermark)
 
@@ -415,14 +384,9 @@ class _Shard:
         record and park its END until that record is covered.  Without
         persistence the END goes out now; with a journal that is gone
         it goes out now too, counted non-durable."""
-        sid = session.player_id
-        lsn = self._journal_append(
-            end_record(sid, session.engine.state.outcome, session.cursor)
-        )
-        self._covered.pop(sid, None)
-        self._snapshot_cursor.pop(sid, None)
-        self._logged.pop(sid, None)
-        self._advanced.pop(sid, None)
+        lsn = self._journal_append(end_record(
+            session.player_id, session.engine.state.outcome, session.cursor
+        ))
         if lsn is None:
             self._release(session, durable=self.config.persistence is None)
         else:
@@ -459,24 +423,26 @@ class _Shard:
                              player=player_id, at="admit")
                 self._manager._session_closed(player_id)
                 continue
-            if self._journal is not None and player_id not in self._covered:
+            if self._journal is not None:
                 lsn = self._journal_append(
                     start_record(player_id, session.dt, session.ops)
                 )
                 if lsn is not None:
                     # nothing snapshotted yet: the start record itself
                     # must survive compaction
-                    self._covered[player_id] = lsn - 1
-                    self._snapshot_cursor[player_id] = session.cursor
-                    self._logged[player_id] = len(session.ops)
+                    session.covered_lsn = lsn - 1
+                    session.snapshot_cursor = session.cursor
+                    session.logged_ops = len(session.ops)
             self._active.append(session)
 
-    def _step_one(self, session: ServedSession) -> bool:
+    def _step_one(self, session: ServedSession,
+                  advanced: Dict[str, ServedSession]) -> bool:
         """Advance one session one op; True once it is done.
 
         A scripted op is already in the start record, so the step only
-        marks the session for this tick's progress record; a live op
-        past the logged script is journalled with the op itself.
+        adds the session to ``advanced``, the sessions this tick's
+        progress record carries; a live op past the logged script is
+        journalled with the op itself.
         """
         before = session.cursor
         try:
@@ -494,27 +460,28 @@ class _Shard:
             and session.cursor > before
         ):
             sid = session.player_id
-            if before >= self._logged.get(sid, 0):
+            if before >= session.logged_ops:
                 self._journal_append(
                     input_record(sid, session.ops[before], session.cursor)
                 )
-            if not done:
-                self._advanced[sid] = session
+            advanced[sid] = session
         return done
 
     def _step_batch(self) -> None:
         budget = self.config.max_steps_per_tick
         done_count = 0
+        # sessions that advanced this tick and are still running
+        advanced: Dict[str, ServedSession] = {}
         while self._active and budget > 0:
             session = self._active.popleft()
             trace_id = session.trace_id
             if trace_id is None:
-                done = self._step_one(session)
+                done = self._step_one(session, advanced)
             else:
                 # the step and its WAL append nest under the request
                 # root, with the spans opened inside them
                 with _tracer().child(trace_id, "shard.step"):
-                    done = self._step_one(session)
+                    done = self._step_one(session, advanced)
             budget -= 1
             self.steps += 1
             if done:
@@ -526,11 +493,12 @@ class _Shard:
                     self.completed += 1
                     _M_COMPLETED.inc(shard=self.label)
                 done_count += 1
+                advanced.pop(session.player_id, None)
                 self._finish(session)
             else:
                 self._active.append(session)
-        if self._advanced:
-            self._log_progress()
+        if advanced:
+            self._log_progress(advanced)
         stepped = self.config.max_steps_per_tick - budget
         if stepped and _obs.enabled():
             _M_STEPS.inc(stepped, shard=self.label)
@@ -539,16 +507,17 @@ class _Shard:
                            stepped=stepped, finished=done_count)
 
     def _discard_backlog(self) -> None:
-        """Abandon queued and active sessions (non-draining shutdown)."""
+        """Abandon queued, active and parked sessions (non-draining
+        shutdown) and free their player ids."""
         with self._inbox_lock:
-            dropped = len(self._inbox) + len(self._active)
+            dropped = [player_id for player_id, _ in self._inbox]
             self._inbox.clear()
+        dropped += [s.player_id for s in self._active]
         self._active.clear()
         if self._gate is not None:
-            dropped += self._gate.close(discard=True)
+            dropped += [s.player_id for s in self._gate.close(discard=True)]
             self._gate = None
-        for _ in range(dropped):
-            self._manager._session_closed()
+        self._manager._session_closed(*dropped)
 
     def _run(self) -> None:
         interval = self.config.tick_interval_s
@@ -609,12 +578,12 @@ class SessionManager:
             _Shard(i, self.config, self) for i in range(self.config.n_shards)
         ]
         self._lock = threading.Lock()
-        #: signalled when _inflight drops to zero; drain() waits on it
-        #: instead of polling
+        #: signalled when _live empties; drain() waits on it instead of
+        #: polling
         self._idle = threading.Condition(self._lock)
-        self._inflight = 0
         #: player ids submitted or recovered whose END is not released
-        #: yet; submit() refuses a second session under any of them
+        #: yet (the sessions in flight); submit() refuses a second
+        #: session under any of them
         self._live: Set[str] = set()
         self._rejected = 0
         self._accepting = False
@@ -685,13 +654,13 @@ class SessionManager:
         process used.  Each shard's journal is scanned (torn tails
         truncated and counted), every committed-but-unfinished session
         is rebuilt bit-identically from its latest snapshot plus log
-        replay, and the rebuilt sessions are queued on their owning
-        shards — ``start()`` then resumes stepping them exactly where
-        the crash cut them off.  Returns the per-shard recovery
-        reports.
+        replay, and the rebuilt sessions join their owning shards'
+        active sets — started and already durable, they skip admission,
+        and ``start()`` resumes stepping them exactly where the crash
+        cut them off.  Returns the per-shard recovery reports.
 
         ``session_hook`` (when given) sees every rebuilt
-        :class:`ServedSession` before it is queued — the network
+        :class:`ServedSession` before it is seeded — the network
         gateway uses it to re-arm completion callbacks so reconnecting
         clients still receive their END frames.
         """
@@ -725,12 +694,13 @@ class SessionManager:
                     recovered.ops,
                     recovered.dt,
                     recovered.cursor,
+                    covered_lsn=report.tip_lsn,
                 )
                 if session_hook is not None:
                     session_hook(session)
-                shard.seed_recovered(session, covered_lsn=report.tip_lsn)
+                # its covered LSN pins compaction from here on
+                shard._active.append(session)
                 with self._lock:
-                    self._inflight += 1
                     self._live.add(session.player_id)
             reports.append(report)
         if _obs.enabled():
@@ -759,30 +729,27 @@ class SessionManager:
         with self._lock:
             if player_id in self._live:
                 return False
-            if not self._accepting or self._inflight >= self.config.max_sessions:
+            if not self._accepting or len(self._live) >= self.config.max_sessions:
                 self._rejected += 1
                 _M_REJECTED.inc()
                 return False
-            self._inflight += 1
             self._live.add(player_id)
         _M_ADMITTED.inc()
         self._shards[self.shard_for(player_id)].enqueue(player_id, factory)
         return True
 
-    def _session_closed(self, player_id: Optional[str] = None) -> None:
-        """One session left flight; a discarded backlog passes no id (the
-        manager is stopping for good, so its ids are never free again)."""
+    def _session_closed(self, *player_ids: str) -> None:
+        """These sessions left flight: their player ids are free again."""
         with self._lock:
-            self._inflight -= 1
-            self._live.discard(player_id)
-            if self._inflight <= 0:
+            self._live.difference_update(player_ids)
+            if not self._live:
                 self._idle.notify_all()
 
     # ------------------------------------------------------------------
     @property
     def in_flight(self) -> int:
         """Sessions admitted but not yet finished (queued + active)."""
-        return self._inflight
+        return len(self._live)
 
     @property
     def completed_sessions(self) -> int:
@@ -830,7 +797,7 @@ class SessionManager:
         deadline = None if timeout is None else monotonic() + timeout
         with self._idle:
             self._accepting = False
-            while self._inflight > 0:
+            while self._live:
                 if deadline is None:
                     self._idle.wait()
                 else:

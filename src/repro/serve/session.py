@@ -41,11 +41,25 @@ class ServedSession:
     that arrives after the session finished is never applied.
     Submitted and WAL-recovered sessions both take live ops: one past
     the logged script is journalled as an input record.
+
+    Three fields hold the session's position in its shard's journal,
+    set by the shard when it logs the start record (or by
+    :meth:`resume`):
+
+    * ``covered_lsn`` — the newest LSN the session's durable image
+      covers: its last snapshot's LSN, or ``start_lsn - 1`` before the
+      first snapshot.  ``None`` until a start record is logged; while
+      set, it pins the shard's compaction watermark.
+    * ``snapshot_cursor`` — the cursor at the last snapshot (or at the
+      start record); the snapshot cadence counts applied ops from here.
+    * ``logged_ops`` — how many ops the start record (or recovery)
+      logged; a step past them is a live op.
     """
 
     __slots__ = (
         "player_id", "engine", "ops", "dt", "steps", "failed", "_cursor",
         "_started", "on_done", "trace_id", "live",
+        "covered_lsn", "snapshot_cursor", "logged_ops",
     )
 
     def __init__(
@@ -82,6 +96,9 @@ class ServedSession:
         #: live ops not yet moved into ``ops``; a caller may pass its
         #: own queue so ops sent before the session was built are kept
         self.live: Deque[ScriptOp] = deque() if live is None else live
+        self.covered_lsn: Optional[int] = None
+        self.snapshot_cursor = 0
+        self.logged_ops = 0
 
     @classmethod
     def resume(
@@ -91,12 +108,18 @@ class ServedSession:
         ops: Sequence[ScriptOp],
         dt: float,
         cursor: int,
+        covered_lsn: int,
     ) -> "ServedSession":
         """Rebuild a session recovered from the WAL: the engine is
-        already started and ``cursor`` ops have already been applied."""
+        already started, ``cursor`` ops have already been applied and
+        its recovery snapshot covers the journal through
+        ``covered_lsn``."""
         session = cls(player_id, engine, ops, dt=dt)
         session._cursor = max(0, min(int(cursor), len(session.ops)))
         session._started = True
+        session.covered_lsn = covered_lsn
+        session.snapshot_cursor = session._cursor
+        session.logged_ops = len(session.ops)
         return session
 
     def start(self) -> None:

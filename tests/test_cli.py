@@ -6,6 +6,7 @@ unless ``--no-demo``, exactly as CI's smoke steps do.
 
 import argparse
 import json
+import time
 
 import pytest
 
@@ -109,6 +110,25 @@ class TestObs:
         assert main(["obs", "tail", "--file", str(log), "-n", "0"]) == 0
         assert capsys.readouterr().out == ""
 
+    def test_tail_follow_joins_a_line_written_in_two_pieces(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        log = tmp_path / "events.jsonl"
+        log.write_text("")
+        line = json.dumps({"ts": 1.0, "level": "info", "logger": "serve",
+                           "event": "split", "fields": {}})
+        pieces = [line[:20], line[20:] + "\n"]
+
+        def poll(_seconds):  # each idle poll appends the next piece
+            if not pieces:
+                raise KeyboardInterrupt
+            with log.open("a") as fh:
+                fh.write(pieces.pop(0))
+
+        monkeypatch.setattr(time, "sleep", poll)
+        assert main(["obs", "tail", "--file", str(log), "-f"]) == 0
+        assert _event_names(capsys.readouterr().out) == ["split"]
+
     def test_tail_of_a_missing_file_exits_1(self, tmp_path, capsys):
         assert main(["obs", "tail", "--file", str(tmp_path / "no.jsonl")]) == 1
         assert "error: cannot read" in capsys.readouterr().err
@@ -166,6 +186,16 @@ def test_top_single_frame_waits_for_the_demo(capsys):
     assert main(["top", "--iterations", "1", "--width", "120"]) == 0
     out = capsys.readouterr().out
     assert "(no metrics)" not in out and "(no spans)" not in out
+
+
+def test_top_shows_the_busiest_series(capsys):
+    """The Metrics panel ranks rows by size, not by name, so the demo's
+    serve burst shows up in the one frame."""
+    assert main(["top", "--iterations", "1", "--width", "140"]) == 0
+    panel = capsys.readouterr().out.split("Metrics", 1)[1].split("Spans", 1)[0]
+    names = [row.split("|")[1].strip() for row in panel.splitlines()
+             if row.startswith("| repro_")]
+    assert any(n.startswith(("repro_serve_", "repro_persist_")) for n in names)
 
 
 def test_gateway_serves_for_a_duration(capsys):

@@ -75,7 +75,7 @@ def test_each_item_leaves_once_in_lsn_order_after_its_commit():
         assert not committer.is_alive()
         journal.advance(10**9)
         for gate in gates:
-            assert gate.close() == 0
+            assert gate.close() == []
     finally:
         sys.setswitchinterval(old)
 
@@ -101,7 +101,7 @@ def test_an_uncovered_item_leaves_at_the_budget_as_non_durable():
         time.sleep(0.005)
     assert out == [("late", 1, False)]
     assert time.monotonic() - t0 >= 0.05
-    assert gate.close() == 0
+    assert gate.close() == []
 
 
 def test_a_quorum_miss_releases_non_durable():
@@ -118,7 +118,7 @@ def test_a_quorum_miss_releases_non_durable():
                        quorum_wait=quorum_wait)
     gate.park(1, "acked")
     gate.park(2, "short")
-    assert gate.close() == 0
+    assert gate.close() == []
     assert out == [("acked", 1, True), ("short", 2, False)]
     assert asked == [1, 2]
 
@@ -132,7 +132,7 @@ def test_discard_drops_what_is_still_parked(monkeypatch):
     for lsn in (1, 2, 3):
         gate.park(lsn, lsn)
     assert journal.waiting.wait(5.0)  # the gate is waiting on LSN 1
-    assert gate.close(discard=True) == 3
+    assert gate.close(discard=True) == [1, 2, 3]
     journal.advance(3)  # the wait in progress returns; nothing leaves
     gate._thread.join(5.0)
     assert not gate._thread.is_alive()

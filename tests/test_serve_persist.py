@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from repro.faultline.chaos import reference_digest
 from repro.persist import PersistenceConfig, recover_shard, scan_journal, state_digest
 from repro.persist.records import REC_END, REC_START, apply_scripted_op
 from repro.persist.wal import Journal
@@ -215,6 +216,71 @@ class TestKillAndRecover:
             _submit_cohort(manager, classroom_game, scripts, copies=1)
             assert manager.drain(timeout=60.0)
         assert list(tmp_path.iterdir()) == []
+
+
+class TestRecoverTwice:
+    def test_a_second_crash_after_compaction_keeps_every_live_session(
+        self, tmp_path, classroom_game
+    ):
+        """Recover a long session partway; new sessions snapshot and
+        compact its start record away; a late session starts, and the
+        long one snapshots (and compacts) before the late one first
+        does; crash again.  The second recovery rebuilds both
+        bit-identically at the cursors they last logged."""
+        persistence = PersistenceConfig(
+            directory=tmp_path, snapshot_every=4, segment_max_bytes=4096,
+        )
+        config = ServeConfig(n_shards=1, max_steps_per_tick=1,
+                             persistence=persistence)
+        ops = [MouseClick(1, 1)] * 400
+
+        def tick(manager, admit=(), ticks=0):
+            """Admit ``(player id, op count)`` pairs on shard 0, tick it
+            ``ticks`` times by hand, each tick's records made durable
+            before the next; the cursors of what is still live."""
+            shard = manager._shards[0]
+            for pid, n in admit:
+                shard.enqueue(pid, lambda pid, n=n: ServedSession(
+                    pid, classroom_game.new_engine(with_video=False),
+                    ops[:n]))
+            shard._admit()
+            for _ in range(ticks):
+                assert shard._journal.sync(10.0)
+                shard._step_batch()
+            return {s.player_id: s.cursor for s in shard._active}
+
+        def crash_and_recover(manager):
+            # closing leaves every unfinished session live on disk
+            manager._shards[0]._close_journal()
+            manager = SessionManager(config)
+            (report,) = manager.recover(classroom_game)
+            for session in report.sessions:
+                assert session.digest == reference_digest(
+                    classroom_game, ops, 0.25, session.cursor)
+            cursors = {s.player_id: s.cursor for s in report.sessions}
+            manager._shards[0]._open_journal()
+            return manager, cursors
+
+        manager = SessionManager(config)
+        manager._shards[0]._open_journal()
+        cursors = tick(manager, [("long", len(ops))], ticks=6)
+        manager, recovered = crash_and_recover(manager)
+        assert recovered == cursors == {"long": 6}
+
+        live = tick(manager, [(f"new-{k}", 12) for k in range(6)])
+        while len(live) > 1:
+            live = tick(manager, ticks=1)
+        records = scan_journal(persistence.shard_dir(0)).records
+        assert not [r for r in records
+                    if r["t"] == REC_START and r["sid"] == "long"]
+
+        # one step per tick, long first: four steps of the long session
+        # and three of the late one, a step short of its first snapshot
+        cursors = tick(manager, [("late", len(ops))], ticks=7)
+        assert cursors["late"] == 3
+        manager, recovered = crash_and_recover(manager)
+        assert recovered == cursors
+        manager._shards[0]._close_journal()
 
 
 class TestEndWindow:
