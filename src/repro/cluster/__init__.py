@@ -8,7 +8,7 @@ This package turns the single-standby replication of
   epoch-fenced) and :func:`plan_placement`, the round-robin subset
   planner;
 * :mod:`~repro.cluster.gateway` — :class:`ClusterGateway`, routing
-  lag-bounded reads to the least-lagged standby owning the shard and
+  reads to the least-lagged standby owning the shard and
   failing writes over the moment the map's epoch advances;
 * :mod:`~repro.cluster.supervisor` — :class:`ClusterSupervisor`, the
   one-process node-set harness (tests, benches, ``repro cluster``);

@@ -13,10 +13,8 @@ map resolves them to nodes.
   the switch is counted (``repro_placement_failover_routes_total``) —
   the observable moment a write "failed over".
 * :meth:`query` ranks the shard's standbys by replication lag and
-  asks the least-lagged live one first, falling through the order on
-  :class:`~repro.replicate.replica.ReplicaLagging`; a shard whose
-  standbys are all lagging re-raises the *smallest* lag so callers can
-  back off proportionally.
+  asks the least-lagged live one first, falling through the order when
+  a node does not know the player; the view carries that node's lag.
 """
 
 from __future__ import annotations
@@ -26,7 +24,6 @@ from typing import Any, Callable, Dict, Optional
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
-from ..replicate.replica import ReplicaLagging
 from ..serve.manager import shard_for
 from .placement import PlacementMap
 
@@ -92,15 +89,14 @@ class ClusterGateway:
 
     # -- reads ----------------------------------------------------------
     def query(self, player_id: str) -> Dict[str, Any]:
-        """Lag-bounded read from the least-lagged standby of the shard.
+        """Read from the least-lagged standby of the shard.
 
         Candidate order: the shard's standbys sorted by current lag
-        (dead or unregistered nodes skipped), then — when every standby
-        refused or none exists — the primary, if it can answer queries
-        (a promoted replica can; a live ``SessionManager`` cannot and
-        is skipped).  Raises ``KeyError`` for an unknown player and
-        re-raises the smallest :class:`ReplicaLagging` when lag was the
-        only obstacle.
+        (unregistered nodes skipped, dead ones last), then the primary,
+        if it can answer queries (a promoted replica can; a live
+        ``SessionManager`` cannot and is skipped).  A candidate that
+        does not know the player passes to the next; ``KeyError`` when
+        none does.
         """
         shard = shard_for(player_id, self.placement.n_shards)
         entry = self.placement.assignment(shard)
@@ -119,25 +115,14 @@ class ClusterGateway:
             except (KeyError, IndexError, AttributeError):
                 continue
             candidates.append((lag, len(candidates), node_id, obj))
-        if not candidates:
-            _M_READS.inc(result="miss")
-            raise KeyError(player_id)
-        lagging: Optional[ReplicaLagging] = None
-        unknown = 0
         for _lag, _order, node_id, obj in sorted(candidates):
             try:
                 view = dict(obj.query(player_id))
-                view["node"] = node_id
-                view["placement_version"] = self.placement.version
-                _M_READS.inc(result="ok")
-                return view
-            except ReplicaLagging as exc:
-                if lagging is None or exc.lag_ticks < lagging.lag_ticks:
-                    lagging = exc
             except KeyError:
-                unknown += 1
-        if lagging is not None and unknown < len(candidates):
-            _M_READS.inc(result="lagging")
-            raise lagging
+                continue
+            view["node"] = node_id
+            view["placement_version"] = self.placement.version
+            _M_READS.inc(result="ok")
+            return view
         _M_READS.inc(result="miss")
         raise KeyError(player_id)

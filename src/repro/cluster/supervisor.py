@@ -39,8 +39,6 @@ PRIMARY_ID = "primary"
 #: pacing of every manager the supervisor starts, primary or promoted
 TICK_INTERVAL_S = 0.005
 MAX_STEPS_PER_TICK = 8
-#: standbys answer reads at any lag (never ``ReplicaLagging``)
-MAX_READ_LAG_RECORDS = 1 << 30
 
 
 class ClusterSupervisor:
@@ -127,7 +125,6 @@ class ClusterSupervisor:
                 self.root / nid, self.game, self.n_shards,
                 self.source.host, self.source.port or 0,
                 shards=self.placement.shards_of(nid),
-                max_read_lag_records=MAX_READ_LAG_RECORDS,
                 reconnect_backoff_s=0.02,
                 client_name=nid,
             ).start()

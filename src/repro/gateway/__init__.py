@@ -5,17 +5,18 @@
 an in-process benchmark and the paper's remote students:
 
 * :mod:`repro.gateway.protocol` — length-prefixed, CRC-checked binary
-  frames (HELLO / SUBMIT / INPUT / STATE / END / ERROR / PING) with a
-  protocol version byte;
+  frames (HELLO / SUBMIT / INPUT / QUERY / STATE / END / ERROR / PING),
+  every one stamped with the single protocol version (3) both sides
+  speak;
 * :class:`~repro.gateway.server.GatewayServer` — an asyncio TCP server
   bridging the event loop to the shard threads (submit is
   lock-protected and cheap; completion hops back via
   ``call_soon_threadsafe``), with per-connection bounded outbound
   queues (slow readers are disconnected, not buffered) and graceful
   drain that flushes shard journals before closing sockets;
-* :class:`~repro.gateway.client.GatewayClient` — connect/idle
-  timeouts, PING heartbeats, bounded exponential-backoff retry, and
-  reconnect-resume of live sessions by player id.
+* :class:`~repro.gateway.client.GatewayClient` — a connect timeout,
+  bounded exponential-backoff retry, PING round trips on request, and
+  explicit reconnect-resume of live sessions by player id.
 
 Everything is instrumented through :mod:`repro.obs`
 (``repro_gateway_*`` connection/frame/byte counters, handshake and RTT
@@ -33,13 +34,10 @@ from .protocol import (
     FrameDecoder,
     FrameTooLarge,
     MAX_FRAME_BYTES,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     ProtocolError,
-    SUPPORTED_VERSIONS,
     VersionMismatch,
     encode_frame,
-    negotiate_version,
 )
 from .server import GatewayConfig, GatewayServer, GatewayThread
 from .telemetry import TelemetryServer
@@ -55,13 +53,10 @@ __all__ = [
     "GatewayServer",
     "GatewayThread",
     "MAX_FRAME_BYTES",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "ProtocolError",
-    "SUPPORTED_VERSIONS",
     "TelemetryServer",
     "VersionMismatch",
     "backoff_delays",
     "encode_frame",
-    "negotiate_version",
 ]

@@ -1,22 +1,22 @@
-"""Async gateway client: timeouts, heartbeats, backoff, resume.
+"""Async gateway client: timeouts, backoff, resume.
 
 The client half of the wire protocol, built for flaky networks rather
 than loopback demos:
 
 * **connect timeout** — ``asyncio.open_connection`` is bounded, never
   hangs on a black-holed SYN;
-* **bounded exponential backoff** — connection attempts retry on a
-  deterministic ``base * factor^k`` schedule capped at ``max_delay``
-  (:func:`backoff_delays` is pure, so tests assert the schedule with a
-  fake sleeper);
-* **heartbeats** — an optional background task PINGs the server inside
-  the idle window and records round-trip time in the
-  ``repro_gateway_rtt_seconds`` histogram; a heartbeat that gets no
-  reply within ``idle_timeout_s`` declares the connection dead;
+* **bounded exponential backoff** — a connect makes up to
+  :data:`RETRIES` retries on a deterministic ``base * factor^k``
+  schedule capped at ``max_delay`` (:func:`backoff_delays` is pure, so
+  tests assert the schedule with a fake sleeper);
+* **PING on request** — :meth:`GatewayClient.ping` measures one round
+  trip into the ``repro_gateway_rtt_seconds`` histogram; the client
+  sends nothing on its own, so a caller that idles past the server's
+  idle timeout reconnects and resumes;
 * **reconnect-resume** — the client remembers every player id it has
-  submitted; a reconnect HELLOs with that list and the server
-  re-attaches live sessions (or immediately re-delivers END for ones
-  that finished while the client was away).  Kill the client, restart
+  submitted; :meth:`~GatewayClient.reconnect` HELLOs with that list
+  and the server re-attaches live sessions (or immediately re-delivers
+  END for ones that finished while the client was away).  Kill the client, restart
   it, resume by player id: the session never noticed.
 
 Request/response matching uses a ``seq`` stamped into SUBMIT/INPUT
@@ -81,14 +81,21 @@ class GatewayRejected(GatewayError):
 
 
 class GatewayClosed(ConnectionError):
-    """The connection died and auto-reconnect was off (or exhausted)."""
+    """The connection died, or every connection attempt failed."""
+
+
+#: retries after a failed connection attempt, and their backoff schedule
+RETRIES = 4
+BACKOFF_BASE_S = 0.05
+BACKOFF_FACTOR = 2.0
+BACKOFF_MAX_S = 2.0
 
 
 def backoff_delays(
     attempts: int,
-    base: float = 0.05,
-    factor: float = 2.0,
-    max_delay: float = 2.0,
+    base: float = BACKOFF_BASE_S,
+    factor: float = BACKOFF_FACTOR,
+    max_delay: float = BACKOFF_MAX_S,
 ) -> List[float]:
     """The bounded exponential retry schedule, as plain data.
 
@@ -127,13 +134,6 @@ class GatewayClient:
         *,
         client_name: str = "repro-client",
         request_timeout_s: float = 30.0,
-        idle_timeout_s: float = 30.0,
-        heartbeat_s: float = 0.0,
-        retries: int = 4,
-        backoff_base_s: float = 0.05,
-        backoff_factor: float = 2.0,
-        backoff_max_s: float = 2.0,
-        auto_reconnect: bool = False,
         trace_sample: float = 0.0,
         connector: Optional[Connector] = None,
         sleep: Callable[[float], Awaitable[None]] = asyncio.sleep,
@@ -142,13 +142,6 @@ class GatewayClient:
         self.port = port
         self.client_name = client_name
         self.request_timeout_s = request_timeout_s
-        self.idle_timeout_s = idle_timeout_s
-        self.heartbeat_s = heartbeat_s
-        self.retries = retries
-        self.backoff_base_s = backoff_base_s
-        self.backoff_factor = backoff_factor
-        self.backoff_max_s = backoff_max_s
-        self.auto_reconnect = auto_reconnect
         #: fraction of submits stamped with a fresh trace id (server
         #: attributes the request's phases under it; END echoes it)
         self.trace_sample = trace_sample
@@ -160,7 +153,6 @@ class GatewayClient:
         self._reader: Optional[asyncio.StreamReader] = None
         self._writer: Optional[asyncio.StreamWriter] = None
         self._reader_task: Optional[asyncio.Task] = None
-        self._heartbeat_task: Optional[asyncio.Task] = None
         self._decoder = FrameDecoder()
         self._seq = 0
         self._acks: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
@@ -172,7 +164,6 @@ class GatewayClient:
         self._traces: Dict[str, str] = {}
         self._server_info: Dict[str, Any] = {}
         self._closing = False
-        self._last_recv = 0.0
 
     # -- connection management -----------------------------------------
     @property
@@ -203,12 +194,9 @@ class GatewayClient:
         self._closing = False
         if traces:
             self._traces.update(traces)
-        delays = backoff_delays(
-            self.retries, self.backoff_base_s,
-            self.backoff_factor, self.backoff_max_s,
-        )
+        delays = backoff_delays(RETRIES)
         last_exc: Optional[BaseException] = None
-        for attempt in range(self.retries + 1):
+        for attempt in range(RETRIES + 1):
             if attempt:
                 _M_RETRIES.inc()
                 await self._sleep(delays[attempt - 1])
@@ -222,7 +210,6 @@ class GatewayClient:
                 continue
             self._reader, self._writer = reader, writer
             self._decoder = FrameDecoder()
-            self._last_recv = perf_counter()
             self._reader_task = asyncio.get_running_loop().create_task(
                 self._read_loop()
             )
@@ -233,24 +220,10 @@ class GatewayClient:
                 last_exc = exc
                 await self._teardown()
                 continue
-            if self.heartbeat_s > 0:
-                stale = self._heartbeat_task
-                if stale is not None and stale.done():
-                    # The previous loop died with its connection (e.g.
-                    # its own auto-reconnect exhausted every retry and
-                    # returned).  Clear the corpse, or this — and every
-                    # future — connection would run unheartbeated.
-                    self._heartbeat_task = None
-                if self._heartbeat_task is None:
-                    self._heartbeat_task = (
-                        asyncio.get_running_loop().create_task(
-                            self._heartbeat_loop()
-                        )
-                    )
             return statuses
         raise GatewayClosed(
             f"cannot reach gateway {self.host}:{self.port} after "
-            f"{self.retries + 1} attempts: {last_exc}"
+            f"{RETRIES + 1} attempts: {last_exc}"
         )
 
     async def _handshake(
@@ -275,13 +248,6 @@ class GatewayClient:
 
     async def close(self) -> None:
         self._closing = True
-        if self._heartbeat_task is not None:
-            self._heartbeat_task.cancel()
-            try:
-                await self._heartbeat_task
-            except asyncio.CancelledError:
-                pass
-            self._heartbeat_task = None
         await self._teardown()
 
     async def _teardown(self) -> None:
@@ -319,7 +285,6 @@ class GatewayClient:
                 data = await reader.read(65536)
                 if not data:
                     break
-                self._last_recv = perf_counter()
                 for ftype, payload in self._decoder.feed(data):
                     self._on_frame(ftype, payload)
         except (ConnectionError, OSError, ProtocolError) as exc:
@@ -330,19 +295,6 @@ class GatewayClient:
         finally:
             if not cancelled and not self._closing:
                 self._fail_pending(GatewayClosed("server closed the connection"))
-                if self.auto_reconnect:
-                    asyncio.get_running_loop().create_task(self._auto_reconnect())
-
-    async def _auto_reconnect(self) -> None:
-        try:
-            await self.reconnect()
-        except GatewayClosed:
-            # give up loudly: outstanding waits fail fast
-            for future in self._ends.values():
-                if not future.done():
-                    future.set_exception(
-                        GatewayClosed("auto-reconnect exhausted its retries")
-                    )
 
     def _on_frame(self, ftype: int, payload: Dict[str, Any]) -> None:
         seq = payload.get("seq")
@@ -462,13 +414,7 @@ class GatewayClient:
     async def query(
         self, player_id: str, timeout: Optional[float] = None
     ) -> Dict[str, Any]:
-        """Read-only session status lookup (protocol v3).
-
-        Against a read-replica gateway this answers from the standby's
-        lag-bounded view (raising :class:`GatewayError` with code
-        ``replica_lagging`` when the replica is too far behind);
-        against a primary it reports live/done status.
-        """
+        """Read-only session status lookup: ``live`` or ``done``."""
         return await self._request(QUERY, {"player": player_id},
                                    timeout=timeout)
 
@@ -507,30 +453,6 @@ class GatewayClient:
         if player_id in self._players:
             self._players.remove(player_id)
         return payload
-
-    # -- heartbeats ----------------------------------------------------
-    async def _heartbeat_loop(self) -> None:
-        try:
-            while not self._closing:
-                await self._sleep(self.heartbeat_s)
-                if self._closing or not self.connected:
-                    continue
-                idle = perf_counter() - self._last_recv
-                if idle > self.idle_timeout_s:
-                    _LOG.warning("gateway.client.idle", idle_s=round(idle, 3))
-                    await self._teardown()
-                    if self.auto_reconnect:
-                        try:
-                            await self.connect()
-                        except GatewayClosed:
-                            return
-                    continue
-                try:
-                    await self.ping(timeout=self.idle_timeout_s)
-                except (GatewayError, GatewayClosed, asyncio.TimeoutError):
-                    continue  # the idle check above decides liveness
-        except asyncio.CancelledError:
-            raise
 
     async def __aenter__(self) -> "GatewayClient":
         await self.connect()

@@ -38,32 +38,25 @@ Frame types (client → server unless noted):
 ``ERROR`` (server → client)
     Request or connection level failure, with a machine ``code``.
 ``PING``
-    Heartbeat; the receiving side echoes the frame back unchanged, so
-    round-trip time is measurable from either end.
-``QUERY`` (v3+)
+    Liveness probe; the server echoes the frame back unchanged, so the
+    client can measure round-trip time.
+``QUERY``
     Read-only lookup of one player's session status; answered with
-    STATE (live/done/replica view) or ERROR.  On a read-replica
-    gateway this is the *only* accepted session verb.
+    STATE (live/done) or ERROR.
 
 A decoder never guesses across corruption: any header/CRC/JSON fault
 raises :class:`ProtocolError` and the connection must be torn down —
 resynchronising inside a byte stream is how protocol bugs hide.
 
 Versioning: the header's first byte carries the sender's protocol
-version, and a decoder accepts any member of
-:data:`SUPPORTED_VERSIONS`.  The server answers HELLO with
-``min(its version, the client's version)`` (:func:`negotiate_version`)
-and speaks that for the rest of the connection, so old clients keep
-working against new servers and vice versa.  Version 2 adds the
-optional trace-context field: HELLO (``traces``: player id → trace id
-for resumed sessions), SUBMIT and INPUT (``trace``) may carry a
-request-trace id which the server threads through the shard and WAL
-layers and echoes on STATE/END — see :mod:`repro.obs.tracing`.
-Unknown payload keys were always ignored, so the field is also
-harmless to v1 peers.  Version 3 adds the ``QUERY`` frame: a read-only
-lookup of one player's session state, answered with STATE or ERROR —
-the read path a lag-aware replica gateway serves
-(:mod:`repro.replicate`).
+version.  This build speaks exactly :data:`PROTOCOL_VERSION` (3): a
+frame stamped with any other version is a :class:`VersionMismatch`,
+which the server answers with a ``bad_frame`` ERROR before closing
+the connection.  Trace context is an optional payload field: HELLO
+(``traces``: player id → trace id for resumed sessions), SUBMIT and
+INPUT (``trace``) may carry a request-trace id which the server
+threads through the shard and WAL layers and echoes on STATE/END —
+see :mod:`repro.obs.tracing`.
 """
 
 from __future__ import annotations
@@ -84,46 +77,20 @@ __all__ = [
     "HELLO",
     "INPUT",
     "MAX_FRAME_BYTES",
-    "MIN_PROTOCOL_VERSION",
     "PING",
     "PROTOCOL_VERSION",
     "ProtocolError",
     "QUERY",
     "STATE",
     "SUBMIT",
-    "SUPPORTED_VERSIONS",
     "VersionMismatch",
     "encode_frame",
-    "negotiate_version",
+    "pack_frame",
 ]
 
-#: the newest protocol this build speaks (v2 = optional trace context,
-#: v3 = QUERY read path for replicas); every frame header carries the
-#: sender's version in byte 0
+#: the one protocol version this build speaks and accepts; every
+#: frame header carries it in byte 0
 PROTOCOL_VERSION = 3
-
-#: the oldest version still accepted on the wire
-MIN_PROTOCOL_VERSION = 1
-
-#: every version a decoder accepts; anything else is a VersionMismatch
-SUPPORTED_VERSIONS = frozenset(
-    range(MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1)
-)
-
-
-def negotiate_version(peer_version: int) -> int:
-    """The version both sides speak: ``min(ours, theirs)``.
-
-    Raises :class:`VersionMismatch` for peers older than
-    :data:`MIN_PROTOCOL_VERSION` (a peer *newer* than us is fine — it
-    is expected to downgrade to our answer, exactly as we do to its).
-    """
-    if peer_version < MIN_PROTOCOL_VERSION:
-        raise VersionMismatch(
-            f"peer protocol version {peer_version} predates the oldest "
-            f"supported version {MIN_PROTOCOL_VERSION}"
-        )
-    return min(PROTOCOL_VERSION, peer_version)
 
 #: ver(u8) typ(u8) payload_len(u32) payload_crc(u32) header_crc(u32)
 HEADER = struct.Struct("<BBIII")
@@ -163,26 +130,15 @@ class VersionMismatch(ProtocolError):
 
 
 class FrameTooLarge(ProtocolError):
-    """A frame announced a payload beyond the negotiated bound."""
+    """A frame announced a payload beyond the decoder's bound."""
 
 
-def encode_frame(
-    ftype: int,
-    payload: Dict[str, Any],
-    version: int = PROTOCOL_VERSION,
-    frame_types: "frozenset[int]" = FRAME_TYPES,
-    versions: "frozenset[int]" = SUPPORTED_VERSIONS,
-) -> bytes:
-    """Frame one payload dict; raises :class:`ProtocolError` on misuse.
+def pack_frame(version: int, ftype: int, payload: Dict[str, Any]) -> bytes:
+    """Frame one payload dict under ``version`` (no vocabulary checks).
 
-    ``frame_types``/``versions`` default to the gateway's vocabulary;
-    the replication protocol passes its own (same framing, different
-    frame-type and version sets).
+    The physical framing shared by the gateway and the replication
+    stream; each protocol checks its own frame types and version first.
     """
-    if ftype not in frame_types:
-        raise ProtocolError(f"unknown frame type {ftype}")
-    if version not in versions:
-        raise VersionMismatch(f"cannot encode protocol version {version}")
     body = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8")
     if len(body) > MAX_FRAME_BYTES:
         raise FrameTooLarge(
@@ -190,6 +146,17 @@ def encode_frame(
         )
     head = struct.pack("<BBII", version, ftype, len(body), zlib.crc32(body))
     return head + struct.pack("<I", zlib.crc32(head)) + body
+
+
+def encode_frame(
+    ftype: int, payload: Dict[str, Any], version: int = PROTOCOL_VERSION
+) -> bytes:
+    """Frame one gateway payload; raises :class:`ProtocolError` on misuse."""
+    if ftype not in FRAME_TYPES:
+        raise ProtocolError(f"unknown frame type {ftype}")
+    if version != PROTOCOL_VERSION:
+        raise VersionMismatch(f"cannot encode protocol version {version}")
+    return pack_frame(version, ftype, payload)
 
 
 class FrameDecoder:
@@ -203,27 +170,23 @@ class FrameDecoder:
     """
 
     __slots__ = (
-        "_buf", "max_frame_bytes", "_poisoned", "last_version",
-        "frame_types", "versions",
+        "_buf", "max_frame_bytes", "_poisoned", "frame_types", "version",
     )
 
     def __init__(
         self,
         max_frame_bytes: int = MAX_FRAME_BYTES,
         frame_types: "frozenset[int]" = FRAME_TYPES,
-        versions: "frozenset[int]" = SUPPORTED_VERSIONS,
+        version: int = PROTOCOL_VERSION,
     ) -> None:
         self._buf = bytearray()
         self.max_frame_bytes = max_frame_bytes
-        #: accepted frame types / version bytes — the gateway's by
+        #: accepted frame types / version byte — the gateway's by
         #: default; the replication protocol reuses this decoder with
-        #: its own sets (same framing, different vocabulary)
+        #: its own (same framing, different vocabulary)
         self.frame_types = frame_types
-        self.versions = versions
+        self.version = version
         self._poisoned = False
-        #: version byte of the most recent accepted frame (None before
-        #: the first) — what the server negotiates against at HELLO
-        self.last_version: "int | None" = None
 
     @property
     def pending_bytes(self) -> int:
@@ -240,10 +203,9 @@ class FrameDecoder:
             version, ftype, length, pay_crc, head_crc = HEADER.unpack_from(self._buf)
             if zlib.crc32(bytes(self._buf[: HEADER.size - 4])) != head_crc:
                 self._fail("corrupt frame header (CRC mismatch)")
-            if version not in self.versions:
+            if version != self.version:
                 self._fail(
-                    f"protocol version {version}, supported "
-                    f"{sorted(self.versions)}",
+                    f"protocol version {version}, expected {self.version}",
                     VersionMismatch,
                 )
             if ftype not in self.frame_types:
@@ -267,7 +229,6 @@ class FrameDecoder:
             if not isinstance(payload, dict):
                 self._fail("frame payload is not a JSON object")
             del self._buf[:end]
-            self.last_version = version
             frames.append((ftype, payload))
         return frames
 

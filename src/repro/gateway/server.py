@@ -68,7 +68,6 @@ from .protocol import (
     FrameDecoder,
     ProtocolError,
     encode_frame,
-    negotiate_version,
 )
 
 __all__ = ["GatewayConfig", "GatewayServer", "GatewayThread"]
@@ -116,8 +115,9 @@ _M_SLOW = _obs.counter(
 
 _LOG = _obslog.get_logger("gateway")
 
-#: a connection that sends nothing for this long is dropped (clients
-#: heartbeat with PING well inside it)
+#: a client silent for this long is dropped (its live sessions stay
+#: resumable); no client heartbeats, and ``SocketLoadGenerator`` sends a
+#: PING only every 8 sessions
 IDLE_TIMEOUT_S = 60.0
 #: the HELLO frame must arrive this quickly after accept
 HANDSHAKE_TIMEOUT_S = 10.0
@@ -211,8 +211,6 @@ class _Connection:
         #: players owed frames here, in attach order (an insertion-
         #: ordered set); a player leaves once its END frame is queued
         self.players: Dict[str, None] = {}
-        #: negotiated at HELLO: min(our version, the client's)
-        self.version = PROTOCOL_VERSION
         self._writer_task: Optional[asyncio.Task] = None
 
     # -- outbound ------------------------------------------------------
@@ -226,7 +224,7 @@ class _Connection:
         """Enqueue one frame; a full queue drops the whole connection."""
         if self.closed:
             return False
-        frame = encode_frame(ftype, payload, version=self.version)
+        frame = encode_frame(ftype, payload)
         try:
             self.outbound.put_nowait((frame, trace, trace_status))
         except asyncio.QueueFull:
@@ -239,19 +237,13 @@ class _Connection:
         return True
 
     def send_error(
-        self,
-        code: str,
-        detail: str = "",
-        seq: Optional[int] = None,
-        extra: Optional[Dict[str, Any]] = None,
+        self, code: str, detail: str = "", seq: Optional[int] = None
     ) -> None:
         payload: Dict[str, Any] = {"code": code}
         if detail:
             payload["detail"] = detail
         if seq is not None:
             payload["seq"] = seq
-        if extra:
-            payload.update(extra)
         self.send(ERROR, payload)
 
     async def _write_loop(self) -> None:
@@ -367,11 +359,6 @@ class _Connection:
             raise ProtocolError(
                 f"first frame must be HELLO, got {FRAME_NAMES.get(ftype, ftype)}"
             )
-        # the decoder vouched the client's version is supported; speak
-        # the lower of the two for the rest of the connection
-        self.version = negotiate_version(
-            self.decoder.last_version or PROTOCOL_VERSION
-        )
         self._hello(payload)
         _M_HANDSHAKE.observe(perf_counter() - t_accept)
         for ftype, payload in frames[1:]:
@@ -382,12 +369,11 @@ class _Connection:
         """Attach the resumed players, reply with HELLO, then push the
         END frames owed to resumed players that already finished."""
         resumed = self.server._attach_players(
-            self, payload.get("resume") or [],
-            traces=payload.get("traces") if self.version >= 2 else None,
+            self, payload.get("resume") or [], traces=payload.get("traces"),
         )
         self.send(HELLO, {
             "server": "repro-gateway",
-            "version": self.version,
+            "version": PROTOCOL_VERSION,
             "shards": self.server.manager.config.n_shards,
             "resumed": resumed,
             "seq": payload.get("seq"),
@@ -452,12 +438,6 @@ class _Connection:
             )
 
 
-#: the single source of the standby-gateway write-refusal text
-READ_ONLY_DETAIL = (
-    "this gateway serves a standby replica; writes go to the primary"
-)
-
-
 class GatewayServer:
     """The asyncio front-end; owns the listener and the player table.
 
@@ -475,18 +455,11 @@ class GatewayServer:
         game: Any,
         config: Optional[GatewayConfig] = None,
         with_video: bool = False,
-        read_replica: Optional[Any] = None,
     ) -> None:
         self.manager = manager
         self.game = game
         self.config = config or GatewayConfig()
         self.with_video = with_video
-        #: a :class:`repro.replicate.StandbyReplica` (or anything with
-        #: its ``query``/``status`` shape).  When set, this gateway is
-        #: a *read replica*: SUBMIT/INPUT are rejected with a
-        #: ``read_only`` error and QUERY answers from the replica's
-        #: lag-bounded view instead of the live player table.
-        self.read_replica = read_replica
         self._players: Dict[str, _PlayerEntry] = {}
         self._finished: "OrderedDict[str, None]" = OrderedDict()
         #: completion bridge: ENDs queued by shard threads, drained in
@@ -628,7 +601,7 @@ class GatewayServer:
     ) -> Dict[str, str]:
         """Attach ``conn`` to each resumed player; report each status.
 
-        ``traces`` (protocol v2) maps player id → the trace id the
+        ``traces`` maps player id → the trace id the
         client used before its connection (or the whole gateway
         process) died; a live resumed session is re-attributed under
         the same id, so the waterfall a client fetches after a
@@ -677,9 +650,6 @@ class GatewayServer:
         if not pid or not isinstance(pid, str):
             conn.send_error("bad_submit", "missing player id", seq=seq)
             return
-        if self.read_replica is not None:
-            conn.send_error("read_only", READ_ONLY_DETAIL, seq=seq)
-            return
         if self._draining:
             conn.send_error("draining", "gateway is shutting down", seq=seq)
             return
@@ -687,12 +657,12 @@ class GatewayServer:
         if entry is not None and entry.done_payload is None:
             conn.send_error("duplicate", f"session {pid!r} is live", seq=seq)
             return
-        # Trace context: the client's id wins (v2 payload field), else
+        # Trace context: the client's id wins (payload field), else
         # the server's own sampler may pick the request up.  Opening
         # the trace *before* parsing charges parse+admission to the
         # accept phase — the partition starts at frame receipt.
         store = _tracing.get_tracer()
-        trace_id = payload.get("trace") if conn.version >= 2 else None
+        trace_id = payload.get("trace")
         if not (isinstance(trace_id, str) and trace_id):
             trace_id = None
         if trace_id is None and self._sampler is not None and self._sampler():
@@ -752,16 +722,13 @@ class GatewayServer:
             "player": pid, "status": "admitted",
             "shard": self.manager.shard_for(pid), "seq": seq,
         }
-        if trace_id is not None and conn.version >= 2:
+        if trace_id is not None:
             ack["trace"] = trace_id
         conn.send(STATE, ack)
 
     def _handle_input(self, conn: _Connection, payload: Dict[str, Any]) -> None:
         seq = payload.get("seq")
         pid = payload.get("player")
-        if self.read_replica is not None:
-            conn.send_error("read_only", READ_ONLY_DETAIL, seq=seq)
-            return
         entry = self._players.get(pid) if isinstance(pid, str) else None
         if entry is None:
             conn.send_error("unknown_player", f"no session {pid!r}", seq=seq)
@@ -782,39 +749,11 @@ class GatewayServer:
         conn.send(STATE, {"player": pid, "status": "queued", "seq": seq})
 
     def _handle_query(self, conn: _Connection, payload: Dict[str, Any]) -> None:
-        """Read-only session status (protocol v3).
-
-        On a read-replica gateway the answer comes from the standby's
-        lag-bounded view; on a primary it reflects the live player
-        table — either way QUERY never mutates anything.
-        """
+        """Read-only session status from the live player table."""
         seq = payload.get("seq")
         pid = payload.get("player")
         if not pid or not isinstance(pid, str):
             conn.send_error("bad_query", "missing player id", seq=seq)
-            return
-        if self.read_replica is not None:
-            from ..replicate import ReplicaLagging
-
-            try:
-                view = self.read_replica.query(pid)
-            except ReplicaLagging as exc:
-                # lag_ticks + shard ride the ERROR frame so a load
-                # balancer can back off proportionally, not blindly
-                conn.send_error(
-                    "replica_lagging", str(exc), seq=seq,
-                    extra={
-                        "lag_ticks": getattr(exc, "lag_ticks", None),
-                        "shard": getattr(exc, "shard", None),
-                    },
-                )
-                return
-            except KeyError:
-                conn.send_error("unknown_player", f"no session {pid!r}", seq=seq)
-                return
-            view = dict(view)
-            view["seq"] = seq
-            conn.send(STATE, view)
             return
         entry = self._players.get(pid)
         if entry is None:

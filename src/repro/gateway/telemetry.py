@@ -203,7 +203,7 @@ class TelemetryServer:
     def _health(self) -> Dict[str, Any]:
         gw = self.gateway
         manager = gw.manager
-        health = {
+        return {
             "status": "draining" if gw._draining else "ok",
             "shards": manager.config.n_shards,
             "connections": len(gw._connections),
@@ -214,13 +214,3 @@ class TelemetryServer:
             "open_traces": get_tracer().open_count,
             "ring_samples": len(_obs.get_ring()),
         }
-        replica = getattr(gw, "read_replica", None)
-        if replica is not None:
-            # read-replica gateway: surface per-shard shipping lag so a
-            # scraper can tell "healthy standby" from "falling behind"
-            try:
-                health["replication"] = replica.status()
-                health["status"] = "replica"
-            except Exception:  # pragma: no cover - replica mid-teardown
-                health["replication"] = {"error": "unavailable"}
-        return health

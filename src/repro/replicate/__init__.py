@@ -1,4 +1,4 @@
-"""WAL-shipping replication: warm standbys, lag-aware reads, failover.
+"""WAL-shipping replication: warm standbys, replica reads, failover.
 
 ``repro.replicate`` turns the persist layer's per-shard write-ahead
 logs (:mod:`repro.persist`) into a primary/standby pair:
@@ -16,8 +16,9 @@ logs (:mod:`repro.persist`) into a primary/standby pair:
   :func:`~repro.persist.records.apply_scripted_op` semantics, so its
   session states are bit-identical to the primary's (SHA-256 state
   digests), its lag is measurable (``repro_repl_lag_records``), and it
-  answers read-only queries while lag stays under a configured bound
-  (:class:`~repro.replicate.replica.ReplicaLagging` otherwise);
+  answers read-only queries at any lag, reporting the lag in each view
+  (:class:`~repro.cluster.ClusterGateway` asks the least-lagged live
+  standby first);
 * :class:`~repro.replicate.promote.Promoter` is failover: detect the
   silent primary by missed heartbeats, cut the un-fsynced tail, fence
   the epoch and hand the directory to the ordinary recovery path — a
@@ -47,7 +48,7 @@ from .protocol import (
     REPL_VERSION,
     ReplicationError,
 )
-from .replica import ReplicaLagging, StandbyReplica
+from .replica import StandbyReplica
 from .source import ReplicationSource
 
 __all__ = [
@@ -59,7 +60,6 @@ __all__ = [
     "R_HANDSHAKE",
     "R_HEARTBEAT",
     "REPL_VERSION",
-    "ReplicaLagging",
     "ReplicationError",
     "ReplicationSource",
     "StandbyReplica",

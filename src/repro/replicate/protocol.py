@@ -2,8 +2,9 @@
 
 The replication stream reuses the gateway's physical framing (14-byte
 CRC-checked header + JSON payload, :mod:`repro.gateway.protocol`) with
-its own frame vocabulary and version space — the decoder is the same
-class, parametrized; the conversation is different:
+its own frame vocabulary and its own single version,
+:data:`REPL_VERSION` — the decoder is the same class, parametrized;
+the conversation is different:
 
 ``HANDSHAKE``
     Standby → source: which shard it replicates, its current epoch and
@@ -46,15 +47,10 @@ from __future__ import annotations
 import socket
 from typing import Any, Dict
 
-from ..gateway.protocol import (
-    FrameDecoder,
-    ProtocolError,
-    encode_frame as _encode_frame,
-)
+from ..gateway.protocol import FrameDecoder, ProtocolError, pack_frame
 
 __all__ = [
     "REPL_VERSION",
-    "REPL_VERSIONS",
     "R_ACK",
     "R_APPEND",
     "R_ERROR",
@@ -68,10 +64,10 @@ __all__ = [
     "make_decoder",
 ]
 
-#: the replication protocol's own version byte (independent of the
-#: gateway's client protocol — the two streams never share a socket)
+#: the replication protocol's own version byte, the only one its
+#: decoder accepts (independent of the gateway's client protocol — the
+#: two streams never share a socket)
 REPL_VERSION = 1
-REPL_VERSIONS = frozenset({REPL_VERSION})
 
 R_HANDSHAKE = 1
 R_APPEND = 2
@@ -96,12 +92,9 @@ class ReplicationError(RuntimeError):
 
 def encode(ftype: int, payload: Dict[str, Any]) -> bytes:
     """Frame one REPL payload (same physical framing as the gateway)."""
-    return _encode_frame(
-        ftype, payload,
-        version=REPL_VERSION,
-        frame_types=R_FRAME_TYPES,
-        versions=REPL_VERSIONS,
-    )
+    if ftype not in R_FRAME_TYPES:
+        raise ProtocolError(f"unknown frame type {ftype}")
+    return pack_frame(REPL_VERSION, ftype, payload)
 
 
 def make_decoder(max_frame_bytes: int = 1 << 22) -> FrameDecoder:
@@ -112,9 +105,7 @@ def make_decoder(max_frame_bytes: int = 1 << 22) -> FrameDecoder:
     whole session states.
     """
     return FrameDecoder(
-        max_frame_bytes,
-        frame_types=R_FRAME_TYPES,
-        versions=REPL_VERSIONS,
+        max_frame_bytes, frame_types=R_FRAME_TYPES, version=REPL_VERSION,
     )
 
 

@@ -19,8 +19,7 @@ things in lockstep:
   replica's session states are therefore bit-identical to the
   primary's (asserted by SHA-256 state digests in the failover tests),
   and read-only queries are answered from memory with zero primary
-  involvement, as long as the shard's lag is inside the configured
-  bound.
+  involvement, at whatever lag the shard has (the view reports it).
 
 One APPEND frame is one commit.  Its handler, under the shard lock,
 drops the LSNs it already applied, writes the rest to the mirror log,
@@ -71,7 +70,7 @@ from .protocol import (
     require,
 )
 
-__all__ = ["ReplicaLagging", "StandbyReplica"]
+__all__ = ["StandbyReplica"]
 
 #: how long one connection attempt to the source may take
 CONNECT_TIMEOUT_S = 2.0
@@ -111,24 +110,6 @@ _M_QUERIES = _obs.counter(
 )
 
 _LOG = _obslog.get_logger("replicate")
-
-
-class ReplicaLagging(ReplicationError):
-    """A read was refused because the shard's lag exceeds the bound.
-
-    Carries how far behind the refusal was (``lag_ticks``, measured in
-    WAL records — the replica's clock) and the owning ``shard``, so a
-    router or load balancer can back off proportionally instead of
-    treating every refusal the same.
-    """
-
-    def __init__(self, shard: int, lag_ticks: int, bound: int) -> None:
-        self.shard = shard
-        self.lag_ticks = lag_ticks
-        self.bound = bound
-        super().__init__(
-            f"shard {shard} lags {lag_ticks} records (> bound {bound})"
-        )
 
 
 class _ReplicaLog:
@@ -247,7 +228,6 @@ class StandbyReplica:
         port: int,
         *,
         shards: Optional[List[int]] = None,
-        max_read_lag_records: int = 64,
         reconnect_backoff_s: float = 0.05,
         client_name: str = "standby",
     ) -> None:
@@ -265,7 +245,6 @@ class StandbyReplica:
                 raise ValueError(f"subscribed shards out of range: {bad}")
             if not self.shards:
                 raise ValueError("subscription set must not be empty")
-        self.max_read_lag_records = max_read_lag_records
         self.reconnect_backoff_s = reconnect_backoff_s
         self.client_name = client_name
         self._stop = threading.Event()
@@ -380,7 +359,6 @@ class StandbyReplica:
         return {
             "directory": str(self.directory),
             "source": f"{self.host}:{self.port}",
-            "max_read_lag_records": self.max_read_lag_records,
             "subscribed": list(self.shards),
             "shards": shards,
         }
@@ -395,12 +373,11 @@ class StandbyReplica:
         return out
 
     def query(self, player_id: str) -> Dict[str, Any]:
-        """Lag-bounded read-only view of one session.
+        """Read-only view of one session, stamped with the shard's lag.
 
-        Raises :class:`ReplicaLagging` when the owning shard is behind
-        by more than ``max_read_lag_records``; raises ``KeyError`` for
-        a player the replica has never seen — including one whose
-        owning shard is outside this standby's subscription set.
+        Raises ``KeyError`` for a player the replica has never seen —
+        including one whose owning shard is outside this standby's
+        subscription set.
         """
         shard = shard_for(player_id, self.n_shards)
         st = self._shards.get(shard)
@@ -408,10 +385,6 @@ class StandbyReplica:
             _M_QUERIES.inc(result="unsubscribed")
             raise KeyError(player_id)
         with st.lock:
-            lag = st.lag
-            if lag > self.max_read_lag_records:
-                _M_QUERIES.inc(result="lagging")
-                raise ReplicaLagging(shard, lag, self.max_read_lag_records)
             sess = st.sessions.get(player_id)
             if sess is None:
                 _M_QUERIES.inc(result="unknown")
@@ -424,7 +397,7 @@ class StandbyReplica:
                 "cursor": sess.cursor,
                 "outcome": sess.outcome,
                 "lsn": st.applied_lsn,
-                "lag": lag,
+                "lag": st.lag,
                 "epoch": st.epoch,
                 "digest": state_digest(sess.engine.state),
             }

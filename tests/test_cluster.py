@@ -24,7 +24,6 @@ from repro.cluster import (
     plan_placement,
 )
 from repro.faultline.chaos import reference_digest, run_chaos
-from repro.replicate import ReplicaLagging
 from repro.replicate.protocol import R_ERROR, R_HANDSHAKE, encode, make_decoder
 from repro.serve import session_factory_for_script
 from repro.students import cohort_scripts
@@ -133,10 +132,9 @@ class _FakePrimary:
 
 
 class _FakeStandby:
-    def __init__(self, lag=0, view=None, lagging=None, alive=True):
+    def __init__(self, lag=0, view=None, alive=True):
         self._lag = lag
         self._view = view
-        self._lagging = lagging
         self.alive = alive
         self.queried = []
 
@@ -145,8 +143,6 @@ class _FakeStandby:
 
     def query(self, player_id):
         self.queried.append(player_id)
-        if self._lagging is not None:
-            raise self._lagging
         if self._view is None:
             raise KeyError(player_id)
         return dict(self._view)
@@ -183,27 +179,6 @@ class TestClusterGateway:
         assert view["node"] == "s1"
         assert fast.queried and not slow.queried
         assert view["placement_version"] == gw.placement.version
-
-    def test_query_falls_through_lagging_standby(self):
-        gw, _ = self._gateway()
-        refusing = _FakeStandby(
-            lag=0, lagging=ReplicaLagging(0, lag_ticks=7, bound=2)
-        )
-        answering = _FakeStandby(lag=3, view={"status": "done"})
-        gw.register("s0", refusing)
-        gw.register("s1", answering)
-        assert gw.query("player")["node"] == "s1"
-
-    def test_query_reraises_smallest_lag(self):
-        gw, _ = self._gateway()
-        gw.register("s0", _FakeStandby(
-            lagging=ReplicaLagging(0, lag_ticks=50, bound=2)))
-        gw.register("s1", _FakeStandby(
-            lagging=ReplicaLagging(0, lag_ticks=4, bound=2)))
-        with pytest.raises(ReplicaLagging) as err:
-            gw.query("player")
-        assert err.value.lag_ticks == 4
-        assert err.value.shard == 0
 
     def test_query_unknown_everywhere_is_key_error(self):
         gw, _ = self._gateway()
@@ -338,11 +313,6 @@ class TestQuorumCluster:
                 ftype, payload = frames[0]
         assert ftype == R_ERROR
         assert payload["code"] == "bad_subscription"
-
-    def test_replica_lagging_carries_routing_attrs(self):
-        err = ReplicaLagging(3, lag_ticks=11, bound=4)
-        assert (err.shard, err.lag_ticks, err.bound) == (3, 11, 4)
-        assert "shard 3" in str(err) and "11" in str(err)
 
 
 class TestClusterChaos:

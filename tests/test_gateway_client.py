@@ -12,6 +12,7 @@ from repro.gateway import (
     GatewayThread,
     backoff_delays,
 )
+from repro.gateway.client import RETRIES
 from repro.serve import ServeConfig, SessionManager
 from repro.students import cohort_scripts
 
@@ -84,17 +85,15 @@ class TestRetryLoop:
             slept.append(delay)
 
         client = GatewayClient(
-            "gw.test", 4242,
-            retries=3, backoff_base_s=0.05, backoff_factor=2.0,
-            backoff_max_s=2.0,
-            connector=failing_connector, sleep=fake_sleep,
+            "gw.test", 4242, connector=failing_connector, sleep=fake_sleep,
         )
         before = _value("repro_gateway_client_retries_total")
         with pytest.raises(GatewayClosed):
             asyncio.run(client.connect())
-        assert len(attempts) == 4  # initial + 3 retries
-        assert slept == backoff_delays(3, 0.05, 2.0, 2.0)
-        assert _value("repro_gateway_client_retries_total") == before + 3
+        assert RETRIES == 4
+        assert len(attempts) == RETRIES + 1  # initial + retries
+        assert slept == backoff_delays(RETRIES) == [0.05, 0.1, 0.2, 0.4]
+        assert _value("repro_gateway_client_retries_total") == before + RETRIES
 
     def test_connect_succeeds_after_transient_failures(
         self, classroom_game, scripts, live
@@ -114,7 +113,6 @@ class TestRetryLoop:
 
             client = GatewayClient(
                 handle.host, handle.port,
-                retries=4, backoff_base_s=0.05,
                 connector=flaky_connector, sleep=fake_sleep,
             )
 
@@ -128,7 +126,7 @@ class TestRetryLoop:
 
             end = asyncio.run(drive())
         assert not end["failed"]
-        assert slept == backoff_delays(4, 0.05, 2.0, 2.0)[:2]
+        assert slept == backoff_delays(RETRIES)[:2]
 
 
 class TestReconnectResume:
@@ -189,107 +187,3 @@ class TestReconnectResume:
             statuses, mid = asyncio.run(drive())
         assert statuses.get("ghost", "unknown") == "unknown"
         assert mid == "unknown"
-
-
-class TestHeartbeat:
-    def test_heartbeat_records_round_trips(self, classroom_game, live):
-        metric = obs.get_registry().get("repro_gateway_rtt_seconds")
-        before = sum(s.count for _k, s in metric.series())
-        with GatewayThread(_slow_gateway(classroom_game)) as handle:
-            async def drive():
-                client = GatewayClient(
-                    handle.host, handle.port,
-                    heartbeat_s=0.05, idle_timeout_s=5.0,
-                )
-                await client.connect()
-                await asyncio.sleep(0.4)
-                await client.close()
-
-            asyncio.run(drive())
-        after = sum(s.count for _k, s in metric.series())
-        assert after > before, "heartbeat loop recorded no PING round trips"
-
-
-class TestHeartbeatLifecycle:
-    """The heartbeat task must not outlive its usefulness: a loop that
-    died with its connection is a corpse, and ``connect()`` must clear
-    it so the next connection gets a fresh one (regression: a dead task
-    used to satisfy the ``is None`` check forever, leaving every later
-    connection unheartbeated)."""
-
-    def test_dead_heartbeat_task_is_replaced_on_reconnect(
-        self, classroom_game, live
-    ):
-        from repro.gateway.protocol import HELLO, encode_frame
-
-        with GatewayThread(_slow_gateway(classroom_game)) as handle:
-            async def drive():
-                async def dark_server(reader, writer):
-                    # answer the handshake, then never speak again
-                    await reader.read(65536)
-                    writer.write(
-                        encode_frame(HELLO, {"seq": 1, "resumed": {}})
-                    )
-                    await writer.drain()
-                    await reader.read(65536)
-
-                dark = await asyncio.start_server(
-                    dark_server, "127.0.0.1", 0
-                )
-                dark_port = dark.sockets[0].getsockname()[1]
-                net = {"dark": True, "down": False}
-
-                async def connector(host, port):
-                    if net["down"]:
-                        raise ConnectionRefusedError("network down")
-                    target = dark_port if net["dark"] else handle.port
-                    return await asyncio.open_connection("127.0.0.1", target)
-
-                client = GatewayClient(
-                    handle.host, handle.port,
-                    heartbeat_s=0.03, idle_timeout_s=0.05,
-                    retries=0, auto_reconnect=True, connector=connector,
-                )
-                await client.connect()
-                first = client._heartbeat_task
-                assert first is not None and not first.done()
-                # the server goes silent and the network dies with it:
-                # the loop detects idleness, fails its own reconnect,
-                # and returns — a natural death, no cancellation
-                net["down"] = True
-                await asyncio.wait_for(first, timeout=10.0)
-                assert client._heartbeat_task is first  # the corpse stays
-                # the network heals, pointing at the real gateway now
-                net.update(down=False, dark=False)
-                await client.reconnect()
-                second = client._heartbeat_task
-                assert second is not None
-                assert second is not first, (
-                    "reconnect left the dead heartbeat task installed"
-                )
-                assert not second.done()
-                rtt = await client.ping()
-                assert rtt >= 0.0
-                await client.close()
-                dark.close()
-                await dark.wait_closed()
-
-            asyncio.run(drive())
-
-    def test_live_heartbeat_task_is_not_duplicated(
-        self, classroom_game, live
-    ):
-        with GatewayThread(_slow_gateway(classroom_game)) as handle:
-            async def drive():
-                client = GatewayClient(
-                    handle.host, handle.port,
-                    heartbeat_s=0.05, idle_timeout_s=5.0,
-                )
-                await client.connect()
-                first = client._heartbeat_task
-                await client.reconnect()
-                assert client._heartbeat_task is first
-                assert not first.done()
-                await client.close()
-
-            asyncio.run(drive())

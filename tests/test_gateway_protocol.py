@@ -11,18 +11,15 @@ from repro.gateway.protocol import (
     FRAME_TYPES,
     HEADER,
     HELLO,
-    MIN_PROTOCOL_VERSION,
     PING,
     PROTOCOL_VERSION,
     STATE,
     SUBMIT,
-    SUPPORTED_VERSIONS,
     FrameDecoder,
     FrameTooLarge,
     ProtocolError,
     VersionMismatch,
     encode_frame,
-    negotiate_version,
 )
 
 
@@ -98,9 +95,13 @@ class TestDecoder:
             FrameDecoder().feed(frame)
 
     def test_version_mismatch(self):
-        frame = _raw_frame(HELLO, b"{}", version=PROTOCOL_VERSION + 1)
-        with pytest.raises(VersionMismatch):
-            FrameDecoder().feed(frame)
+        # one wire version: the older v1/v2 are refused like a newer one
+        for version in (1, 2, PROTOCOL_VERSION + 1):
+            with pytest.raises(VersionMismatch):
+                FrameDecoder().feed(_raw_frame(HELLO, b"{}", version=version))
+        for version in (1, 2):
+            with pytest.raises(VersionMismatch):
+                encode_frame(HELLO, {}, version=version)
 
     def test_oversized_announced_length_rejected_before_body_arrives(self):
         body = b"{}"
@@ -152,19 +153,7 @@ class TestDecoder:
 
 
 class TestVersioning:
-    """Version negotiation: old peers keep working, unknown versions do not."""
-
-    def test_supported_window(self):
-        assert MIN_PROTOCOL_VERSION == 1
-        assert PROTOCOL_VERSION == 3
-        assert SUPPORTED_VERSIONS == frozenset({1, 2, 3})
-
-    def test_decoder_accepts_every_supported_version(self):
-        for version in sorted(SUPPORTED_VERSIONS):
-            decoder = FrameDecoder()
-            frames = decoder.feed(_raw_frame(PING, b"{}", version=version))
-            assert frames == [(PING, {})]
-            assert decoder.last_version == version
+    """One wire version: every other version byte is refused."""
 
     def test_decoder_rejects_below_window(self):
         with pytest.raises(VersionMismatch):
@@ -175,27 +164,3 @@ class TestVersioning:
             encode_frame(PING, {}, version=0)
         with pytest.raises(VersionMismatch):
             encode_frame(PING, {}, version=PROTOCOL_VERSION + 1)
-
-    def test_encode_v1_roundtrips(self):
-        decoder = FrameDecoder()
-        frames = decoder.feed(encode_frame(HELLO, {"client": "old"},
-                                           version=1))
-        assert frames == [(HELLO, {"client": "old"})]
-        assert decoder.last_version == 1
-
-    def test_negotiate_takes_minimum(self):
-        assert negotiate_version(1) == 1
-        assert negotiate_version(2) == 2
-        # a future peer speaks down to us
-        assert negotiate_version(PROTOCOL_VERSION + 5) == PROTOCOL_VERSION
-
-    def test_negotiate_rejects_prehistoric_peer(self):
-        with pytest.raises(VersionMismatch):
-            negotiate_version(MIN_PROTOCOL_VERSION - 1)
-
-    def test_last_version_tracks_most_recent_frame(self):
-        decoder = FrameDecoder()
-        assert decoder.last_version is None
-        decoder.feed(_raw_frame(PING, b"{}", version=1))
-        decoder.feed(_raw_frame(PING, b"{}", version=2))
-        assert decoder.last_version == 2

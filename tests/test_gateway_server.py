@@ -4,8 +4,10 @@ import asyncio
 import collections
 import socket
 import sys
+import struct
 import threading
 import time
+import zlib
 
 import pytest
 
@@ -18,7 +20,15 @@ from repro.gateway import (
     GatewayServer,
     GatewayThread,
 )
-from repro.gateway.protocol import END, HELLO, PING, STATE, encode_frame
+from repro.gateway.protocol import (
+    END,
+    ERROR,
+    HELLO,
+    PING,
+    STATE,
+    FrameDecoder,
+    encode_frame,
+)
 from repro.gateway.server import _Connection
 from repro.persist import PersistenceConfig, scan_journal, state_digest
 from repro.persist.records import apply_scripted_op
@@ -264,6 +274,27 @@ class TestRobustness:
                     return client.server_info["server"]
 
             assert asyncio.run(drive()) == "repro-gateway"
+
+    def test_v2_hello_gets_bad_frame_and_close(self, classroom_game, live):
+        body = b'{"client":"old","resume":[]}'
+        head = struct.pack("<BBII", 2, HELLO, len(body), zlib.crc32(body))
+        hello_v2 = head + struct.pack("<I", zlib.crc32(head)) + body
+        with GatewayThread(_gateway(classroom_game)) as handle:
+            with socket.create_connection((handle.host, handle.port)) as sock:
+                sock.sendall(hello_v2)
+                sock.settimeout(5.0)
+                reply, closed = b"", False
+                try:
+                    while not closed:
+                        chunk = sock.recv(4096)
+                        reply += chunk
+                        closed = not chunk
+                except TimeoutError:
+                    pass
+        frames = FrameDecoder().feed(reply)
+        assert [ftype for ftype, _ in frames] == [ERROR]
+        assert frames[0][1]["code"] == "bad_frame"
+        assert closed, "the server kept a v2 connection open"
 
     def test_first_frame_must_be_hello(self, classroom_game, live):
         with GatewayThread(_gateway(classroom_game)) as handle:
