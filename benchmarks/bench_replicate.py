@@ -13,9 +13,11 @@ Two claims this file defends:
   from-scratch replay of its journal — replication is an availability
   feature, never a divergence feature.
 
-Lag is measured in records (``repro_repl_lag_records``); the
-tick conversion divides by ``max_steps_per_tick``, a single session's
-per-tick record production — the most conservative denominator, since
+Lag is measured in records: a sampler thread reads the standby's
+per-shard lag (shipped tip minus applied LSN) every millisecond while
+the cohort streams, as perfbench does.  The tick conversion divides
+by ``max_steps_per_tick``, a single session's per-tick record
+production — the most conservative denominator, since
 every shard runs several sessions and produces a multiple of that.
 
 Tunable from the environment so the CI smoke job can run it small:
@@ -31,6 +33,7 @@ Tunable from the environment so the CI smoke job can run it small:
 import os
 import shutil
 import tempfile
+import threading
 import time
 from pathlib import Path
 
@@ -55,6 +58,8 @@ SEED = int(os.environ.get("REPRO_REPL_BENCH_SEED", "1301"))
 TICK_S = 0.003
 MAX_STEPS = 8
 LAG_TICKS_BOUND = 2.0
+#: seconds between two lag samples
+SAMPLE_S = 0.001
 
 
 def _p95(samples):
@@ -83,6 +88,18 @@ def _steady_state() -> dict:
             with StandbyReplica(
                 root / "standby", game, SHARDS, source.host, source.port,
             ) as standby:
+                lag_samples = {i: [] for i in range(SHARDS)}
+                done = threading.Event()
+
+                def sample():
+                    while True:
+                        for i in range(SHARDS):
+                            lag_samples[i].append(standby.lag(i))
+                        if done.wait(SAMPLE_S):
+                            return
+
+                sampler = threading.Thread(target=sample, daemon=True)
+                sampler.start()
                 for script in scripts:
                     assert manager.submit(
                         script.player_id,
@@ -98,9 +115,11 @@ def _steady_state() -> dict:
                 }
                 assert standby.wait_caught_up(tips, timeout_s=60)
                 elapsed = time.perf_counter() - t0
+                done.set()
+                sampler.join()
                 shards = []
                 for st in standby.shard_states():
-                    samples = list(st.lag_samples)
+                    samples = lag_samples[st.index]
                     shards.append({
                         "shard": st.index,
                         "samples": len(samples),

@@ -348,11 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="for 'serve': standby node count (default 3)",
     )
     p_cluster.add_argument(
-        "--replicas-per-shard", type=int, default=None,
-        help="for 'serve': standbys subscribed per shard "
-             "(default: every standby)",
-    )
-    p_cluster.add_argument(
         "--quorum", type=_natural, default=0,
         help="for 'serve': standby acks an end record must collect "
              "before its END goes out, at most --standbys "
@@ -1092,7 +1087,6 @@ def _cmd_cluster(args: argparse.Namespace) -> int:
             _load_game(None, 2, "Cluster Demo"),
             n_shards=args.shards,
             n_standbys=args.standbys,
-            replicas_per_shard=args.replicas_per_shard,
             quorum=args.quorum,
             root=directory,
         ).start()

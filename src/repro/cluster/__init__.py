@@ -4,11 +4,11 @@ This package turns the single-standby replication of
 :mod:`repro.replicate` into a small cluster:
 
 * :mod:`~repro.cluster.placement` — the versioned
-  :class:`PlacementMap` (shard → primary + ordered standby subset,
-  epoch-fenced) and :func:`plan_placement`, the round-robin subset
-  planner;
+  :class:`PlacementMap` (shard → primary + ordered standbys,
+  epoch-fenced) and :func:`plan_placement`, which lists every standby
+  on every shard, rotated per shard;
 * :mod:`~repro.cluster.gateway` — :class:`ClusterGateway`, routing
-  reads to the least-lagged standby owning the shard and
+  reads to the least-lagged live standby and
   failing writes over the moment the map's epoch advances;
 * :mod:`~repro.cluster.supervisor` — :class:`ClusterSupervisor`, the
   one-process node-set harness (tests, benches, ``repro cluster``);

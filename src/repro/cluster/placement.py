@@ -2,12 +2,13 @@
 
 A :class:`PlacementMap` is the cluster's single declarative answer to
 "who serves shard *i*?": one primary node plus an *ordered* standby
-set per shard, a monotonically increasing map **version** (bumped on
-every assignment change), and a per-shard **epoch** reusing the exact
-fencing currency of :mod:`repro.replicate.promote` — the epoch in the
-map is the epoch in the shard's ``EPOCH`` sidecar, so a router that
-trusts the map and a journal that fences stale primaries agree on
-whose history is current.
+list per shard (every standby mirrors every shard; the order is the
+read router's tie-break), a monotonically increasing map **version**
+(bumped on every assignment change), and a per-shard **epoch** reusing
+the exact fencing currency of :mod:`repro.replicate.promote` — the
+epoch in the map is the epoch in the shard's ``EPOCH`` sidecar, so a
+router that trusts the map and a journal that fences stale primaries
+agree on whose history is current.
 
 The map is process-shared state (gateway, supervisor and CLI all read
 it) behind one lock, JSON round-trippable so ``repro cluster status``
@@ -21,9 +22,9 @@ from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -133,27 +134,6 @@ class PlacementMap:
                 raise KeyError(f"shard {shard} has no assignment")
             return ShardAssignment(
                 entry.shard, entry.primary, entry.standbys, entry.epoch
-            )
-
-    def primary_for(self, shard: int) -> str:
-        return self.assignment(shard).primary
-
-    def standbys_for(self, shard: int) -> Tuple[str, ...]:
-        return self.assignment(shard).standbys
-
-    def epoch_of(self, shard: int) -> int:
-        return self.assignment(shard).epoch
-
-    def shards_of(self, node_id: str) -> List[int]:
-        """The shard-subscription set of one node (primary or standby).
-
-        This is exactly what a :class:`StandbyReplica` passes as its
-        ``shards=`` subset.
-        """
-        with self._lock:
-            return sorted(
-                shard for shard, entry in self._entries.items()
-                if entry.primary == node_id or node_id in entry.standbys
             )
 
     def primary_address(self, shard: Optional[int] = None) -> Optional[str]:
@@ -283,36 +263,16 @@ class PlacementMap:
         return cls.from_dict(json.loads(path.read_text()))
 
 
-@dataclass(slots=True)
-class _RoundRobin:
-    """Deterministic standby rotation for :func:`plan_placement`."""
-
-    pool: List[str] = field(default_factory=list)
-    offset: int = 0
-
-    def take(self, count: int) -> Tuple[str, ...]:
-        if not self.pool or count <= 0:
-            return ()
-        picked = tuple(
-            self.pool[(self.offset + k) % len(self.pool)]
-            for k in range(min(count, len(self.pool)))
-        )
-        self.offset = (self.offset + 1) % len(self.pool)
-        return picked
-
-
 def plan_placement(
     n_shards: int,
     primary: NodeInfo,
     standbys: Sequence[NodeInfo],
-    replicas_per_shard: Optional[int] = None,
 ) -> PlacementMap:
-    """Round-robin a standby pool over the shards of one primary.
+    """Place one primary and a standby pool over ``n_shards`` shards.
 
-    Each shard gets ``replicas_per_shard`` standbys (default: every
-    standby), rotated so the subsets interleave — with 3 standbys and 2
-    replicas per shard, every standby carries two-thirds of the
-    keyspace and every shard survives any single standby loss.
+    Every shard lists every standby, rotated by the shard index
+    (``standbys[s % k:] + standbys[:s % k]``) so read ties spread over
+    the pool.
     """
     pmap = PlacementMap(n_shards)
     pmap.register_node(NodeInfo(primary.node_id, "primary",
@@ -320,10 +280,8 @@ def plan_placement(
     for node in standbys:
         pmap.register_node(NodeInfo(node.node_id, "standby",
                                     node.host, node.port))
-    want = len(standbys) if replicas_per_shard is None else replicas_per_shard
-    rotation = _RoundRobin(pool=[n.node_id for n in standbys])
+    pool = [n.node_id for n in standbys]
     for shard in range(n_shards):
-        pmap.assign(
-            shard, primary.node_id, rotation.take(want), epoch=1,
-        )
+        k = shard % max(1, len(pool))
+        pmap.assign(shard, primary.node_id, pool[k:] + pool[:k], epoch=1)
     return pmap

@@ -4,8 +4,8 @@ The :class:`ClusterSupervisor` is the harness the cluster tests,
 benches and the ``repro cluster`` CLI share: it launches a persisted
 :class:`~repro.serve.manager.SessionManager` primary, a
 :class:`~repro.replicate.source.ReplicationSource` shipping its WAL,
-and N :class:`~repro.replicate.replica.StandbyReplica` followers whose
-shard subsets come straight from :func:`plan_placement` — then wires a
+and N :class:`~repro.replicate.replica.StandbyReplica` followers, each
+mirroring every shard, placed by :func:`plan_placement` — then wires a
 :class:`~repro.cluster.gateway.ClusterGateway` over the lot so callers
 see one ``submit``/``query`` surface.
 
@@ -50,7 +50,6 @@ class ClusterSupervisor:
         *,
         n_shards: int = 2,
         n_standbys: int = 3,
-        replicas_per_shard: Optional[int] = None,
         quorum: int = 0,
         root: Optional[Union[str, Path]] = None,
         durable_wait_s: float = 5.0,
@@ -67,7 +66,6 @@ class ClusterSupervisor:
         self.game = game
         self.n_shards = n_shards
         self.n_standbys = n_standbys
-        self.replicas_per_shard = replicas_per_shard
         self.quorum = quorum
         self._tmp: Optional[tempfile.TemporaryDirectory] = None
         if root is None:
@@ -97,6 +95,16 @@ class ClusterSupervisor:
         if self._started:
             raise RuntimeError("cluster already started")
         self._started = True
+        try:
+            self._launch()
+        except BaseException:
+            # ``with`` never reaches __exit__ when start raises: take
+            # down whatever came up before the failing step
+            self.stop()
+            raise
+        return self
+
+    def _launch(self) -> None:
         self.manager = self._new_manager(self.root / PRIMARY_ID, self.quorum)
         self.persistence = self.manager.config.persistence
         self.source = ReplicationSource(
@@ -116,7 +124,6 @@ class ClusterSupervisor:
             NodeInfo(PRIMARY_ID, "primary", self.source.host,
                      self.source.port or 0),
             [NodeInfo(nid, "standby") for nid in standby_ids],
-            replicas_per_shard=self.replicas_per_shard,
         )
         self.gateway = ClusterGateway(self.placement)
         self.gateway.register(PRIMARY_ID, self.manager)
@@ -124,8 +131,6 @@ class ClusterSupervisor:
             replica = StandbyReplica(
                 self.root / nid, self.game, self.n_shards,
                 self.source.host, self.source.port or 0,
-                shards=self.placement.shards_of(nid),
-                reconnect_backoff_s=0.02,
                 client_name=nid,
             ).start()
             self.standbys[nid] = replica
@@ -134,7 +139,6 @@ class ClusterSupervisor:
         _LOG.info("cluster.started", root=str(self.root),
                   shards=self.n_shards, standbys=standby_ids,
                   quorum=self.quorum)
-        return self
 
     def stop(self) -> None:
         for replica in self.standbys.values():
@@ -189,9 +193,9 @@ class ClusterSupervisor:
         """Promote one standby now and advance the placement map to match.
 
         The caller decides when the primary is gone (a kill lever here,
-        or :meth:`Promoter.wait_for_failure`).  Every shard the standby
-        subscribed fails over to ``node_id`` at the promotion's fenced
-        epoch; the map's version bumps, so the very next :meth:`submit`
+        or :meth:`Promoter.wait_for_failure`).  Every shard fails over
+        to ``node_id`` at the promotion's fenced epoch; the map's
+        version bumps, so the very next :meth:`submit`
         through the gateway routes to the new primary — no manual
         reconfiguration.  With ``recover=True`` a fresh recovered
         :class:`SessionManager` over the promoted directory is
@@ -201,10 +205,7 @@ class ClusterSupervisor:
         replica = self.standbys[node_id]
         report = Promoter(replica).promote(game=self.game)
         for row in report.shards:
-            try:
-                self.placement.advance(row["shard"], node_id, row["epoch"])
-            except KeyError:
-                continue  # shard never assigned: nothing to fail over
+            self.placement.advance(row["shard"], node_id, row["epoch"])
         self.placement.save(self.root)
         if recover:
             new_manager = self._new_manager(replica.directory)
@@ -278,7 +279,7 @@ class ClusterSupervisor:
             "standbys": {
                 nid: {
                     "alive": replica.alive,
-                    "subscribed": list(replica.shards),
+                    "subscribed": list(range(self.n_shards)),
                     "status": replica.status(),
                 }
                 for nid, replica in self.standbys.items()

@@ -132,7 +132,7 @@ class PersistenceConfig:
     #: drop WAL segments fully covered by snapshots after each snapshot
     compact: bool = True
     #: opt-in quorum commit: a finished session's END goes out only
-    #: once this many subscribed standbys have acked its end record,
+    #: once this many standbys have acked its end record,
     #: i.e. fsynced the shipped batch holding it into their mirrors.
     #: 0 keeps durability primary-local; without an attached
     #: replication source (the ack ledger) the knob is inert.

@@ -36,10 +36,8 @@ the conversation is different:
     goes out only once enough standbys have acked its end record's
     LSN.
 
-The handshake also carries the standby's full **shard-subscription
-set** (``subs``): a standby may follow a subset of the primary's
-shards, so several standbys can split one keyspace between them (the
-placement map in :mod:`repro.cluster` decides who owns what).
+Every standby mirrors every shard, one connection each; the handshake
+names the shard a connection carries.
 """
 
 from __future__ import annotations

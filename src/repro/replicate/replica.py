@@ -1,6 +1,7 @@
 """The standby side: follow the stream, mirror the log, mirror the state.
 
-A :class:`StandbyReplica` keeps one connection per shard to a
+A :class:`StandbyReplica` mirrors every shard of one primary: it keeps
+one connection per shard to a
 :class:`~repro.replicate.source.ReplicationSource` and maintains two
 things in lockstep:
 
@@ -37,10 +38,9 @@ from __future__ import annotations
 import os
 import socket
 import threading
-from collections import deque
 from pathlib import Path
 from time import monotonic, perf_counter
-from typing import Any, Deque, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -74,6 +74,8 @@ __all__ = ["StandbyReplica"]
 
 #: how long one connection attempt to the source may take
 CONNECT_TIMEOUT_S = 2.0
+#: pause before a shard follower redials a lost link
+RECONNECT_BACKOFF_S = 0.02
 
 _M_APPLIED = _obs.counter(
     "repro_repl_applied_records_total",
@@ -189,7 +191,6 @@ class _StandbyShard:
         self.sessions = SessionTable()
         self.log: Optional[_ReplicaLog] = None
         self.lock = threading.Lock()
-        self.lag_samples: Deque[int] = deque(maxlen=4096)
         self.sock: Optional[socket.socket] = None
         self.thread: Optional[threading.Thread] = None
 
@@ -203,20 +204,15 @@ class _StandbyShard:
         return self.log.truncate_uncommitted()
 
     def sample_lag(self) -> None:
-        lag = self.lag
-        self.lag_samples.append(lag)
         if _obs.enabled():
-            _M_LAG.set(lag, shard=self.label)
+            _M_LAG.set(self.lag, shard=self.label)
 
 
 class StandbyReplica:
-    """A warm standby following one primary — all shards or a subset.
+    """A warm standby following every shard of one primary.
 
-    ``shards`` (default: every shard) is the subscription set: the
-    standby opens one shipping connection per subscribed shard and
-    advertises the full set in each handshake, so several standbys can
-    split one primary's keyspace between them (the placement map in
-    :mod:`repro.cluster` hands out the subsets).
+    ``client_name`` is the name its acks carry, so the source's quorum
+    ledger can tell several standbys of one primary apart.
     """
 
     def __init__(
@@ -227,8 +223,6 @@ class StandbyReplica:
         host: str,
         port: int,
         *,
-        shards: Optional[List[int]] = None,
-        reconnect_backoff_s: float = 0.05,
         client_name: str = "standby",
     ) -> None:
         self.directory = Path(directory)
@@ -236,22 +230,12 @@ class StandbyReplica:
         self.n_shards = n_shards
         self.host = host
         self.port = port
-        if shards is None:
-            self.shards = list(range(n_shards))
-        else:
-            self.shards = sorted({int(s) for s in shards})
-            bad = [s for s in self.shards if not 0 <= s < n_shards]
-            if bad:
-                raise ValueError(f"subscribed shards out of range: {bad}")
-            if not self.shards:
-                raise ValueError("subscription set must not be empty")
-        self.reconnect_backoff_s = reconnect_backoff_s
         self.client_name = client_name
         self._stop = threading.Event()
-        self._shards = {
-            i: _StandbyShard(i, self.directory / f"shard-{i:02d}")
-            for i in self.shards
-        }
+        self._shards = [
+            _StandbyShard(i, self.directory / f"shard-{i:02d}")
+            for i in range(n_shards)
+        ]
         self._started = False
 
     # -- lifecycle -----------------------------------------------------
@@ -259,23 +243,23 @@ class StandbyReplica:
         if self._started:
             raise RuntimeError("replica already started")
         self._started = True
-        for st in self._shards.values():
+        for st in self._shards:
             st.thread = threading.Thread(
                 target=self._run_shard, args=(st,),
                 name=f"repro-repl-standby-{st.index}", daemon=True,
             )
             st.thread.start()
         _LOG.info("repl.standby_started", dir=str(self.directory),
-                  source=f"{self.host}:{self.port}", shards=self.shards)
+                  source=f"{self.host}:{self.port}", shards=self.n_shards)
         return self
 
     def stop(self) -> None:
         self._stop.set()
-        for st in self._shards.values():
+        for st in self._shards:
             sock = st.sock
             if sock is not None:
                 hard_close(sock)  # the follower sees EOF and exits promptly
-        for st in self._shards.values():
+        for st in self._shards:
             if st.thread is not None:
                 st.thread.join(timeout=5.0)
             if st.log is not None:
@@ -295,7 +279,7 @@ class StandbyReplica:
     # -- introspection (any thread) ------------------------------------
     def shard_states(self) -> List[_StandbyShard]:
         """The per-shard states (the promotion path walks these)."""
-        return [self._shards[i] for i in sorted(self._shards)]
+        return list(self._shards)
 
     def heartbeat_age(self) -> float:
         """Seconds since the freshest shard heard from the primary.
@@ -305,7 +289,7 @@ class StandbyReplica:
         """
         ages = [
             monotonic() - st.last_heartbeat
-            for st in self._shards.values()
+            for st in self._shards
             if st.last_heartbeat is not None
         ]
         return min(ages) if ages else float("inf")
@@ -314,11 +298,9 @@ class StandbyReplica:
         return self._shards[shard].lag
 
     def caught_up(self, tips: Dict[int, int]) -> bool:
-        """Has every subscribed shard applied at least its target tip?"""
+        """Has every shard applied at least its target tip?"""
         return all(
-            self._shards[i].applied_lsn >= tip
-            for i, tip in tips.items()
-            if i in self._shards
+            self._shards[i].applied_lsn >= tip for i, tip in tips.items()
         )
 
     def wait_caught_up(
@@ -359,14 +341,14 @@ class StandbyReplica:
         return {
             "directory": str(self.directory),
             "source": f"{self.host}:{self.port}",
-            "subscribed": list(self.shards),
+            "subscribed": list(range(self.n_shards)),
             "shards": shards,
         }
 
     def digests(self) -> Dict[str, str]:
         """SHA-256 state digest of every mirrored session."""
         out: Dict[str, str] = {}
-        for st in self._shards.values():
+        for st in self._shards:
             with st.lock:
                 for sid, sess in st.sessions.items():
                     out[sid] = state_digest(sess.engine.state)
@@ -375,15 +357,10 @@ class StandbyReplica:
     def query(self, player_id: str) -> Dict[str, Any]:
         """Read-only view of one session, stamped with the shard's lag.
 
-        Raises ``KeyError`` for a player the replica has never seen —
-        including one whose owning shard is outside this standby's
-        subscription set.
+        Raises ``KeyError`` for a player the replica has never seen.
         """
         shard = shard_for(player_id, self.n_shards)
-        st = self._shards.get(shard)
-        if st is None:
-            _M_QUERIES.inc(result="unsubscribed")
-            raise KeyError(player_id)
+        st = self._shards[shard]
         with st.lock:
             sess = st.sessions.get(player_id)
             if sess is None:
@@ -408,7 +385,7 @@ class StandbyReplica:
         while not self._stop.is_set() and not st.fenced:
             if not first:
                 _M_RECONNECTS.inc(shard=st.label)
-                self._stop.wait(self.reconnect_backoff_s)
+                self._stop.wait(RECONNECT_BACKOFF_S)
                 if self._stop.is_set():
                     return
             first = False
@@ -448,7 +425,6 @@ class StandbyReplica:
             "epoch": st.epoch,
             "start": st.applied_lsn + 1,
             "client": self.client_name,
-            "subs": list(self.shards),
         }))
         while not self._stop.is_set():
             data = sock.recv(65536)

@@ -2,10 +2,11 @@
 
 A :class:`ReplicationSource` runs next to a persisted
 :class:`~repro.serve.manager.SessionManager` and serves the REPL
-protocol on its own TCP listener.  Each standby opens one connection
-per shard; the source answers the handshake (bootstrapping from
-snapshots when compaction has already eaten the requested prefix) and
-then streams every new WAL record as it becomes file-visible.
+protocol on its own TCP listener.  Each standby mirrors every shard
+and opens one connection per shard; the source answers the handshake
+(bootstrapping from snapshots when compaction has already eaten the
+requested prefix) and then streams every new WAL record as it becomes
+file-visible.
 
 **Tailing.**  The journal's group-commit flusher writes each batch to
 its segment file just before it fsyncs it, and the tailer ships
@@ -200,8 +201,8 @@ class ReplicationSource:
         #: quorum ledger: shard -> {standby client -> highest acked LSN}
         self._acks: Dict[int, Dict[str, int]] = {}
         self._ack_cond = threading.Condition()
-        #: standby client -> the shard-subscription set it handshook
-        self._subs: Dict[str, List[int]] = {}
+        #: standby clients that have handshaken, in arrival order
+        self._clients: Dict[str, None] = {}
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> "ReplicationSource":
@@ -302,9 +303,9 @@ class ReplicationSource:
                     self._ack_cond.wait(min(remaining, 0.1))
 
     def subscriptions(self) -> Dict[str, List[int]]:
-        """Standby client -> the shard-subscription set it handshook."""
+        """Handshaken standby client -> the shards it mirrors (all)."""
         with self._ack_cond:
-            return {name: list(subs) for name, subs in self._subs.items()}
+            return {name: list(range(self.n_shards)) for name in self._clients}
 
     # -- internals -----------------------------------------------------
     def _sever_all(self) -> None:
@@ -368,20 +369,8 @@ class ReplicationSource:
                     client = f"peer-{host}:{port}"
                 except OSError:
                     client = "peer-unknown"
-            subs = payload.get("subs")
-            if subs is not None:
-                subs = sorted({int(s) for s in subs})
-                if shard not in subs:
-                    conn.sendall(encode(R_ERROR, {
-                        "code": "bad_subscription",
-                        "detail": f"shard {shard} not in subscription "
-                                  f"set {subs}",
-                    }))
-                    return
             with self._ack_cond:
-                self._subs[client] = subs if subs is not None else list(
-                    range(self.n_shards)
-                )
+                self._clients[client] = None
             self._ship_shard(conn, shard, payload, client, decoder)
         except (ConnectionError, OSError, ValueError):
             pass

@@ -1,7 +1,7 @@
 """Cluster control plane: placement map, routed gateway, quorum commit.
 
 Unit coverage for :mod:`repro.cluster` — the map's fencing and
-round-robin planning, the gateway's lag-ranked read routing and
+rotated every-standby planning, the gateway's lag-ranked read routing and
 epoch-triggered write failover (against in-memory fakes), plus one
 small end-to-end quorum cluster, one seeded chaos audit and the
 ``repro cluster`` CLI.
@@ -25,7 +25,7 @@ from repro.cluster import (
 )
 from repro.faultline.chaos import reference_digest, run_chaos
 from repro.replicate.protocol import R_ERROR, R_HANDSHAKE, encode, make_decoder
-from repro.serve import session_factory_for_script
+from repro.serve import session_factory_for_script, shard_for
 from repro.students import cohort_scripts
 
 N_SHARDS = 2
@@ -51,24 +51,29 @@ class TestPlacementMap:
         return primary, standbys
 
     def test_plan_interleaves_subsets(self):
+        # every shard lists every standby, rotated so the first choice
+        # for reads interleaves over the pool
         primary, standbys = self._nodes(3)
-        pmap = plan_placement(4, primary, standbys, replicas_per_shard=2)
-        for shard in range(4):
+        pmap = plan_placement(4, primary, standbys)
+        rotations = [
+            ("s0", "s1", "s2"), ("s1", "s2", "s0"),
+            ("s2", "s0", "s1"), ("s0", "s1", "s2"),
+        ]
+        for shard, order in enumerate(rotations):
             entry = pmap.assignment(shard)
             assert entry.primary == "p0"
-            assert len(entry.standbys) == 2
-            assert len(set(entry.standbys)) == 2
-        # rotation: every standby carries some subset of the keyspace
-        for node in standbys:
-            assert pmap.shards_of(node.node_id)
+            assert entry.epoch == 1
+            assert entry.standbys == order
+        firsts = {pmap.assignment(s).standbys[0] for s in range(4)}
+        assert firsts == {node.node_id for node in standbys}
 
     def test_every_shard_survives_any_single_standby_loss(self):
         primary, standbys = self._nodes(3)
-        pmap = plan_placement(4, primary, standbys, replicas_per_shard=2)
+        pmap = plan_placement(4, primary, standbys)
         for victim in standbys:
             for shard in range(4):
                 survivors = [
-                    s for s in pmap.standbys_for(shard)
+                    s for s in pmap.assignment(shard).standbys
                     if s != victim.node_id
                 ]
                 assert survivors, (
@@ -91,25 +96,17 @@ class TestPlacementMap:
         assert "s0" not in entry.standbys
         assert pmap.node("s0").kind == "primary"
         # shard 1 untouched
-        assert pmap.primary_for(1) == "p0"
-
-    def test_shards_of_covers_primary_and_standby_roles(self):
-        primary, standbys = self._nodes(2)
-        pmap = plan_placement(2, primary, standbys)
-        assert pmap.shards_of("p0") == [0, 1]
-        pmap.advance(1, "s0", epoch=2)
-        assert 1 in pmap.shards_of("s0")
-        assert pmap.shards_of("p0") == [0]
+        assert pmap.assignment(1).primary == "p0"
 
     def test_save_load_round_trip(self, tmp_path):
         primary, standbys = self._nodes(3)
-        pmap = plan_placement(3, primary, standbys, replicas_per_shard=2)
+        pmap = plan_placement(3, primary, standbys)
         pmap.advance(1, "s1", epoch=5)
         path = pmap.save(tmp_path)
         assert path.name == "PLACEMENT.json"
         loaded = PlacementMap.load(tmp_path)
         assert loaded.to_dict() == pmap.to_dict()
-        assert loaded.epoch_of(1) == 5
+        assert loaded.assignment(1).epoch == 5
 
     def test_primary_address(self):
         primary, standbys = self._nodes(1)
@@ -220,8 +217,7 @@ def _counter_total(name):
 class TestQuorumCluster:
     def test_quorum_end_to_end(self, classroom_game, scripts, live):
         with ClusterSupervisor(
-            classroom_game, n_shards=N_SHARDS, n_standbys=3,
-            replicas_per_shard=2, quorum=1,
+            classroom_game, n_shards=N_SHARDS, n_standbys=3, quorum=1,
         ) as supervisor:
             for k, script in enumerate(scripts):
                 assert supervisor.submit(
@@ -243,17 +239,6 @@ class TestQuorumCluster:
             status = supervisor.status()
             assert status["quorum"] == 1
             assert status["primary"]["alive"]
-            # every standby subscribed to its planned subset only
-            subset_sizes = []
-            for node_id, info in status["standbys"].items():
-                assert info["subscribed"] == (
-                    supervisor.placement.shards_of(node_id)
-                )
-                subset_sizes.append(len(info["subscribed"]))
-            # 2 replicas/shard over 3 standbys x 2 shards = 4 slots:
-            # the subsets genuinely interleave, nobody mirrors it all
-            assert sum(subset_sizes) == N_SHARDS * 2
-            assert min(subset_sizes) < N_SHARDS
 
     def test_quorum_end_does_not_wait_out_the_poll_interval(
         self, classroom_game, scripts, live
@@ -292,7 +277,58 @@ class TestQuorumCluster:
                 )
             assert _counter_total("repro_quorum_timeouts_total") == timeouts_before
 
-    def test_handshake_rejects_unsubscribed_shard(self, classroom_game):
+    def test_every_standby_mirrors_every_shard(
+        self, classroom_game, scripts, live
+    ):
+        # quorum 2 of 2: every END needs both standbys on its shard
+        with ClusterSupervisor(
+            classroom_game, n_shards=N_SHARDS, n_standbys=2, quorum=2,
+        ) as supervisor:
+            timeouts_before = _counter_total("repro_quorum_timeouts_total")
+            pids = [f"{script.player_id}#m{k}"
+                    for k, script in enumerate(scripts)]
+            for pid, script in zip(pids, scripts):
+                assert supervisor.submit(
+                    pid, session_factory_for_script(classroom_game, script),
+                )
+            assert supervisor.manager.drain(timeout=60)
+            assert supervisor.wait_caught_up(timeout_s=30)
+            assert _counter_total(
+                "repro_quorum_timeouts_total"
+            ) == timeouts_before
+            every = list(range(N_SHARDS))
+            assert supervisor.source.subscriptions() == {
+                "standby-1": every, "standby-2": every,
+            }
+            for node_id, replica in supervisor.standbys.items():
+                assert replica.status()["subscribed"] == every
+                assert supervisor.status()["standbys"][node_id][
+                    "subscribed"
+                ] == every
+                assert set(pids) <= set(replica.digests())
+
+    def test_promote_moves_every_shard(self, classroom_game, scripts):
+        with ClusterSupervisor(
+            classroom_game, n_shards=N_SHARDS, n_standbys=3, quorum=1,
+        ) as supervisor:
+            supervisor.kill_primary()
+            supervisor.promote("standby-1", recover=True)
+            pids = {}
+            k = 0
+            while len(pids) < N_SHARDS:
+                pids.setdefault(shard_for(f"after{k}", N_SHARDS), f"after{k}")
+                k += 1
+            for shard, pid in sorted(pids.items()):
+                assert supervisor.placement.assignment(shard).primary == (
+                    "standby-1"
+                )
+                assert supervisor.submit(pid, session_factory_for_script(
+                    classroom_game, scripts[shard],
+                )), f"shard {shard} refused its post-failover SUBMIT"
+            assert supervisor.manager.drain(timeout=60)
+            assert supervisor.manager.completed_sessions == N_SHARDS
+
+    def test_handshake_rejects_out_of_range_shard(self, classroom_game):
         with ClusterSupervisor(
             classroom_game, n_shards=N_SHARDS, n_standbys=1,
         ) as supervisor:
@@ -301,8 +337,8 @@ class TestQuorumCluster:
                 (source.host, source.port), timeout=5
             ) as conn:
                 conn.sendall(encode(R_HANDSHAKE, {
-                    "shard": 1, "start": 1, "epoch": 1,
-                    "subs": [0], "client": "tester",
+                    "shard": N_SHARDS, "start": 1, "epoch": 1,
+                    "client": "tester",
                 }))
                 decoder = make_decoder()
                 frames = []
@@ -312,7 +348,35 @@ class TestQuorumCluster:
                     frames = decoder.feed(data)
                 ftype, payload = frames[0]
         assert ftype == R_ERROR
-        assert payload["code"] == "bad_subscription"
+        assert payload["code"] == "bad_shard"
+
+    def test_failed_start_stops_what_it_started(
+        self, classroom_game, tmp_path
+    ):
+        # a directory where the map goes: the last start step raises
+        (tmp_path / "PLACEMENT.json").mkdir()
+        before = set(threading.enumerate())
+        supervisor = ClusterSupervisor(
+            classroom_game, n_shards=N_SHARDS, n_standbys=2, root=tmp_path,
+        )
+        with pytest.raises(OSError):
+            with supervisor:
+                pass
+        prefixes = ("repro-serve-", "repro-persist-flusher-", "repro-repl-")
+        deadline = time.monotonic() + 5.0
+        while True:
+            leaked = [
+                t.name for t in threading.enumerate()
+                if t not in before and t.name.startswith(prefixes)
+            ]
+            if not leaked or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert not leaked, f"threads left running: {sorted(leaked)}"
+        with pytest.raises(OSError):
+            socket.create_connection(
+                (supervisor.source.host, supervisor.source.port), timeout=1,
+            ).close()
 
 
 class TestClusterChaos:
@@ -348,7 +412,7 @@ class TestCli:
         root = tmp_path / "cluster"
         assert main([
             "cluster", "serve", str(root), "--duration", "0.3",
-            "--standbys", "2", "--replicas-per-shard", "1",
+            "--standbys", "2",
         ]) == 0
         assert f"placement saved under {root}" in capsys.readouterr().out
 
@@ -363,10 +427,32 @@ class TestCli:
         assert [a["shard"] for a in doc["assignments"]] == [0, 1]
         for a in doc["assignments"]:
             assert a["primary"] == "primary" and a["epoch"] == 1
-            assert len(a["standbys"]) == 1
+            assert sorted(a["standbys"]) == ["standby-1", "standby-2"]
         assert sorted(n["node_id"] for n in doc["nodes"]) == [
             "primary", "standby-1", "standby-2",
         ]
+
+    def test_serve_three_standbys_on_two_shards(self, tmp_path, capsys):
+        root = tmp_path / "cluster"
+        assert main([
+            "cluster", "serve", str(root), "--duration", "0.3",
+            "--standbys", "3", "--quorum", "2",
+        ]) == 0
+        capsys.readouterr()
+        assert main(["cluster", "status", str(root), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert [sorted(a["standbys"]) for a in doc["assignments"]] == [
+            ["standby-1", "standby-2", "standby-3"],
+        ] * N_SHARDS
+
+    def test_replicas_per_shard_flag_is_gone(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "cluster", "serve", str(tmp_path), "--duration", "0.1",
+                "--standbys", "3", "--replicas-per-shard", "1",
+            ])
+        assert exc.value.code == 2
+        assert "--replicas-per-shard" in capsys.readouterr().err
 
     def test_status_without_a_map_exits_2(self, tmp_path, capsys):
         assert main(["cluster", "status", str(tmp_path)]) == 2

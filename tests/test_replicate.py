@@ -167,7 +167,7 @@ class TestShipping:
             manager.start()
             with StandbyReplica(
                 tmp_path / "standby", classroom_game, N_SHARDS,
-                source.host, source.port, reconnect_backoff_s=0.01,
+                source.host, source.port,
             ) as standby:
                 _submit_all(manager, classroom_game, scripts)
                 # sever every shipping connection mid-stream, twice:
@@ -426,7 +426,7 @@ class TestFencing:
         with ReplicationSource(persistence, 1) as source:
             standby = StandbyReplica(
                 standby_root, classroom_game, 1,
-                source.host, source.port, reconnect_backoff_s=0.01,
+                source.host, source.port,
             ).start()
             try:
                 deadline = time.monotonic() + 5
