@@ -16,6 +16,13 @@ verifies every committed record is readable back.  The reported commit
 p95 is exact: the nearest-rank quantile of every group-commit writer's
 append-to-durable latency, with the sample count beside it.
 
+The two modes run as ``REPEATS`` alternating pairs (which mode goes
+first flips each pair) and the gate takes the median of the per-pair
+throughput ratios.  The modelled fsync fixes the device cost but not
+thread wake-ups, which group commit depends on more than the
+per-record baseline does, so one pair slowed by other load on the
+machine must not decide the result.
+
 Tunable from the environment so the CI smoke job can run it small:
 
 ``REPRO_PERSIST_BENCH_WRITERS``
@@ -28,6 +35,7 @@ Tunable from the environment so the CI smoke job can run it small:
 
 import os
 import shutil
+import statistics
 import tempfile
 import threading
 import time
@@ -49,6 +57,8 @@ SLO_FILE = Path(__file__).parent.parent / "examples" / "slo.toml"
 WRITERS = int(os.environ.get("REPRO_PERSIST_BENCH_WRITERS", "16"))
 COMMITS = int(os.environ.get("REPRO_PERSIST_BENCH_COMMITS", "50"))
 FSYNC_MS = float(os.environ.get("REPRO_PERSIST_BENCH_FSYNC_MS", "1.0"))
+#: alternating (fsync-per-record, group-commit) pairs
+REPEATS = 5
 
 
 class _ModelledDiskFile:
@@ -137,24 +147,38 @@ def _run_mode(sync_each: bool) -> dict:
 
 @pytest.fixture(scope="module")
 def commit_runs():
+    """``(baseline runs, group-commit runs)``, index k from pair k."""
     obs.enable()  # commit/group-size histograms feed the SLO rules
-    baseline = _run_mode(sync_each=True)
-    grouped = _run_mode(sync_each=False)
-    return baseline, grouped
+    runs = {True: [], False: []}
+    for k in range(REPEATS):
+        for sync_each in ((True, False) if k % 2 == 0 else (False, True)):
+            runs[sync_each].append(_run_mode(sync_each))
+    return runs[True], runs[False]
+
+
+def _speedups(commit_runs) -> list:
+    baselines, grouped = commit_runs
+    return [
+        g["records_per_s"] / b["records_per_s"]
+        for b, g in zip(baselines, grouped)
+    ]
 
 
 def test_group_commit_durability_and_readback(commit_runs, results_dir):
-    baseline, grouped = commit_runs
+    baselines, grouped = commit_runs
     rows = [
         {
+            "pair": k,
             "mode": r["mode"],
             "records": r["records"],
             "elapsed_s": f"{r['elapsed_s']:.3f}",
             "records_per_s": f"{r['records_per_s']:.0f}",
             "recovery_ms": f"{r['recovery_s'] * 1e3:.2f}",
         }
-        for r in (baseline, grouped)
+        for k, pair in enumerate(zip(baselines, grouped))
+        for r in pair
     ]
+    speedups = _speedups(commit_runs)
     from repro.reporting import format_table
 
     save_result(
@@ -163,52 +187,58 @@ def test_group_commit_durability_and_readback(commit_runs, results_dir):
             rows,
             title=(
                 f"WAL commit throughput ({WRITERS} writers x {COMMITS} "
-                f"commits, {FSYNC_MS}ms modelled fsync)"
+                f"commits, {FSYNC_MS}ms modelled fsync, {REPEATS} pairs)"
             ),
         )
-        + f"\nspeedup: {grouped['records_per_s'] / baseline['records_per_s']:.1f}x",
+        + f"\nmedian speedup: {statistics.median(speedups):.1f}x "
+        f"(pairs: {', '.join(f'{x:.1f}x' for x in speedups)})",
     )
-    for r in (baseline, grouped):
+    for r in baselines + grouped:
         # Every committed record must be readable back, in order, clean.
         assert r["records_on_disk"] == r["records"]
         assert r["torn"] == 0
 
 
 def test_group_commit_beats_per_record_fsync(commit_runs):
-    """The acceptance bar: >= 5x throughput at equal durability."""
-    baseline, grouped = commit_runs
-    speedup = grouped["records_per_s"] / baseline["records_per_s"]
+    """The acceptance bar: >= 5x throughput at equal durability, as
+    the median over the alternating pairs."""
+    speedups = _speedups(commit_runs)
+    speedup = statistics.median(speedups)
     assert speedup >= 5.0, (
-        f"group commit only {speedup:.2f}x over fsync-per-record "
-        f"({grouped['records_per_s']:.0f} vs {baseline['records_per_s']:.0f} rec/s)"
+        f"group commit only {speedup:.2f}x (median) over fsync-per-record; "
+        f"pairs: {[round(x, 2) for x in speedups]}"
     )
 
 
 def test_persist_emits_machine_readable_result(commit_runs, results_dir):
     """BENCH_persist.json: throughput + exact commit p95, for tooling."""
-    baseline, grouped = commit_runs
-    samples = sorted(grouped["commit_s"])
+    baselines, grouped = commit_runs
+    samples = sorted(t for r in grouped for t in r["commit_s"])
     commit_p95 = samples[int(0.95 * (len(samples) - 1))]
     payload = {
         "benchmark": "persist",
         "writers": WRITERS,
         "commits_per_writer": COMMITS,
         "modelled_fsync_ms": FSYNC_MS,
+        "repeats": REPEATS,
+        "median_speedup": statistics.median(_speedups(commit_runs)),
         "p95_commit_s": commit_p95,
         "commit_samples": len(samples),
         "points": [
             {
-                "mode": r["mode"],
-                "throughput_records_per_s": r["records_per_s"],
-                "records": r["records"],
-                "recovery_s": r["recovery_s"],
+                "mode": runs[0]["mode"],
+                "throughput_records_per_s": statistics.median(
+                    r["records_per_s"] for r in runs
+                ),
+                "records": runs[0]["records"],
+                "recovery_s": statistics.median(r["recovery_s"] for r in runs),
             }
-            for r in (baseline, grouped)
+            for runs in (baselines, grouped)
         ],
     }
     path = save_json("BENCH_persist.json", payload)
     assert path.is_file()
-    assert len(samples) == WRITERS * COMMITS and commit_p95 > 0
+    assert len(samples) == REPEATS * WRITERS * COMMITS and commit_p95 > 0
     for point in payload["points"]:
         assert point["throughput_records_per_s"] > 0
 

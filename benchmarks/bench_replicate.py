@@ -13,9 +13,15 @@ Two claims this file defends:
   from-scratch replay of its journal — replication is an availability
   feature, never a divergence feature.
 
-Lag is measured in records: a sampler thread reads the standby's
-per-shard lag (shipped tip minus applied LSN) every millisecond while
-the cohort streams, as perfbench does.  The tick conversion divides
+Lag is measured in records: every millisecond while the cohort
+streams, a sampler thread takes, per shard, the primary journal's
+durable LSN (recorded by the manager's replication hook after each
+group commit) minus the standby's applied LSN, read in that order
+reversed so a sample never under-reports.  The standby's own view
+(shipped tip minus applied) cannot serve: the tip arrives on the same
+in-order link as the records, so it reads 0 outside the apply itself.
+A record shipped before its fsync finishes can put the standby ahead
+of the durable LSN; such a sample is 0.  The tick conversion divides
 by ``max_steps_per_tick``, a single session's per-tick record
 production — the most conservative denominator, since
 every shard runs several sessions and produces a multiple of that.
@@ -82,19 +88,30 @@ def _steady_state() -> dict:
             max_steps_per_tick=MAX_STEPS, persistence=persistence,
         ))
         t0 = time.perf_counter()
+        #: per shard, the primary journal's durable LSN
+        durable = [0] * SHARDS
         with ReplicationSource(persistence, SHARDS) as source:
-            source.attach(manager)
+
+            def on_durable(shard: int, lsn: int) -> None:
+                durable[shard] = lsn
+                source.notify(shard, lsn)
+
+            manager.set_replication_hook(on_durable, source.wait_quorum)
             manager.start()
             with StandbyReplica(
                 root / "standby", game, SHARDS, source.host, source.port,
             ) as standby:
                 lag_samples = {i: [] for i in range(SHARDS)}
                 done = threading.Event()
+                states = standby.shard_states()
 
                 def sample():
                     while True:
-                        for i in range(SHARDS):
-                            lag_samples[i].append(standby.lag(i))
+                        for st in states:
+                            applied = st.applied_lsn
+                            lag_samples[st.index].append(
+                                max(0, durable[st.index] - applied)
+                            )
                         if done.wait(SAMPLE_S):
                             return
 

@@ -7,7 +7,8 @@ scenarios and whose edges are the ``SwitchScenario`` actions (plus
 directly: the scenario editor shows it as feedback, and the validator
 uses it to prove structural properties before a game ships.
 
-Built on :mod:`networkx` for the graph algorithms; every edge carries the
+The graph is one adjacency map, ``source -> {target -> [EdgeInfo]}``,
+walked by plain breadth- and depth-first search; every edge carries the
 binding id / trigger that creates it, so diagnostics can point the author
 to the exact event to fix.
 """
@@ -16,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Set
-
-import networkx as nx
 
 from ..events import EventTable, SwitchScenario
 from .scenario import Scenario
@@ -54,9 +53,11 @@ class ScenarioGraph:
         self.scenarios = dict(scenarios)
         self.start = start
         self.edges = list(edges)
-        self._g = nx.MultiDiGraph()
-        self._g.add_nodes_from(scenarios)
-        for e in edges:
+        #: source -> {target -> [EdgeInfo]}; targets in first-seen order
+        self._adj: Dict[str, Dict[str, List[EdgeInfo]]] = {
+            sid: {} for sid in scenarios
+        }
+        for e in self.edges:
             if e.source not in scenarios:
                 raise GraphError(f"edge from unknown scenario {e.source!r}")
             if e.target not in scenarios:
@@ -64,32 +65,51 @@ class ScenarioGraph:
                     f"edge targets unknown scenario {e.target!r} "
                     f"(binding {e.binding_id!r})"
                 )
-            self._g.add_edge(e.source, e.target, info=e)
+            self._adj[e.source].setdefault(e.target, []).append(e)
 
     # ------------------------------------------------------------------
     @property
     def node_count(self) -> int:
-        return self._g.number_of_nodes()
+        return len(self._adj)
 
     @property
     def edge_count(self) -> int:
-        return self._g.number_of_edges()
+        return len(self.edges)
+
+    def _targets(self, scenario_id: str) -> Dict[str, List[EdgeInfo]]:
+        try:
+            return self._adj[scenario_id]
+        except KeyError:
+            raise GraphError(f"unknown scenario {scenario_id!r}") from None
 
     def successors(self, scenario_id: str) -> List[str]:
         """Distinct scenarios reachable in one transition (sorted)."""
-        if scenario_id not in self._g:
-            raise GraphError(f"unknown scenario {scenario_id!r}")
-        return sorted(set(self._g.successors(scenario_id)))
+        return sorted(self._targets(scenario_id))
 
     def out_edges(self, scenario_id: str) -> List[EdgeInfo]:
-        """EdgeInfo records leaving a scenario."""
-        if scenario_id not in self._g:
-            raise GraphError(f"unknown scenario {scenario_id!r}")
-        return [d["info"] for _, _, d in self._g.out_edges(scenario_id, data=True)]
+        """EdgeInfo records leaving a scenario, grouped by target in the
+        order each target first appeared."""
+        return [e for es in self._targets(scenario_id).values() for e in es]
+
+    def distances(self, source: str) -> Dict[str, int]:
+        """Transition distance from ``source`` to every scenario it can
+        reach (``source`` included, at 0), in breadth-first order."""
+        self._targets(source)
+        dist = {source: 0}
+        frontier = [source]
+        while frontier:
+            fresh = []
+            for sid in frontier:
+                for nxt in self._adj[sid]:
+                    if nxt not in dist:
+                        dist[nxt] = dist[sid] + 1
+                        fresh.append(nxt)
+            frontier = fresh
+        return dist
 
     def reachable(self) -> Set[str]:
         """Scenarios reachable from the start (start included)."""
-        return set(nx.descendants(self._g, self.start)) | {self.start}
+        return set(self.distances(self.start))
 
     def unreachable(self) -> Set[str]:
         """Authored scenarios the player can never see."""
@@ -101,22 +121,33 @@ class ScenarioGraph:
         A dead end is only a defect if the game cannot end there; the
         validator cross-references ``EndGame`` actions before flagging.
         """
-        return {
-            s for s in self.reachable() if self._g.out_degree(s) == 0
-        }
+        return {s for s in self.reachable() if not self._adj[s]}
 
     def shortest_path(self, target: str) -> Optional[List[str]]:
         """Fewest-transitions path start → target, or None."""
-        if target not in self._g:
-            raise GraphError(f"unknown scenario {target!r}")
-        try:
-            return nx.shortest_path(self._g, self.start, target)
-        except nx.NetworkXNoPath:
+        self._targets(target)
+        parent: Dict[str, Optional[str]] = {self.start: None}
+        frontier = [self.start]
+        while frontier and target not in parent:
+            fresh = []
+            for sid in frontier:
+                for nxt in self._adj[sid]:
+                    if nxt not in parent:
+                        parent[nxt] = sid
+                        fresh.append(nxt)
+            frontier = fresh
+        if target not in parent:
             return None
+        path: List[str] = []
+        node: Optional[str] = target
+        while node is not None:
+            path.append(node)
+            node = parent[node]
+        return path[::-1]
 
     def eccentricity_from_start(self) -> Dict[str, int]:
         """Transition distance from start to every reachable scenario."""
-        return dict(nx.single_source_shortest_path_length(self._g, self.start))
+        return self.distances(self.start)
 
     def branching_factor(self) -> float:
         """Mean distinct out-degree over reachable scenarios.
@@ -125,14 +156,36 @@ class ScenarioGraph:
         decision points; linear video has factor exactly 1 (E6 contrast).
         """
         reach = self.reachable()
-        if not reach:
-            return 0.0
-        return sum(len(set(self._g.successors(s))) for s in reach) / len(reach)
+        return sum(len(self._adj[s]) for s in reach) / len(reach)
 
     def cycles(self) -> List[List[str]]:
-        """Simple cycles (players revisiting places is expected; the
-        validator only warns on cycles with no conditional exit)."""
-        return [list(c) for c in nx.simple_cycles(nx.DiGraph(self._g))]
+        """Elementary cycles, each once, as scenario lists starting at
+        the cycle's earliest-authored scenario.
+
+        Parallel edges count once; a self-loop is a one-scenario cycle.
+        Players revisiting places is expected: the editor shows cycles
+        and nothing rejects them.
+        """
+        rank = {sid: i for i, sid in enumerate(self._adj)}
+        found: List[List[str]] = []
+        for root in self._adj:
+            # Depth-first over scenarios authored after ``root``: every
+            # path back to ``root`` closes a cycle whose earliest
+            # scenario is ``root``, so no cycle is found twice.
+            path = [root]
+            stack = [iter(self._adj[root])]
+            while stack:
+                for nxt in stack[-1]:
+                    if nxt == root:
+                        found.append(list(path))
+                    elif rank[nxt] > rank[root] and nxt not in path:
+                        path.append(nxt)
+                        stack.append(iter(self._adj[nxt]))
+                        break
+                else:
+                    stack.pop()
+                    path.pop()
+        return found
 
     def to_dot(self) -> str:
         """GraphViz dot text (editor's graph pane / documentation)."""

@@ -27,8 +27,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
-
 from ..graph import ScenarioGraph
 from ..obs import logging as _obslog
 from ..obs import metrics as _obs
@@ -184,25 +182,17 @@ class SegmentCache:
         """
         distances: Optional[Dict[str, int]] = None
         if self.policy == "graph" and current_scenario is not None:
-            distances = dict(
-                nx.single_source_shortest_path_length(
-                    self.graph._g, current_scenario  # noqa: SLF001 - same package
-                )
-            )
+            distances = self.graph.distances(current_scenario)
         while self._resident_bytes + incoming > self.capacity_bytes:
-            self._evict_one(current_scenario, distances)
+            self._evict_one(distances)
 
-    def _evict_one(
-        self,
-        current_scenario: Optional[str],
-        distances: Optional[Dict[str, int]] = None,
-    ) -> None:
+    def _evict_one(self, distances: Optional[Dict[str, int]]) -> None:
         if not self._resident:  # pragma: no cover - guarded by size check
             raise RuntimeError("cache invariant violated: nothing to evict")
         if self.policy in ("lru", "fifo"):
             victim, size = next(iter(self._resident.items()))
         else:
-            victim, size = self._graph_victim(current_scenario, distances)
+            victim, size = self._graph_victim(distances)
         del self._resident[victim]
         self._resident_bytes -= size
         self.stats.evictions += 1
@@ -219,20 +209,12 @@ class SegmentCache:
             )
 
     def _graph_victim(
-        self,
-        current_scenario: Optional[str],
-        distances: Optional[Dict[str, int]] = None,
+        self, distances: Optional[Dict[str, int]]
     ) -> Tuple[int, int]:
-        """Farthest-from-player resident segment (ties: oldest)."""
-        assert self.graph is not None
-        if current_scenario is None:
-            return next(iter(self._resident.items()))
+        """Farthest-from-player resident segment (ties: oldest); the
+        oldest when the player's position is unknown."""
         if distances is None:
-            distances = dict(
-                nx.single_source_shortest_path_length(
-                    self.graph._g, current_scenario  # noqa: SLF001 - same package
-                )
-            )
+            return next(iter(self._resident.items()))
         best: Optional[Tuple[int, int]] = None
         best_dist = -1
         for seg, size in self._resident.items():

@@ -1,5 +1,7 @@
 """Tests for scenarios and the derived scenario graph."""
 
+import random
+
 import pytest
 
 from repro.events import EventBinding, EventTable, SwitchScenario, Trigger
@@ -148,6 +150,15 @@ class TestBuildGraph:
         with pytest.raises(GraphError):
             g.shortest_path("zz")
 
+    def test_distances_from_any_scenario(self):
+        scenarios, table = self._setup()
+        _click_switch(table, "a", "btn-a", "b")
+        _click_switch(table, "b", "btn-b", "c")
+        g = build_graph(scenarios, table, "a")
+        assert g.distances("b") == {"b": 0, "c": 1}
+        with pytest.raises(GraphError):
+            g.distances("zz")
+
     def test_branching_factor(self):
         scenarios, table = self._setup()
         _click_switch(table, "a", "btn-a", "b")
@@ -179,3 +190,132 @@ class TestBuildGraph:
         dot = build_graph(scenarios, table, "a").to_dot()
         assert '"a"' in dot and '"b" ' in dot or '"a" -> "b"' in dot
         assert "digraph" in dot
+
+
+# ----------------------------------------------------------------------
+# networkx as the reference implementation
+# ----------------------------------------------------------------------
+N_RANDOM = 150
+
+
+def _random_graph(seed):
+    """A seeded scenario set with parallel edges, self-loops, global
+    ``"*"`` bindings, ``on_finish`` edges and, often, unreachable
+    scenarios."""
+    rng = random.Random(seed)
+    ids = [f"s{k}" for k in range(rng.randint(2, 9))]
+    scenarios = {}
+    for k, sid in enumerate(ids):
+        if rng.random() < 0.25:
+            scenarios[sid] = Scenario(sid, sid.upper(), k, loop=False,
+                                      on_finish=rng.choice(ids))
+        else:
+            scenarios[sid] = Scenario(sid, sid.upper(), k)
+    table = EventTable()
+    for _ in range(rng.randint(0, 2 * len(ids))):
+        src = "*" if rng.random() < 0.08 else rng.choice(ids)
+        table.add(EventBinding(
+            scenario_id=src,
+            trigger=rng.choice((Trigger.CLICK, Trigger.EXAMINE)),
+            object_id="btn",
+            condition=rng.choice(("", "flag('x')")),
+            actions=[SwitchScenario(target=rng.choice(ids))
+                     for _ in range(rng.choice((1, 1, 1, 2)))],
+        ))
+    return build_graph(scenarios, table, rng.choice(ids))
+
+
+def _canonical(cycle):
+    k = cycle.index(min(cycle))
+    return tuple(cycle[k:] + cycle[:k])
+
+
+class TestAgainstNetworkx:
+    @pytest.fixture(scope="class")
+    def cases(self):
+        nx = pytest.importorskip("networkx")
+        out = []
+        for seed in range(N_RANDOM):
+            g = _random_graph(seed)
+            ref = nx.MultiDiGraph()
+            ref.add_nodes_from(g.scenarios)
+            for e in g.edges:
+                ref.add_edge(e.source, e.target, info=e)
+            out.append((seed, g, ref, nx))
+        return out
+
+    def test_cases_cover_every_edge_shape(self, cases):
+        shapes = set()
+        for _, g, ref, _nx in cases:
+            pairs = [(e.source, e.target) for e in g.edges]
+            if len(pairs) > len(set(pairs)):
+                shapes.add("parallel")
+            if any(s == t for s, t in pairs):
+                shapes.add("self-loop")
+            if any(e.trigger == "on_finish" for e in g.edges):
+                shapes.add("on_finish")
+            if g.unreachable():
+                shapes.add("unreachable")
+            sources = {}
+            for e in g.edges:
+                if e.binding_id:
+                    sources.setdefault(e.binding_id, set()).add(e.source)
+            if any(len(v) > 1 for v in sources.values()):
+                shapes.add("global")  # only a "*" binding has many sources
+        assert shapes == {"parallel", "self-loop", "on_finish",
+                          "unreachable", "global"}
+
+    def test_reachable_unreachable_dead_ends(self, cases):
+        for seed, g, ref, nx in cases:
+            reach = set(nx.descendants(ref, g.start)) | {g.start}
+            assert g.reachable() == reach, seed
+            assert g.unreachable() == set(g.scenarios) - reach, seed
+            assert g.dead_ends() == {
+                s for s in reach if ref.out_degree(s) == 0
+            }, seed
+
+    def test_successors_and_out_edge_order(self, cases):
+        for seed, g, ref, _nx in cases:
+            assert g.node_count == ref.number_of_nodes(), seed
+            assert g.edge_count == ref.number_of_edges(), seed
+            for sid in g.scenarios:
+                assert g.successors(sid) == sorted(set(ref.successors(sid))), seed
+                assert g.out_edges(sid) == [
+                    d["info"] for _, _, d in ref.out_edges(sid, data=True)
+                ], seed
+
+    def test_eccentricity_from_start(self, cases):
+        for seed, g, ref, nx in cases:
+            assert g.eccentricity_from_start() == dict(
+                nx.single_source_shortest_path_length(ref, g.start)
+            ), seed
+
+    def test_shortest_paths(self, cases):
+        for seed, g, ref, nx in cases:
+            for target in g.scenarios:
+                path = g.shortest_path(target)
+                try:
+                    expected = nx.shortest_path(ref, g.start, target)
+                except nx.NetworkXNoPath:
+                    expected = None
+                if expected is None:
+                    assert path is None, (seed, target)
+                    continue
+                assert path is not None, (seed, target)
+                assert len(path) == len(expected), (seed, target)
+                assert path[0] == g.start and path[-1] == target
+                assert all(ref.has_edge(a, b) for a, b in zip(path, path[1:]))
+
+    def test_branching_factor(self, cases):
+        for seed, g, ref, nx in cases:
+            reach = set(nx.descendants(ref, g.start)) | {g.start}
+            expected = sum(len(set(ref.successors(s))) for s in reach) / len(reach)
+            assert g.branching_factor() == pytest.approx(expected), seed
+
+    def test_cycles(self, cases):
+        for seed, g, ref, nx in cases:
+            found = [_canonical(c) for c in g.cycles()]
+            assert len(found) == len(set(found)), seed  # each cycle once
+            assert set(found) == {
+                _canonical(list(c)) for c in nx.simple_cycles(nx.DiGraph(ref))
+            }, seed

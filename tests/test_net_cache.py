@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import fetch_quest_game
-from repro.graph import build_graph
+from repro.graph import ScenarioGraph, build_graph
 from repro.net import EVICTION_POLICIES, SegmentCache, simulate_cached_playback
 from repro.video import FrameSize, VideoReader
 
@@ -79,20 +79,16 @@ class TestEvictionAccounting:
 
     def test_graph_distances_computed_once_per_admission(self, monkeypatch):
         """A multi-eviction admission walks the graph exactly once."""
-        import repro.net.cache as cache_mod
-
         game = fetch_quest_game(n_quests=3, size=FrameSize(64, 48)).build()
         graph = build_graph(game.scenarios, game.events, game.start)
         calls = {"n": 0}
-        real = cache_mod.nx.single_source_shortest_path_length
+        real = ScenarioGraph.distances
 
-        def counting(*args, **kwargs):
+        def counting(self, source):
             calls["n"] += 1
-            return real(*args, **kwargs)
+            return real(self, source)
 
-        monkeypatch.setattr(
-            cache_mod.nx, "single_source_shortest_path_length", counting
-        )
+        monkeypatch.setattr(ScenarioGraph, "distances", counting)
         cache = SegmentCache(100, policy="graph", graph=graph)
         names = list(graph.scenarios)
         for k, name in enumerate(names[:4]):
